@@ -148,6 +148,93 @@ void KernelMatMul(benchmark::State& state, k::DispatchMode mode,
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 
+// The MatMul backward's shapes in the benchmark's Simple-HGN (hidden 16,
+// 3 heads): the weight gradient hᵀ·dY over 4096 node rows, and the input
+// gradient dY·Wᵀ back to a 48-wide h.
+constexpr int64_t kBackwardNodes = 4096, kBackwardIn = 48, kBackwardOut = 16;
+
+void KernelMatMulAtB(benchmark::State& state, k::DispatchMode mode,
+                     int threads) {
+  ScopedDispatch dispatch(mode);
+  std::unique_ptr<core::ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<core::ThreadPool>(threads);
+  core::Rng rng(14);
+  const Tensor h = Tensor::RandomNormal(kBackwardNodes, kBackwardIn, &rng);
+  const Tensor dy = Tensor::RandomNormal(kBackwardNodes, kBackwardOut, &rng);
+  Tensor out(kBackwardIn, kBackwardOut);
+  for (auto _ : state) {
+    out.Fill(0.0f);
+    k::MatMulAtB(h.data(), dy.data(), out.data(), kBackwardIn, kBackwardNodes,
+                 kBackwardOut, pool.get());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kBackwardNodes * kBackwardIn *
+                          kBackwardOut);
+}
+
+void KernelMatMulABt(benchmark::State& state, k::DispatchMode mode,
+                     int threads) {
+  ScopedDispatch dispatch(mode);
+  std::unique_ptr<core::ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<core::ThreadPool>(threads);
+  core::Rng rng(15);
+  const Tensor dy = Tensor::RandomNormal(kBackwardNodes, kBackwardOut, &rng);
+  const Tensor w = Tensor::RandomNormal(kBackwardIn, kBackwardOut, &rng);
+  Tensor out(kBackwardNodes, kBackwardIn);
+  for (auto _ : state) {
+    out.Fill(0.0f);
+    k::MatMulABt(dy.data(), w.data(), out.data(), kBackwardNodes,
+                 kBackwardOut, kBackwardIn, pool.get());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kBackwardNodes * kBackwardIn *
+                          kBackwardOut);
+}
+
+// RowScale over one head's message matrix: 32768 edges x 16 columns.
+constexpr int64_t kRowScaleRows = 32768, kRowScaleCols = 16;
+
+void KernelRowScale(benchmark::State& state, k::DispatchMode mode,
+                    int threads) {
+  ScopedDispatch dispatch(mode);
+  std::unique_ptr<core::ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<core::ThreadPool>(threads);
+  core::Rng rng(16);
+  const Tensor x = Tensor::RandomNormal(kRowScaleRows, kRowScaleCols, &rng);
+  const Tensor s = Tensor::RandomNormal(kRowScaleRows, 1, &rng);
+  Tensor out(kRowScaleRows, kRowScaleCols);
+  for (auto _ : state) {
+    k::RowScale(x.data(), s.data(), out.data(), kRowScaleRows, kRowScaleCols,
+                pool.get());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kRowScaleRows * kRowScaleCols);
+}
+
+/// The RowScale backward: the input gradient (RowScaleAccumulate) and the
+/// scale gradient (RowDot) over the same message matrix.
+void KernelRowScaleGrad(benchmark::State& state, k::DispatchMode mode,
+                        int threads) {
+  ScopedDispatch dispatch(mode);
+  std::unique_ptr<core::ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<core::ThreadPool>(threads);
+  core::Rng rng(17);
+  const Tensor x = Tensor::RandomNormal(kRowScaleRows, kRowScaleCols, &rng);
+  const Tensor s = Tensor::RandomNormal(kRowScaleRows, 1, &rng);
+  const Tensor dy = Tensor::RandomNormal(kRowScaleRows, kRowScaleCols, &rng);
+  Tensor dx(kRowScaleRows, kRowScaleCols);
+  Tensor ds(kRowScaleRows, 1);
+  for (auto _ : state) {
+    k::RowScaleAccumulate(s.data(), dy.data(), dx.data(), kRowScaleRows,
+                          kRowScaleCols, pool.get());
+    k::RowDot(x.data(), dy.data(), ds.data(), kRowScaleRows, kRowScaleCols,
+              pool.get());
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::DoNotOptimize(ds.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kRowScaleRows * kRowScaleCols);
+}
+
 void KernelGather(benchmark::State& state, k::DispatchMode mode,
                   int threads) {
   ScopedDispatch dispatch(mode);
@@ -195,6 +282,10 @@ void RegisterKernelGrid() {
     const char* name;
     void (*fn)(benchmark::State&, k::DispatchMode, int);
   } kernels[] = {{"matmul", KernelMatMul},
+                 {"matmul_at_b", KernelMatMulAtB},
+                 {"matmul_a_bt", KernelMatMulABt},
+                 {"row_scale", KernelRowScale},
+                 {"row_scale_grad", KernelRowScaleGrad},
                  {"gather", KernelGather},
                  {"segment_softmax", KernelSegmentSoftmax}};
   const struct {

@@ -12,7 +12,13 @@
 //    semantic zero-skip of the scalar path, only widening over the output
 //    columns j (lane-independent direction);
 //  - branches become compare+blend mirroring the scalar ternary exactly
-//    (including negative zero and NaN operands).
+//    (including negative zero and NaN operands);
+//  - where lanes run over rows instead of columns (RowDot, and MatMulAtB
+//    with one output column), tiles are transposed in registers and the
+//    zero-skip becomes a per-lane blend, so each lane still replays one
+//    scalar row's sequence of rounded operations.
+
+#include <algorithm>
 
 #include "tensor/kernels/internal.h"
 
@@ -102,6 +108,171 @@ void MatMulRows(const float* a, const float* b, float* out, int64_t row_begin,
         acc += aval * b[kk * n + j];
       }
       orow[j] = acc;
+    }
+  }
+}
+
+namespace {
+
+// Lanes [0, width) set, the rest clear: the mask for a partial 8-float
+// row, so maskload reads nothing past the row end and reads zeros instead.
+inline __m256i LaneMask(int64_t width) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(width)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// 8x8 transpose in registers: lane l of t[c] is lane c of r[l]. Shuffles
+// move values without arithmetic, so every lane keeps its exact float.
+inline void Transpose8x8(const __m256 r[8], __m256 t[8]) {
+  const __m256 lo01 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 hi01 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 lo23 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 hi23 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 lo45 = _mm256_unpacklo_ps(r[4], r[5]);
+  const __m256 hi45 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 lo67 = _mm256_unpacklo_ps(r[6], r[7]);
+  const __m256 hi67 = _mm256_unpackhi_ps(r[6], r[7]);
+  // c04a: columns 0 (low half) and 4 (high half) of rows 0-3, and so on.
+  const __m256 c04a = _mm256_shuffle_ps(lo01, lo23, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 c15a = _mm256_shuffle_ps(lo01, lo23, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 c26a = _mm256_shuffle_ps(hi01, hi23, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 c37a = _mm256_shuffle_ps(hi01, hi23, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 c04b = _mm256_shuffle_ps(lo45, lo67, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 c15b = _mm256_shuffle_ps(lo45, lo67, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 c26b = _mm256_shuffle_ps(hi45, hi67, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 c37b = _mm256_shuffle_ps(hi45, hi67, _MM_SHUFFLE(3, 2, 3, 2));
+  t[0] = _mm256_permute2f128_ps(c04a, c04b, 0x20);
+  t[1] = _mm256_permute2f128_ps(c15a, c15b, 0x20);
+  t[2] = _mm256_permute2f128_ps(c26a, c26b, 0x20);
+  t[3] = _mm256_permute2f128_ps(c37a, c37b, 0x20);
+  t[4] = _mm256_permute2f128_ps(c04a, c04b, 0x31);
+  t[5] = _mm256_permute2f128_ps(c15a, c15b, 0x31);
+  t[6] = _mm256_permute2f128_ps(c26a, c26b, 0x31);
+  t[7] = _mm256_permute2f128_ps(c37a, c37b, 0x31);
+}
+
+// Loads up to 8 rows of width `ncols` (row stride `stride`) and transposes
+// them: lane l of t[c] is src[l * stride + c]. Rows past `nrows` and
+// columns past `ncols` are never read and come out as 0.
+inline void LoadTransposed8x8(const float* src, int64_t stride, int64_t nrows,
+                              int64_t ncols, __m256 t[8]) {
+  __m256 r[8];
+  const __m256i mask = LaneMask(ncols);
+  for (int64_t l = 0; l < 8; ++l) {
+    if (l >= nrows) {
+      r[l] = _mm256_setzero_ps();
+    } else if (ncols == 8) {
+      r[l] = _mm256_loadu_ps(src + l * stride);
+    } else {
+      r[l] = _mm256_maskload_ps(src + l * stride, mask);
+    }
+  }
+  Transpose8x8(r, t);
+}
+
+// acc + aval * v, lane-wise, or acc untouched when aval is exactly 0: one
+// MatMulRows term with its zero-skip.
+inline __m256 AddScaledUnlessZero(__m256 acc, float aval, __m256 v) {
+  if (aval == 0.0f) return acc;
+  return _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(aval), v));
+}
+
+}  // namespace
+
+void MatMulAtBRows(const float* a, const float* b, float* out,
+                   int64_t row_begin, int64_t row_end, int64_t m, int64_t k,
+                   int64_t n) {
+  if (n == 1) {
+    // One output column (the attention-vector gradients): out is then
+    // contiguous over i, so lanes run over output rows. The zero-skip
+    // becomes a per-lane blend that keeps out[i] wherever a[kk,i] == 0
+    // (NEQ_UQ is true for NaN, which the scalar `== 0.0f` test never skips).
+    const __m256 vzero = _mm256_setzero_ps();
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float* arow = a + kk * m;
+      const float bval = b[kk];
+      const __m256 vb = _mm256_set1_ps(bval);
+      int64_t i = row_begin;
+      for (; i + 8 <= row_end; i += 8) {
+        const __m256 va = _mm256_loadu_ps(arow + i);
+        const __m256 vo = _mm256_loadu_ps(out + i);
+        const __m256 sum = _mm256_add_ps(vo, _mm256_mul_ps(va, vb));
+        const __m256 take = _mm256_cmp_ps(va, vzero, _CMP_NEQ_UQ);
+        _mm256_storeu_ps(out + i, _mm256_blendv_ps(vo, sum, take));
+      }
+      for (; i < row_end; ++i) {
+        const float aval = arow[i];
+        if (aval == 0.0f) continue;
+        out[i] += aval * bval;
+      }
+    }
+    return;
+  }
+  // Same kk-outer nest as the scalar body, widened over output columns j.
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float* arow = a + kk * m;
+    const float* brow = b + kk * n;
+    for (int64_t i = row_begin; i < row_end; ++i) {
+      const float aval = arow[i];
+      if (aval == 0.0f) continue;
+      const __m256 va = _mm256_set1_ps(aval);
+      float* orow = out + i * n;
+      int64_t j = 0;
+      for (; j + 8 <= n; j += 8) {
+        const __m256 prod = _mm256_mul_ps(va, _mm256_loadu_ps(brow + j));
+        _mm256_storeu_ps(orow + j,
+                         _mm256_add_ps(_mm256_loadu_ps(orow + j), prod));
+      }
+      for (; j < n; ++j) orow[j] += aval * brow[j];
+    }
+  }
+}
+
+void MatMulABtRows(const float* a, const float* b, float* out,
+                   int64_t row_begin, int64_t row_end, int64_t k, int64_t n) {
+  // Lanes are 8 output columns j. Their b values for one kk sit in 8 rows
+  // of b, so each 8x8 tile of b (rows j0.., columns k0..) is transposed in
+  // registers once and reused by a tile of output rows. out[i, j0..j0+8)
+  // carries across the k0 tiles through memory (an exact store/load), so
+  // every out[i,j] still adds its terms in increasing kk.
+  constexpr int64_t kRowTile = 32;
+  for (int64_t i0 = row_begin; i0 < row_end; i0 += kRowTile) {
+    const int64_t i1 = std::min(row_end, i0 + kRowTile);
+    for (int64_t j0 = 0; j0 < n; j0 += 8) {
+      const int64_t jw = std::min<int64_t>(8, n - j0);
+      const __m256i jmask = LaneMask(jw);
+      for (int64_t k0 = 0; k0 < k; k0 += 8) {
+        const int64_t kw = std::min<int64_t>(8, k - k0);
+        __m256 bt[8];
+        LoadTransposed8x8(b + j0 * k + k0, k, jw, kw, bt);
+        if (jw == 8 && kw == 8) {
+          // Full tile, unrolled by hand so bt stays in registers.
+          for (int64_t i = i0; i < i1; ++i) {
+            const float* arow = a + i * k + k0;
+            float* oblk = out + i * n + j0;
+            __m256 acc = _mm256_loadu_ps(oblk);
+            acc = AddScaledUnlessZero(acc, arow[0], bt[0]);
+            acc = AddScaledUnlessZero(acc, arow[1], bt[1]);
+            acc = AddScaledUnlessZero(acc, arow[2], bt[2]);
+            acc = AddScaledUnlessZero(acc, arow[3], bt[3]);
+            acc = AddScaledUnlessZero(acc, arow[4], bt[4]);
+            acc = AddScaledUnlessZero(acc, arow[5], bt[5]);
+            acc = AddScaledUnlessZero(acc, arow[6], bt[6]);
+            acc = AddScaledUnlessZero(acc, arow[7], bt[7]);
+            _mm256_storeu_ps(oblk, acc);
+          }
+          continue;
+        }
+        for (int64_t i = i0; i < i1; ++i) {
+          const float* arow = a + i * k + k0;
+          float* oblk = out + i * n + j0;
+          __m256 acc = _mm256_maskload_ps(oblk, jmask);
+          for (int64_t t = 0; t < kw; ++t) {
+            acc = AddScaledUnlessZero(acc, arow[t], bt[t]);
+          }
+          _mm256_maskstore_ps(oblk, jmask, acc);
+        }
+      }
     }
   }
 }
@@ -254,6 +425,69 @@ void BiasLeakyReluRows(const float* x, const float* bias, float* out,
   }
 }
 
+void RowScaleRows(const float* x, const float* s, float* out,
+                  int64_t row_begin, int64_t row_end, int64_t cols) {
+  for (int64_t r = row_begin; r < row_end; ++r) {
+    const float f = s[r];
+    const __m256 vf = _mm256_set1_ps(f);
+    const float* xrow = x + r * cols;
+    float* orow = out + r * cols;
+    int64_t c = 0;
+    for (; c + 8 <= cols; c += 8) {
+      _mm256_storeu_ps(orow + c, _mm256_mul_ps(vf, _mm256_loadu_ps(xrow + c)));
+    }
+    for (; c < cols; ++c) orow[c] = f * xrow[c];
+  }
+}
+
+void RowScaleAccumulateRows(const float* s, const float* x, float* dst,
+                            int64_t row_begin, int64_t row_end, int64_t cols) {
+  for (int64_t r = row_begin; r < row_end; ++r) {
+    const float f = s[r];
+    const __m256 vf = _mm256_set1_ps(f);
+    const float* xrow = x + r * cols;
+    float* drow = dst + r * cols;
+    int64_t c = 0;
+    for (; c + 8 <= cols; c += 8) {
+      const __m256 prod = _mm256_mul_ps(vf, _mm256_loadu_ps(xrow + c));
+      _mm256_storeu_ps(drow + c,
+                       _mm256_add_ps(_mm256_loadu_ps(drow + c), prod));
+    }
+    for (; c < cols; ++c) drow[c] += f * xrow[c];
+  }
+}
+
+void RowDotRows(const float* x, const float* y, float* dst, int64_t row_begin,
+                int64_t row_end, int64_t cols) {
+  // Lanes are 8 rows. The products of an 8x8 tile are formed row by row
+  // (lane-independent), then transposed so that vector t holds column
+  // c0 + t of the 8 rows; adding those vectors in increasing t is each
+  // row's sequential dot, lane by lane. Leftover rows run the scalar body.
+  int64_t r = row_begin;
+  for (; r + 8 <= row_end; r += 8) {
+    __m256 dot = _mm256_setzero_ps();
+    for (int64_t c0 = 0; c0 < cols; c0 += 8) {
+      const int64_t cw = std::min<int64_t>(8, cols - c0);
+      const __m256i mask = LaneMask(cw);
+      __m256 prod[8];
+      for (int64_t l = 0; l < 8; ++l) {
+        const float* xrow = x + (r + l) * cols + c0;
+        const float* yrow = y + (r + l) * cols + c0;
+        const __m256 vx =
+            cw == 8 ? _mm256_loadu_ps(xrow) : _mm256_maskload_ps(xrow, mask);
+        const __m256 vy =
+            cw == 8 ? _mm256_loadu_ps(yrow) : _mm256_maskload_ps(yrow, mask);
+        prod[l] = _mm256_mul_ps(vx, vy);
+      }
+      __m256 col[8];
+      Transpose8x8(prod, col);
+      for (int64_t t = 0; t < cw; ++t) dot = _mm256_add_ps(dot, col[t]);
+    }
+    _mm256_storeu_ps(dst + r, _mm256_add_ps(_mm256_loadu_ps(dst + r), dot));
+  }
+  scalar::RowDotRows(x, y, dst, r, row_end, cols);
+}
+
 void AccumulateGatherRowsRange(const float* src, const int32_t* idx,
                                int64_t i_begin, int64_t i_end, int64_t cols,
                                float* dst) {
@@ -295,6 +529,15 @@ void ScatterAddRowsRange(const float* src, const Csr& csr, int64_t cols,
 void MatMulRows(const float* a, const float* b, float* out, int64_t row_begin,
                 int64_t row_end, int64_t k, int64_t n) {
   scalar::MatMulRows(a, b, out, row_begin, row_end, k, n);
+}
+void MatMulAtBRows(const float* a, const float* b, float* out,
+                   int64_t row_begin, int64_t row_end, int64_t m, int64_t k,
+                   int64_t n) {
+  scalar::MatMulAtBRows(a, b, out, row_begin, row_end, m, k, n);
+}
+void MatMulABtRows(const float* a, const float* b, float* out,
+                   int64_t row_begin, int64_t row_end, int64_t k, int64_t n) {
+  scalar::MatMulABtRows(a, b, out, row_begin, row_end, k, n);
 }
 void EwMul(const float* a, const float* b, float* out, int64_t begin,
            int64_t end) {
@@ -338,6 +581,18 @@ void BiasLeakyReluRows(const float* x, const float* bias, float* out,
                        int64_t row_begin, int64_t row_end, int64_t cols,
                        float slope) {
   scalar::BiasLeakyReluRows(x, bias, out, row_begin, row_end, cols, slope);
+}
+void RowScaleRows(const float* x, const float* s, float* out,
+                  int64_t row_begin, int64_t row_end, int64_t cols) {
+  scalar::RowScaleRows(x, s, out, row_begin, row_end, cols);
+}
+void RowScaleAccumulateRows(const float* s, const float* x, float* dst,
+                            int64_t row_begin, int64_t row_end, int64_t cols) {
+  scalar::RowScaleAccumulateRows(s, x, dst, row_begin, row_end, cols);
+}
+void RowDotRows(const float* x, const float* y, float* dst, int64_t row_begin,
+                int64_t row_end, int64_t cols) {
+  scalar::RowDotRows(x, y, dst, row_begin, row_end, cols);
 }
 void AccumulateGatherRowsRange(const float* src, const int32_t* idx,
                                int64_t i_begin, int64_t i_end, int64_t cols,

@@ -205,6 +205,14 @@ int64_t CsrCacheMisses() { return g_csr_misses.load(); }
       break;                                 \
   }
 
+// Kernels with no NEON body run the scalar one on the NEON path.
+#define FEDDA_DISPATCH_AVX2_OR_SCALAR(path, fn, ...) \
+  if ((path) == Path::kAvx2) {                       \
+    avx2::fn(__VA_ARGS__);                           \
+  } else {                                           \
+    scalar::fn(__VA_ARGS__);                         \
+  }
+
 void MatMul(const float* a, const float* b, float* out, int64_t m, int64_t k,
             int64_t n, core::ThreadPool* pool) {
   const Path path = ActivePath();
@@ -218,6 +226,32 @@ void MatMul(const float* a, const float* b, float* out, int64_t m, int64_t k,
                            FEDDA_DISPATCH_PATH(path, MatMulRows, a, b, out,
                                                row_begin, row_end, k, n)
                          });
+}
+
+// The transposed matmuls partition output rows exactly as MatMul does: each
+// output row carries k * n multiply-adds whichever operand is transposed.
+void MatMulAtB(const float* a, const float* b, float* out, int64_t m,
+               int64_t k, int64_t n, core::ThreadPool* pool) {
+  const Path path = ActivePath();
+  const int64_t grain =
+      std::max<int64_t>(1, kRowWorkGrain / std::max<int64_t>(1, k * n));
+  core::ParallelForRange(
+      pool, m, grain, [=](int64_t row_begin, int64_t row_end) {
+        FEDDA_DISPATCH_AVX2_OR_SCALAR(path, MatMulAtBRows, a, b, out,
+                                      row_begin, row_end, m, k, n)
+      });
+}
+
+void MatMulABt(const float* a, const float* b, float* out, int64_t m,
+               int64_t k, int64_t n, core::ThreadPool* pool) {
+  const Path path = ActivePath();
+  const int64_t grain =
+      std::max<int64_t>(1, kRowWorkGrain / std::max<int64_t>(1, k * n));
+  core::ParallelForRange(
+      pool, m, grain, [=](int64_t row_begin, int64_t row_end) {
+        FEDDA_DISPATCH_AVX2_OR_SCALAR(path, MatMulABtRows, a, b, out,
+                                      row_begin, row_end, k, n)
+      });
 }
 
 void EwMul(const float* a, const float* b, float* out, int64_t n,
@@ -360,6 +394,36 @@ void BiasElu(const float* x, const float* bias, float* out, int64_t rows,
                          });
 }
 
+void RowScale(const float* x, const float* s, float* out, int64_t rows,
+              int64_t cols, core::ThreadPool* pool) {
+  const Path path = ActivePath();
+  core::ParallelForRange(
+      pool, rows, RowGrain(cols), [=](int64_t row_begin, int64_t row_end) {
+        FEDDA_DISPATCH_AVX2_OR_SCALAR(path, RowScaleRows, x, s, out,
+                                      row_begin, row_end, cols)
+      });
+}
+
+void RowScaleAccumulate(const float* s, const float* x, float* dst,
+                        int64_t rows, int64_t cols, core::ThreadPool* pool) {
+  const Path path = ActivePath();
+  core::ParallelForRange(
+      pool, rows, RowGrain(cols), [=](int64_t row_begin, int64_t row_end) {
+        FEDDA_DISPATCH_AVX2_OR_SCALAR(path, RowScaleAccumulateRows, s, x, dst,
+                                      row_begin, row_end, cols)
+      });
+}
+
+void RowDot(const float* x, const float* y, float* dst, int64_t rows,
+            int64_t cols, core::ThreadPool* pool) {
+  const Path path = ActivePath();
+  core::ParallelForRange(
+      pool, rows, RowGrain(cols), [=](int64_t row_begin, int64_t row_end) {
+        FEDDA_DISPATCH_AVX2_OR_SCALAR(path, RowDotRows, x, y, dst, row_begin,
+                                      row_end, cols)
+      });
+}
+
 // Row copies are memory-bound; the dispatchable win for gather/scatter is
 // the cached CSR grouping, so the copy itself stays scalar on every path.
 void GatherRows(const float* src, const int32_t* idx, int64_t n_idx,
@@ -415,6 +479,7 @@ void SegmentSoftmaxGrad(const float* y, const float* dy, const Csr& csr,
                          });
 }
 
+#undef FEDDA_DISPATCH_AVX2_OR_SCALAR
 #undef FEDDA_DISPATCH_PATH
 
 }  // namespace fedda::tensor::kernels

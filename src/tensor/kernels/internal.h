@@ -18,12 +18,19 @@
 /// elementwise work, and matmul whose per-element reduction order is fixed);
 /// when avx2.cc is built without -mavx2 its functions forward to scalar.
 /// `neon` is a porting stub that forwards to scalar (AArch64 hosts still
-/// run correctly; vector bodies can land per-function later).
+/// run correctly; vector bodies can land per-function later). Kernels
+/// added since have no `neon` entry: dispatch.cc runs their scalar body on
+/// the NEON path.
 
 namespace fedda::tensor::kernels::scalar {
 
 void MatMulRows(const float* a, const float* b, float* out, int64_t row_begin,
                 int64_t row_end, int64_t k, int64_t n);
+void MatMulAtBRows(const float* a, const float* b, float* out,
+                   int64_t row_begin, int64_t row_end, int64_t m, int64_t k,
+                   int64_t n);
+void MatMulABtRows(const float* a, const float* b, float* out,
+                   int64_t row_begin, int64_t row_end, int64_t k, int64_t n);
 void EwMul(const float* a, const float* b, float* out, int64_t begin,
            int64_t end);
 void EwMulAdd(const float* a, const float* b, const float* c, float* out,
@@ -45,6 +52,12 @@ void BiasAddRows(const float* x, const float* bias, float* out,
 void BiasLeakyReluRows(const float* x, const float* bias, float* out,
                        int64_t row_begin, int64_t row_end, int64_t cols,
                        float slope);
+void RowScaleRows(const float* x, const float* s, float* out,
+                  int64_t row_begin, int64_t row_end, int64_t cols);
+void RowScaleAccumulateRows(const float* s, const float* x, float* dst,
+                            int64_t row_begin, int64_t row_end, int64_t cols);
+void RowDotRows(const float* x, const float* y, float* dst, int64_t row_begin,
+                int64_t row_end, int64_t cols);
 void BiasSigmoidRows(const float* x, const float* bias, float* out,
                      int64_t row_begin, int64_t row_end, int64_t cols);
 void BiasTanhRows(const float* x, const float* bias, float* out,
@@ -74,6 +87,11 @@ bool KernelsCompiled();
 
 void MatMulRows(const float* a, const float* b, float* out, int64_t row_begin,
                 int64_t row_end, int64_t k, int64_t n);
+void MatMulAtBRows(const float* a, const float* b, float* out,
+                   int64_t row_begin, int64_t row_end, int64_t m, int64_t k,
+                   int64_t n);
+void MatMulABtRows(const float* a, const float* b, float* out,
+                   int64_t row_begin, int64_t row_end, int64_t k, int64_t n);
 void EwMul(const float* a, const float* b, float* out, int64_t begin,
            int64_t end);
 void EwMulAdd(const float* a, const float* b, const float* c, float* out,
@@ -95,6 +113,12 @@ void BiasAddRows(const float* x, const float* bias, float* out,
 void BiasLeakyReluRows(const float* x, const float* bias, float* out,
                        int64_t row_begin, int64_t row_end, int64_t cols,
                        float slope);
+void RowScaleRows(const float* x, const float* s, float* out,
+                  int64_t row_begin, int64_t row_end, int64_t cols);
+void RowScaleAccumulateRows(const float* s, const float* x, float* dst,
+                            int64_t row_begin, int64_t row_end, int64_t cols);
+void RowDotRows(const float* x, const float* y, float* dst, int64_t row_begin,
+                int64_t row_end, int64_t cols);
 void AccumulateGatherRowsRange(const float* src, const int32_t* idx,
                                int64_t i_begin, int64_t i_end, int64_t cols,
                                float* dst);

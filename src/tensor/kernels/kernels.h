@@ -23,7 +23,9 @@ namespace fedda::tensor::kernels {
 ///
 /// Exp-based kernels (segment-softmax, the sigmoid/tanh/elu fused
 /// forwards) deliberately stay scalar under every path — a vectorized
-/// exp() approximation would change bits.
+/// exp() approximation would change bits. Kernels with no NEON body (the
+/// transposed matmuls and the row kernels) run the scalar body on the NEON
+/// path.
 
 // ---------------------------------------------------------------------------
 // Dispatch policy
@@ -110,6 +112,20 @@ int64_t CsrCacheMisses();
 void MatMul(const float* a, const float* b, float* out, int64_t m, int64_t k,
             int64_t n, core::ThreadPool* pool);
 
+/// out (m x n) += aᵀ * b, where `a` is stored (k x m) and b is (k x n):
+/// the MatMul of a transposed copy of `a`, without making the copy. Each
+/// out[i,j] adds a[kk,i] * b[kk,j] in increasing kk and skips exactly-zero
+/// a[kk,i], term for term as MatMul does. `out` must be zero-initialized.
+void MatMulAtB(const float* a, const float* b, float* out, int64_t m,
+               int64_t k, int64_t n, core::ThreadPool* pool);
+
+/// out (m x n) += a * bᵀ, where a is (m x k) and `b` is stored (n x k):
+/// the MatMul of `a` with a transposed copy of `b`, without making the
+/// copy. Each out[i,j] adds a[i,kk] * b[j,kk] in increasing kk and skips
+/// exactly-zero a[i,kk]. `out` must be zero-initialized.
+void MatMulABt(const float* a, const float* b, float* out, int64_t m,
+               int64_t k, int64_t n, core::ThreadPool* pool);
+
 /// out[i] = a[i] * b[i].
 void EwMul(const float* a, const float* b, float* out, int64_t n,
            core::ThreadPool* pool);
@@ -153,6 +169,23 @@ void BiasTanh(const float* x, const float* bias, float* out, int64_t rows,
               int64_t cols, core::ThreadPool* pool);
 void BiasElu(const float* x, const float* bias, float* out, int64_t rows,
              int64_t cols, float alpha, core::ThreadPool* pool);
+
+// ---------------------------------------------------------------------------
+// Row kernels: x is (rows x cols), s and dst columns are (rows x 1)
+// ---------------------------------------------------------------------------
+
+/// out[r,c] = s[r] * x[r,c]. The RowScale forward.
+void RowScale(const float* x, const float* s, float* out, int64_t rows,
+              int64_t cols, core::ThreadPool* pool);
+/// dst[r,c] += s[r] * x[r,c], the product rounded before the add. The
+/// RowScale input gradient and both RowDot input gradients.
+void RowScaleAccumulate(const float* s, const float* x, float* dst,
+                        int64_t rows, int64_t cols, core::ThreadPool* pool);
+/// dst[r] += dot, where dot starts at 0.0f and adds x[r,c] * y[r,c] in
+/// increasing c. The RowDot forward (into a zeroed dst; dot is never -0.0,
+/// so 0.0f + dot == dot bit for bit) and the RowScale scale gradient.
+void RowDot(const float* x, const float* y, float* dst, int64_t rows,
+            int64_t cols, core::ThreadPool* pool);
 
 // ---------------------------------------------------------------------------
 // CSR-native gather / scatter / segment kernels

@@ -27,6 +27,41 @@ void MatMulRows(const float* a, const float* b, float* out, int64_t row_begin,
   }
 }
 
+// The transposed matmuls below add exactly MatMulRows' terms in exactly
+// its order — only the loop nest differs. `out` element [i,j] is touched by
+// one (i, kk) pair at a time, and kk ascends, whichever loop is outermost.
+
+void MatMulAtBRows(const float* a, const float* b, float* out,
+                   int64_t row_begin, int64_t row_end, int64_t m, int64_t k,
+                   int64_t n) {
+  // a is (k x m): reduction row kk of a is contiguous over the output rows
+  // i, so kk runs outermost and each a row and b row is read once.
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float* arow = a + kk * m;
+    const float* brow = b + kk * n;
+    for (int64_t i = row_begin; i < row_end; ++i) {
+      const float aval = arow[i];
+      if (aval == 0.0f) continue;
+      float* orow = out + i * n;
+      for (int64_t j = 0; j < n; ++j) orow[j] += aval * brow[j];
+    }
+  }
+}
+
+void MatMulABtRows(const float* a, const float* b, float* out,
+                   int64_t row_begin, int64_t row_end, int64_t k, int64_t n) {
+  // b is (n x k): out[i,j] is a dot of a row of a with a row of b.
+  for (int64_t i = row_begin; i < row_end; ++i) {
+    const float* arow = a + i * k;
+    float* orow = out + i * n;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float aval = arow[kk];
+      if (aval == 0.0f) continue;
+      for (int64_t j = 0; j < n; ++j) orow[j] += aval * b[j * k + kk];
+    }
+  }
+}
+
 void EwMul(const float* a, const float* b, float* out, int64_t begin,
            int64_t end) {
   for (int64_t i = begin; i < end; ++i) out[i] = a[i] * b[i];
@@ -132,6 +167,37 @@ void BiasEluRows(const float* x, const float* bias, float* out,
       const float v = xrow[c] + bias[c];
       orow[c] = v > 0.0f ? v : alpha * (std::exp(v) - 1.0f);
     }
+  }
+}
+
+void RowScaleRows(const float* x, const float* s, float* out,
+                  int64_t row_begin, int64_t row_end, int64_t cols) {
+  for (int64_t r = row_begin; r < row_end; ++r) {
+    const float f = s[r];
+    const float* xrow = x + r * cols;
+    float* orow = out + r * cols;
+    for (int64_t c = 0; c < cols; ++c) orow[c] = f * xrow[c];
+  }
+}
+
+void RowScaleAccumulateRows(const float* s, const float* x, float* dst,
+                            int64_t row_begin, int64_t row_end, int64_t cols) {
+  for (int64_t r = row_begin; r < row_end; ++r) {
+    const float f = s[r];
+    const float* xrow = x + r * cols;
+    float* drow = dst + r * cols;
+    for (int64_t c = 0; c < cols; ++c) drow[c] += f * xrow[c];
+  }
+}
+
+void RowDotRows(const float* x, const float* y, float* dst, int64_t row_begin,
+                int64_t row_end, int64_t cols) {
+  for (int64_t r = row_begin; r < row_end; ++r) {
+    const float* xrow = x + r * cols;
+    const float* yrow = y + r * cols;
+    float dot = 0.0f;
+    for (int64_t c = 0; c < cols; ++c) dot += xrow[c] * yrow[c];
+    dst[r] += dot;
   }
 }
 

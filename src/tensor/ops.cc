@@ -29,6 +29,13 @@ bool FusiblePending(const Graph& g, Var v, OpKind kind) {
   return g.fusion_enabled() && g.op_kind(v) == kind && g.IsPending(v);
 }
 
+/// The shape check behind a raw-pointer gradient loop. The gradient slot of
+/// a zero-size value stays an empty 0x0 tensor (Graph::mutable_grad); the
+/// loop then touches no element of it.
+bool GradFits(const Tensor& grad, const Tensor& value) {
+  return grad.SameShape(value) || (grad.empty() && value.empty());
+}
+
 // Scheduling grains: one chunk must carry enough arithmetic to amortize its
 // enqueue. Elementwise kernels count scalars; row kernels divide a scalar-op
 // budget by the row width.
@@ -191,13 +198,24 @@ Var MatMul(Graph* g, Var a, Var b) {
       std::move(out), {a, b},
       [a, b](Graph* bg, Var self) {
         const Tensor& dy = bg->grad(self);
+        const Tensor& a_in = bg->value(a);
+        const Tensor& b_in = bg->value(b);
+        const int64_t m = a_in.rows(), k = a_in.cols(), n = b_in.cols();
+        FEDDA_CHECK(b_in.rows() == k && dy.rows() == m && dy.cols() == n);
+        // The transposed kernels read a and b in place. Each product is
+        // formed in full before it is added, as the gradient may already
+        // hold other consumers' contributions.
         if (bg->requires_grad(a)) {
-          bg->mutable_grad(a).Add(
-              MatMulValue(dy, bg->value(b).Transposed(), bg->pool()));
+          Tensor da(m, k);
+          kernels::MatMulABt(dy.data(), b_in.data(), da.data(), m, n, k,
+                             bg->pool());
+          bg->mutable_grad(a).Add(da);
         }
         if (bg->requires_grad(b)) {
-          bg->mutable_grad(b).Add(
-              MatMulValue(bg->value(a).Transposed(), dy, bg->pool()));
+          Tensor db(k, n);
+          kernels::MatMulAtB(a_in.data(), dy.data(), db.data(), k, m, n,
+                             bg->pool());
+          bg->mutable_grad(b).Add(db);
         }
       },
       rg);
@@ -560,8 +578,8 @@ Var SegmentSoftmax(Graph* g, Var logits,
         const Tensor& dy = bg->grad(self);
         const Tensor& yv = bg->value(self);
         Tensor& dl = bg->mutable_grad(logits);
-        const auto csr = kernels::GetCsr(segment_ids, num_segments);
-        kernels::SegmentSoftmaxGrad(yv.data(), dy.data(), *csr, dl.data(),
+        const auto seg_csr = kernels::GetCsr(segment_ids, num_segments);
+        kernels::SegmentSoftmaxGrad(yv.data(), dy.data(), *seg_csr, dl.data(),
                                     bg->pool());
       },
       rg);
@@ -664,18 +682,23 @@ Var RowL2Normalize(Graph* g, Var a, float eps) {
         std::make_shared<std::vector<float>>(static_cast<size_t>(rows), 0.0f);
     norms = norms_keep->data();
   }
+  // The sqrt and divide keep this loop scalar on every path; raw row
+  // pointers only drop the per-element index checks (out is av-shaped).
+  const float* x = av.data();
+  float* y = out.data();
   ParallelChunks(
       g, rows, RowGrain(cols),
-      [&out, &av, norms, cols, eps](int64_t begin, int64_t end) {
+      [x, y, norms, cols, eps](int64_t begin, int64_t end) {
         for (int64_t r = begin; r < end; ++r) {
+          const float* xrow = x + r * cols;
+          float* yrow = y + r * cols;
           double sq = 0.0;
           for (int64_t c = 0; c < cols; ++c) {
-            const float x = av.at(r, c);
-            sq += static_cast<double>(x) * x;
+            sq += static_cast<double>(xrow[c]) * xrow[c];
           }
           const float n = std::max(static_cast<float>(std::sqrt(sq)), eps);
           norms[r] = n;
-          for (int64_t c = 0; c < cols; ++c) out.at(r, c) = av.at(r, c) / n;
+          for (int64_t c = 0; c < cols; ++c) yrow[c] = xrow[c] / n;
         }
       });
   const bool rg = g->requires_grad(a);
@@ -686,19 +709,24 @@ Var RowL2Normalize(Graph* g, Var a, float eps) {
         const Tensor& dy = bg->grad(self);
         const Tensor& yv = bg->value(self);
         Tensor& da = bg->mutable_grad(a);
+        FEDDA_CHECK(dy.SameShape(yv) && da.SameShape(yv));
         const int64_t n_rows = dy.rows(), n_cols = dy.cols();
+        const float* dyp = dy.data();
+        const float* yp = yv.data();
+        float* dap = da.data();
         ParallelChunks(
             bg, n_rows, RowGrain(n_cols),
-            [&da, &dy, &yv, norms, n_cols](int64_t begin, int64_t end) {
+            [dyp, yp, dap, norms, n_cols](int64_t begin, int64_t end) {
               for (int64_t r = begin; r < end; ++r) {
+                const float* dyrow = dyp + r * n_cols;
+                const float* yrow = yp + r * n_cols;
+                float* darow = dap + r * n_cols;
                 // da_r = (dy_r - y_r * (y_r . dy_r)) / ||a_r||
                 float dot = 0.0f;
-                for (int64_t c = 0; c < n_cols; ++c) {
-                  dot += yv.at(r, c) * dy.at(r, c);
-                }
+                for (int64_t c = 0; c < n_cols; ++c) dot += yrow[c] * dyrow[c];
                 const float inv_n = 1.0f / norms[r];
                 for (int64_t c = 0; c < n_cols; ++c) {
-                  da.at(r, c) += (dy.at(r, c) - yv.at(r, c) * dot) * inv_n;
+                  darow[c] += (dyrow[c] - yrow[c] * dot) * inv_n;
                 }
               }
             });
@@ -711,16 +739,8 @@ Var RowDot(Graph* g, Var a, Var b) {
   const Tensor& bv = g->value(b);
   FEDDA_CHECK(av.SameShape(bv));
   Tensor out(av.rows(), 1);
-  ParallelChunks(g, av.rows(), RowGrain(av.cols()),
-                 [&out, &av, &bv](int64_t begin, int64_t end) {
-                   for (int64_t r = begin; r < end; ++r) {
-                     float dot = 0.0f;
-                     for (int64_t c = 0; c < av.cols(); ++c) {
-                       dot += av.at(r, c) * bv.at(r, c);
-                     }
-                     out.at(r, 0) = dot;
-                   }
-                 });
+  kernels::RowDot(av.data(), bv.data(), out.data(), av.rows(), av.cols(),
+                  g->pool());
   const bool rg = AnyRequiresGrad(*g, {a, b});
   return g->AddNode(
       std::move(out), {a, b},
@@ -728,23 +748,20 @@ Var RowDot(Graph* g, Var a, Var b) {
         const Tensor& dy = bg->grad(self);
         const Tensor& a_in = bg->value(a);
         const Tensor& b_in = bg->value(b);
+        const int64_t rows = a_in.rows(), cols = a_in.cols();
+        FEDDA_CHECK(b_in.SameShape(a_in) && dy.rows() == rows &&
+                    dy.cols() == 1);
         if (bg->requires_grad(a)) {
           Tensor& da = bg->mutable_grad(a);
-          for (int64_t r = 0; r < a_in.rows(); ++r) {
-            const float d = dy.at(r, 0);
-            for (int64_t c = 0; c < a_in.cols(); ++c) {
-              da.at(r, c) += d * b_in.at(r, c);
-            }
-          }
+          FEDDA_CHECK(GradFits(da, a_in));
+          kernels::RowScaleAccumulate(dy.data(), b_in.data(), da.data(), rows,
+                                      cols, bg->pool());
         }
         if (bg->requires_grad(b)) {
           Tensor& db = bg->mutable_grad(b);
-          for (int64_t r = 0; r < a_in.rows(); ++r) {
-            const float d = dy.at(r, 0);
-            for (int64_t c = 0; c < a_in.cols(); ++c) {
-              db.at(r, c) += d * a_in.at(r, c);
-            }
-          }
+          FEDDA_CHECK(GradFits(db, a_in));
+          kernels::RowScaleAccumulate(dy.data(), a_in.data(), db.data(), rows,
+                                      cols, bg->pool());
         }
       },
       rg);
@@ -756,15 +773,8 @@ Var RowScale(Graph* g, Var a, Var s) {
   FEDDA_CHECK_EQ(sv.cols(), 1);
   FEDDA_CHECK_EQ(sv.rows(), av.rows());
   Tensor out(av.rows(), av.cols());
-  ParallelChunks(g, av.rows(), RowGrain(av.cols()),
-                 [&out, &av, &sv](int64_t begin, int64_t end) {
-                   for (int64_t r = begin; r < end; ++r) {
-                     const float f = sv.at(r, 0);
-                     for (int64_t c = 0; c < av.cols(); ++c) {
-                       out.at(r, c) = f * av.at(r, c);
-                     }
-                   }
-                 });
+  kernels::RowScale(av.data(), sv.data(), out.data(), av.rows(), av.cols(),
+                    g->pool());
   const bool rg = AnyRequiresGrad(*g, {a, s});
   return g->AddNode(
       std::move(out), {a, s},
@@ -772,24 +782,20 @@ Var RowScale(Graph* g, Var a, Var s) {
         const Tensor& dy = bg->grad(self);
         const Tensor& a_in = bg->value(a);
         const Tensor& s_in = bg->value(s);
+        const int64_t rows = dy.rows(), cols = dy.cols();
+        FEDDA_CHECK(a_in.SameShape(dy) && s_in.rows() == rows &&
+                    s_in.cols() == 1);
         if (bg->requires_grad(a)) {
           Tensor& da = bg->mutable_grad(a);
-          for (int64_t r = 0; r < dy.rows(); ++r) {
-            const float f = s_in.at(r, 0);
-            for (int64_t c = 0; c < dy.cols(); ++c) {
-              da.at(r, c) += f * dy.at(r, c);
-            }
-          }
+          FEDDA_CHECK(da.SameShape(dy));
+          kernels::RowScaleAccumulate(s_in.data(), dy.data(), da.data(), rows,
+                                      cols, bg->pool());
         }
         if (bg->requires_grad(s)) {
           Tensor& ds = bg->mutable_grad(s);
-          for (int64_t r = 0; r < dy.rows(); ++r) {
-            float dot = 0.0f;
-            for (int64_t c = 0; c < dy.cols(); ++c) {
-              dot += a_in.at(r, c) * dy.at(r, c);
-            }
-            ds.at(r, 0) += dot;
-          }
+          FEDDA_CHECK(ds.SameShape(s_in));
+          kernels::RowDot(a_in.data(), dy.data(), ds.data(), rows, cols,
+                          bg->pool());
         }
       },
       rg);
@@ -800,11 +806,12 @@ Var BceWithLogits(Graph* g, Var logits, const Tensor& labels) {
   FEDDA_CHECK_EQ(zv.cols(), 1);
   FEDDA_CHECK(zv.SameShape(labels));
   FEDDA_CHECK_GT(zv.rows(), 0);
-  // Stable form: loss_i = max(z,0) - z*y + log(1 + exp(-|z|)).
+  // Stable form: loss_i = max(z,0) - z*y + log(1 + exp(-|z|)). The exp and
+  // log keep this scalar on every path.
   double total = 0.0;
   for (int64_t i = 0; i < zv.rows(); ++i) {
-    const float z = zv.at(i, 0);
-    const float y = labels.at(i, 0);
+    const float z = zv.data()[i];
+    const float y = labels.data()[i];
     total += std::max(z, 0.0f) - z * y + std::log1p(std::exp(-std::fabs(z)));
   }
   Tensor out(1, 1);
@@ -818,10 +825,14 @@ Var BceWithLogits(Graph* g, Var logits, const Tensor& labels) {
         const float dy = bg->grad(self).at(0, 0);
         const Tensor& z_in = bg->value(logits);
         Tensor& dz = bg->mutable_grad(logits);
+        FEDDA_CHECK(z_in.SameShape(*labels_copy) && dz.SameShape(z_in));
+        const float* zp = z_in.data();
+        const float* yp = labels_copy->data();
+        float* dzp = dz.data();
         const float inv_n = 1.0f / static_cast<float>(z_in.rows());
         for (int64_t i = 0; i < z_in.rows(); ++i) {
-          const float sig = 1.0f / (1.0f + std::exp(-z_in.at(i, 0)));
-          dz.at(i, 0) += dy * (sig - labels_copy->at(i, 0)) * inv_n;
+          const float sig = 1.0f / (1.0f + std::exp(-zp[i]));
+          dzp[i] += dy * (sig - yp[i]) * inv_n;
         }
       },
       rg);

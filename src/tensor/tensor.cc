@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
 #include "core/string_util.h"
 #include "core/thread_pool.h"
@@ -129,6 +130,13 @@ double Tensor::MaxAbs() const {
   double best = 0.0;
   for (float v : data_) best = std::max(best, std::fabs(double(v)));
   return best;
+}
+
+void Tensor::IndexOutOfRange(int64_t r, int64_t c) const {
+  FEDDA_CHECK(InRange(r, c))
+      << "index (" << r << "," << c << ") out of [" << rows_ << "," << cols_
+      << ")";
+  std::abort();  // Unreachable: at() calls this only for an index outside.
 }
 
 Tensor Tensor::Transposed() const {

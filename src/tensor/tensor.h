@@ -71,16 +71,14 @@ class Tensor {
   int64_t size() const { return rows_ * cols_; }
   bool empty() const { return size() == 0; }
 
+  /// Bounds-checked element access. The range test stays inline; the
+  /// failure path is out of line so that at() itself inlines.
   float& at(int64_t r, int64_t c) {
-    FEDDA_CHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_)
-        << "index (" << r << "," << c << ") out of [" << rows_ << ","
-        << cols_ << ")";
+    if (!InRange(r, c)) [[unlikely]] IndexOutOfRange(r, c);
     return data_[static_cast<size_t>(r * cols_ + c)];
   }
   float at(int64_t r, int64_t c) const {
-    FEDDA_CHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_)
-        << "index (" << r << "," << c << ") out of [" << rows_ << ","
-        << cols_ << ")";
+    if (!InRange(r, c)) [[unlikely]] IndexOutOfRange(r, c);
     return data_[static_cast<size_t>(r * cols_ + c)];
   }
 
@@ -131,6 +129,12 @@ class Tensor {
   std::string ToString() const;
 
  private:
+  bool InRange(int64_t r, int64_t c) const {
+    return r >= 0 && r < rows_ && c >= 0 && c < cols_;
+  }
+  /// Aborts with the index and the shape.
+  [[noreturn, gnu::cold]] void IndexOutOfRange(int64_t r, int64_t c) const;
+
   int64_t rows_;
   int64_t cols_;
   std::vector<float> data_;

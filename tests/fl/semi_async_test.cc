@@ -3,10 +3,10 @@
 // invariance of the event sequence, buffer-size semantics, and departure
 // accounting.
 //
-// To regenerate the pinned values after an intentional numerics change:
-//   FEDDA_REGEN_GOLDENS=1 ./build/tests/fl_async_test \
-//       --gtest_filter='SemiAsyncGoldenTest.*'
-// and paste the printed block over the arrays below.
+// To regenerate the pinned values after an intentional numerics change,
+// run ./build/tests/fl_async_test with FEDDA_REGEN_GOLDENS=1 set and
+// --gtest_filter='SemiAsyncGoldenTest.*', then paste the printed block over
+// the arrays below.
 
 #include <cmath>
 #include <cstdio>

@@ -8,7 +8,9 @@
 // Shapes are adversarial on purpose: empty, singleton, every tail residue
 // n ≡ 1..7 (mod 8) around the AVX2 vector width, sizes straddling the
 // 64-column matmul register block, aliased outputs for the elementwise
-// kernels, and gather/scatter index patterns with heavy duplication.
+// kernels, and gather/scatter index patterns with heavy duplication. The
+// transposed matmuls are also pinned to the MatMul-of-a-Transposed()-copy
+// form they replace in the MatMul backward.
 
 #include <cmath>
 #include <cstdint>
@@ -23,6 +25,7 @@
 #include "core/thread_pool.h"
 #include "gtest/gtest.h"
 #include "tensor/kernels/kernels.h"
+#include "tensor/tensor.h"
 
 namespace fedda::tensor {
 namespace {
@@ -167,6 +170,201 @@ TEST_P(KernelEquivalenceTest, MatMulZeroSkipIsSemantic) {
     for (float v : out) EXPECT_FALSE(std::isnan(v));
     return out;
   });
+}
+
+// Widths for the row kernels and the transposed matmuls: every residue
+// around the 8-lane vector and one wide case.
+const int64_t kRowWidths[] = {0,  1,  2,  3,  4,  5,  6,  7,  8,  9,
+                              10, 11, 12, 13, 14, 15, 16, 17, 1000};
+
+/// RandomData plus NaN entries (the same quiet NaN everywhere, so the
+/// payload a path propagates cannot depend on operand order).
+std::vector<float> RandomDataWithNan(int64_t n, core::Rng* rng) {
+  std::vector<float> out = RandomData(n, rng);
+  for (auto& v : out) {
+    if (rng->Uniform() < 0.03) v = std::numeric_limits<float>::quiet_NaN();
+  }
+  return out;
+}
+
+void ExpectSameBits(const std::string& what, const std::vector<float>& want,
+                    const std::vector<float>& got) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  if (want.empty() ||
+      std::memcmp(want.data(), got.data(), want.size() * sizeof(float)) ==
+          0) {
+    return;
+  }
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(Bits(want[i]), Bits(got[i]))
+        << what << ": first bit mismatch at flat index " << i;
+  }
+}
+
+/// The MatMul backward's historical form: MatMul on a Transposed() copy.
+std::vector<float> MatMulOfTransposed(const std::vector<float>& a,
+                                      int64_t a_rows, int64_t a_cols,
+                                      const std::vector<float>& b,
+                                      int64_t b_rows, int64_t b_cols,
+                                      bool transpose_a) {
+  DispatchGuard guard;
+  k::SetDispatchMode(k::DispatchMode::kScalar);
+  const Tensor at = Tensor::FromVector(a_rows, a_cols, a);
+  const Tensor bt = Tensor::FromVector(b_rows, b_cols, b);
+  return transpose_a ? MatMulValue(at.Transposed(), bt).vec()
+                     : MatMulValue(at, bt.Transposed()).vec();
+}
+
+TEST_P(KernelEquivalenceTest, TransposedMatMuls) {
+  // Each dimension sweeps kRowWidths with the other two held small, so
+  // every vector tail of every loop (including the n == 1 lane-per-row
+  // body of MatMulAtB) is hit on both kernels.
+  std::vector<std::tuple<int64_t, int64_t, int64_t>> shapes;
+  for (int64_t w : kRowWidths) {
+    shapes.emplace_back(w, 5, 3);
+    shapes.emplace_back(4, w, 9);
+    shapes.emplace_back(3, 9, w);
+    shapes.emplace_back(w, 17, 1);
+  }
+  shapes.emplace_back(33, 48, 16);
+  core::Rng rng(321);
+  for (const auto& shape : shapes) {
+    // Plain copies, not structured bindings: the lambdas below capture them.
+    const int64_t m = std::get<0>(shape);
+    const int64_t kd = std::get<1>(shape);
+    const int64_t n = std::get<2>(shape);
+    const std::string tag = " " + std::to_string(m) + "x" +
+                            std::to_string(kd) + "x" + std::to_string(n);
+    // MatMulAtB: out (m x n) = aᵀ b with a stored (k x m). RunCase runs
+    // the parameterized path last, so at_out ends up holding its output.
+    const std::vector<float> at_a = RandomDataWithNan(kd * m, &rng);
+    const std::vector<float> at_b = RandomDataWithNan(kd * n, &rng);
+    std::vector<float> at_out;
+    RunCase("matmul-at-b" + tag, [&](core::ThreadPool* p) {
+      std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
+      k::MatMulAtB(at_a.data(), at_b.data(), out.data(), m, kd, n, p);
+      at_out = out;
+      return out;
+    });
+    ExpectSameBits("matmul-at-b vs Transposed()" + tag,
+                   MatMulOfTransposed(at_a, kd, m, at_b, kd, n, true), at_out);
+    // MatMulABt: out (m x n) = a bᵀ with b stored (n x k).
+    const std::vector<float> bt_a = RandomDataWithNan(m * kd, &rng);
+    const std::vector<float> bt_b = RandomDataWithNan(n * kd, &rng);
+    std::vector<float> bt_out;
+    RunCase("matmul-a-bt" + tag, [&](core::ThreadPool* p) {
+      std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
+      k::MatMulABt(bt_a.data(), bt_b.data(), out.data(), m, kd, n, p);
+      bt_out = out;
+      return out;
+    });
+    ExpectSameBits("matmul-a-bt vs Transposed()" + tag,
+                   MatMulOfTransposed(bt_a, m, kd, bt_b, n, kd, false),
+                   bt_out);
+  }
+}
+
+TEST_P(KernelEquivalenceTest, TransposedMatMulZeroSkipIsSemantic) {
+  // Every reduction term whose A entry is an exact zero (either sign)
+  // multiplies an inf. A path that dropped the skip would turn 0 * inf
+  // into NaN; the skipped terms must leave the output finite and equal to
+  // the Transposed() reference bit for bit.
+  const float inf = std::numeric_limits<float>::infinity();
+  for (int64_t n : {1LL, 7LL, 19LL}) {
+    const int64_t m = 11, kd = 10;
+    // AtB: a stored (k x m). Row kk of b is all inf wherever a[kk, i] is 0
+    // for every i, and otherwise finite.
+    std::vector<float> a(static_cast<size_t>(kd * m), 0.0f);
+    std::vector<float> b(static_cast<size_t>(kd * n), inf);
+    for (int64_t kk = 0; kk < kd; ++kk) {
+      if (kk % 3 == 0) {  // an all-zero row of a (both signs): b row is inf
+        for (int64_t i = 1; i < m; i += 2) {
+          a[static_cast<size_t>(kk * m + i)] = -0.0f;
+        }
+        continue;
+      }
+      for (int64_t i = 0; i < m; ++i) {
+        a[static_cast<size_t>(kk * m + i)] =
+            (i + kk) % 4 == 0 ? -0.0f : 0.25f * static_cast<float>(i - kk);
+      }
+      for (int64_t j = 0; j < n; ++j) {
+        b[static_cast<size_t>(kk * n + j)] = 0.5f + static_cast<float>(j);
+      }
+    }
+    std::vector<float> at_out;
+    RunCase("matmul-at-b zero-skip n=" + std::to_string(n),
+            [&](core::ThreadPool* p) {
+              std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
+              k::MatMulAtB(a.data(), b.data(), out.data(), m, kd, n, p);
+              for (float v : out) EXPECT_FALSE(std::isnan(v));
+              at_out = out;
+              return out;
+            });
+    ExpectSameBits("matmul-at-b zero-skip vs Transposed()",
+                   MatMulOfTransposed(a, kd, m, b, kd, n, true), at_out);
+
+    // ABt: a (m x k), b stored (n x k). Column kk of b is inf wherever
+    // column kk of a is all zero.
+    std::vector<float> a2(static_cast<size_t>(m * kd), 0.0f);
+    std::vector<float> b2(static_cast<size_t>(n * kd), inf);
+    for (int64_t kk = 0; kk < kd; ++kk) {
+      if (kk % 3 == 0) {
+        for (int64_t i = 1; i < m; i += 2) {
+          a2[static_cast<size_t>(i * kd + kk)] = -0.0f;
+        }
+        continue;
+      }
+      for (int64_t i = 0; i < m; ++i) {
+        a2[static_cast<size_t>(i * kd + kk)] =
+            (i + kk) % 4 == 0 ? -0.0f : 0.25f * static_cast<float>(i - kk);
+      }
+      for (int64_t j = 0; j < n; ++j) {
+        b2[static_cast<size_t>(j * kd + kk)] = 0.5f + static_cast<float>(j);
+      }
+    }
+    std::vector<float> bt_out;
+    RunCase("matmul-a-bt zero-skip n=" + std::to_string(n),
+            [&](core::ThreadPool* p) {
+              std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
+              k::MatMulABt(a2.data(), b2.data(), out.data(), m, kd, n, p);
+              for (float v : out) EXPECT_FALSE(std::isnan(v));
+              bt_out = out;
+              return out;
+            });
+    ExpectSameBits("matmul-a-bt zero-skip vs Transposed()",
+                   MatMulOfTransposed(a2, m, kd, b2, n, kd, false), bt_out);
+  }
+}
+
+TEST_P(KernelEquivalenceTest, RowKernels) {
+  // Row counts straddle the 8-row lanes of the AVX2 RowDot body.
+  core::Rng rng(55);
+  for (int64_t cols : kRowWidths) {
+    for (int64_t rows : {0LL, 1LL, 7LL, 8LL, 9LL, 17LL, 33LL}) {
+      const std::vector<float> x = RandomDataWithNan(rows * cols, &rng);
+      const std::vector<float> y = RandomDataWithNan(rows * cols, &rng);
+      const std::vector<float> s = RandomDataWithNan(rows, &rng);
+      const std::vector<float> seed = RandomData(rows * cols, &rng);
+      const std::vector<float> col_seed = RandomData(rows, &rng);
+      const std::string tag =
+          " " + std::to_string(rows) + "x" + std::to_string(cols);
+      RunCase("row-scale" + tag, [&](core::ThreadPool* p) {
+        std::vector<float> out(x.size());
+        k::RowScale(x.data(), s.data(), out.data(), rows, cols, p);
+        return out;
+      });
+      RunCase("row-scale-accumulate" + tag, [&](core::ThreadPool* p) {
+        std::vector<float> dst = seed;
+        k::RowScaleAccumulate(s.data(), x.data(), dst.data(), rows, cols, p);
+        return dst;
+      });
+      RunCase("row-dot" + tag, [&](core::ThreadPool* p) {
+        std::vector<float> dst = col_seed;
+        k::RowDot(x.data(), y.data(), dst.data(), rows, cols, p);
+        return dst;
+      });
+    }
+  }
 }
 
 TEST_P(KernelEquivalenceTest, ElementwiseAndAccumulate) {
