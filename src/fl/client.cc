@@ -45,6 +45,16 @@ tensor::ParameterStore Client::TakeUpdate() {
   return update;
 }
 
+void Client::PerturbParams(double noise_std, core::Rng* rng) {
+  if (!(noise_std > 0.0)) return;
+  for (int gid = 0; gid < store_.num_groups(); ++gid) {
+    tensor::Tensor& value = store_.value(gid);
+    for (int64_t k = 0; k < value.size(); ++k) {
+      value.data()[k] += static_cast<float>(rng->Gaussian(0.0, noise_std));
+    }
+  }
+}
+
 double Client::TrainLocalOnly(const hgn::TrainOptions& options,
                               core::Rng* rng) {
   return task_->TrainRound(&store_, options, rng);

@@ -55,6 +55,14 @@ class Client {
   /// False between TakeUpdate() and the next Update().
   bool has_params() const { return store_.num_groups() > 0; }
 
+  /// Local-DP-style perturbation of the outgoing weights: adds
+  /// Gaussian(0, noise_std) to every scalar, drawing from `rng` in group
+  /// then scalar order. Draws nothing unless noise_std > 0, so runs without
+  /// noise keep their RNG stream. In-process and remote rounds both call
+  /// this right after Update() with the client's round RNG, which keeps
+  /// their draws — and so their results — identical.
+  void PerturbParams(double noise_std, core::Rng* rng);
+
   /// Continues training from the current local weights without a broadcast
   /// (used by the Local baseline).
   double TrainLocalOnly(const hgn::TrainOptions& options, core::Rng* rng);

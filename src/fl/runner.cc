@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "core/logging.h"
@@ -169,16 +170,18 @@ void FederatedRunner::UpdateActivation(
   }
 }
 
-/// Shared per-run state and the two round drivers. One instance lives for
-/// the whole Run(): the pool, activation state, downlink versions, event
-/// queue, and in-flight bookkeeping all persist across rounds.
+/// Shared per-run state and the round driver. One instance lives for the
+/// whole Run(): the pool, activation state, downlink versions, event queue,
+/// and in-flight bookkeeping all persist across rounds.
 struct FederatedRunner::RoundLoop {
   FederatedRunner* runner;
   ParameterStore* global;
   core::Rng* rng;
   bool is_fedda;
   bool scalar_gran;
+  bool semi_async;
   int num_groups;
+  std::vector<int> all_groups;
 
   ActivationState state;
   core::Rng eval_rng;
@@ -213,10 +216,12 @@ struct FederatedRunner::RoundLoop {
   /// Client has an update (or a scheduled departure) in flight and must not
   /// be re-broadcast until the event is processed.
   std::vector<uint8_t> in_flight;
-  /// Uplink accounting and loss of the in-flight update, captured when it
-  /// was scheduled (the masks in force when the client trained) and charged
-  /// when it arrives.
+  /// A dispatched update's round, loss and uplink accounting, captured when
+  /// it trained (the masks in force then) and charged when it is
+  /// aggregated — the same round in sync mode, possibly a later one in
+  /// semi-async mode.
   struct Pending {
+    int round = 0;
     double loss = 0.0;
     int64_t uplink_groups = 0;
     int64_t uplink_scalars = 0;
@@ -230,7 +235,10 @@ struct FederatedRunner::RoundLoop {
         is_fedda(r->options_.algorithm != FlAlgorithm::kFedAvg),
         scalar_gran(r->options_.activation.granularity ==
                     ActivationGranularity::kScalar),
+        semi_async(r->options_.aggregation_mode ==
+                   AggregationMode::kSemiAsync),
         num_groups(global_store->num_groups()),
+        all_groups(static_cast<size_t>(num_groups)),
         state(r->num_clients(), *global_store, r->options_.activation),
         eval_rng(g->Split()),
         pool(r->options_.worker_threads),
@@ -242,6 +250,7 @@ struct FederatedRunner::RoundLoop {
         tracer(r->options_.tracer),
         in_flight(static_cast<size_t>(r->num_clients()), 0),
         pending(static_cast<size_t>(r->num_clients())) {
+    std::iota(all_groups.begin(), all_groups.end(), 0);
     local_options.pool = pool_ptr;
     local_options.tracer = tracer;
     obs::MetricsRegistry* metrics = r->options_.metrics;
@@ -275,14 +284,13 @@ struct FederatedRunner::RoundLoop {
 
   /// Charges the requested-and-stale downlink for `c` against `record`;
   /// returns the bytes shipped (0 when the client's cache is current).
-  int64_t ChargeDownlink(int c, const ParameterStore& broadcast, int round,
-                         RoundRecord* record) {
+  int64_t ChargeDownlink(int c, int round, RoundRecord* record) {
     const std::vector<int> need = downlink.ClaimStale(c, RequestedGroups(c));
     int64_t bytes = 0;
     int64_t scalars = 0;
     if (!need.empty()) {
       const WirePayload payload = BuildDownlinkPayload(need, c, round,
-                                                       broadcast);
+                                                       *global);
       bytes = payload.EncodedBytes();
       scalars = payload.CoveredScalars();
     }
@@ -294,72 +302,63 @@ struct FederatedRunner::RoundLoop {
     return bytes;
   }
 
-  /// Trains `trainers` on `broadcast` in parallel. RNG streams are split
-  /// from the round RNG in trainer order before any update starts, so the
-  /// result is identical whether updates run sequentially or on the pool.
-  std::vector<double> TrainClients(const std::vector<int>& trainers,
-                                   const ParameterStore& broadcast,
-                                   int round) {
-    std::vector<core::Rng> client_rngs;
-    client_rngs.reserve(trainers.size());
-    for (size_t p = 0; p < trainers.size(); ++p) {
-      client_rngs.push_back(rng->Split());
-    }
-    std::vector<double> losses(trainers.size(), 0.0);
-    auto update_one = [&](int64_t p) {
-      const int c = trainers[static_cast<size_t>(p)];
-      // Runs on a pool worker when worker_threads > 0, exercising the
-      // tracer's per-thread span buffers.
-      obs::ScopedSpan client_span(tracer, "client-update", "client", c);
-      core::Rng& client_rng = client_rngs[static_cast<size_t>(p)];
-      losses[static_cast<size_t>(p)] =
-          client(c)->Update(broadcast, local_options, &client_rng);
-      if (options().dp_noise_std > 0.0) {
-        // Perturb the client's outgoing weights (the server only ever sees
-        // the noisy values, including in the mask-update magnitudes).
-        ParameterStore* params = client(c)->mutable_params();
-        for (int gid = 0; gid < params->num_groups(); ++gid) {
-          Tensor& value = params->value(gid);
-          for (int64_t k = 0; k < value.size(); ++k) {
-            value.data()[k] += static_cast<float>(
-                client_rng.Gaussian(0.0, options().dp_noise_std));
-          }
-        }
-      }
-    };
-    // With zero workers ParallelFor degenerates to the sequential loop;
-    // with workers each client update is one chunk and the kernels inside
-    // it recursively share the same pool.
-    obs::ScopedSpan train_span(tracer, "local-train", "round", round);
-    pool.ParallelFor(static_cast<int64_t>(trainers.size()), update_one);
-    return losses;
+  /// The client's update is lost and its cached copy of the model is gone
+  /// with it: a socket that died mid-round, a remote reply that does not
+  /// fit the model, or a semi-async departure event. Its rejoin is charged
+  /// as a full resync.
+  void Depart(int c, RoundRecord* record) {
+    ++record->departures;
+    if (ctr_departures != nullptr) ctr_departures->Increment();
+    downlink.InvalidateClient(c);
+    mirror.InvalidateClient(c);
   }
 
-  /// Transport mode's counterpart of TrainClients: ships each participant
-  /// its round task (split RNG state in TrainClients' order, the masks in
-  /// force, a mirror resync), collects the replies, and prunes participants
-  /// whose process departed mid-round (recording the departure and
-  /// invalidating both downlink trackers). Returns the surviving
-  /// participants' losses; their uplink payloads land in `uplinks`, aligned
-  /// with the pruned `participants`.
-  std::vector<double> ExecuteRemoteRound(
-      std::vector<int>* participants,
-      const std::vector<int>& selected_groups, int round,
-      RoundRecord* record, std::vector<WirePayload>* uplinks) {
-    std::vector<int> all_groups(static_cast<size_t>(num_groups));
-    for (int gid = 0; gid < num_groups; ++gid) {
-      all_groups[static_cast<size_t>(gid)] = gid;
+  /// Trains `trainers` on the global store, in-process on the pool or in
+  /// remote processes over the transport, and returns their losses. RNG
+  /// streams are split from the round RNG in trainer order before any
+  /// update starts, so the result is identical whether updates run
+  /// sequentially, on the pool, or remotely (a remote task carries its
+  /// split state, its masks and a mirror resync). The global store itself
+  /// is the broadcast: streaming aggregation defers every write to
+  /// Finalize(), so no global value changes while clients read it.
+  ///
+  /// A remote trainer whose process departed, or whose reply does not fit
+  /// the model layout, departs and is removed from `trainers`; the other
+  /// replies' payloads land in `uplinks`, aligned with `trainers`.
+  std::vector<double> Dispatch(std::vector<int>* trainers,
+                               const std::vector<int>& selected_groups,
+                               int round, RoundRecord* record,
+                               std::vector<WirePayload>* uplinks) {
+    std::vector<core::Rng> client_rngs;
+    client_rngs.reserve(trainers->size());
+    for (size_t p = 0; p < trainers->size(); ++p) {
+      client_rngs.push_back(rng->Split());
     }
-    std::vector<TransportTask> tasks;
-    tasks.reserve(participants->size());
-    for (int c : *participants) {
-      TransportTask task;
+    obs::ScopedSpan train_span(tracer, "local-train", "round", round);
+    if (transport == nullptr) {
+      std::vector<double> losses(trainers->size(), 0.0);
+      // With zero workers ParallelFor degenerates to the sequential loop;
+      // with workers each client update is one chunk and the kernels
+      // inside it recursively share the same pool.
+      pool.ParallelFor(static_cast<int64_t>(trainers->size()),
+                       [&](int64_t p) {
+        const int c = (*trainers)[static_cast<size_t>(p)];
+        obs::ScopedSpan client_span(tracer, "client-update", "client", c);
+        core::Rng& client_rng = client_rngs[static_cast<size_t>(p)];
+        losses[static_cast<size_t>(p)] =
+            client(c)->Update(*global, local_options, &client_rng);
+        client(c)->PerturbParams(options().dp_noise_std, &client_rng);
+      });
+      return losses;
+    }
+
+    std::vector<TransportTask> tasks(trainers->size());
+    for (size_t p = 0; p < trainers->size(); ++p) {
+      const int c = (*trainers)[p];
+      TransportTask& task = tasks[p];
       task.client = c;
       task.round = round;
-      // One Split() per participant, in participant order — the exact draw
-      // sequence TrainClients performs — so remote streams are bit-equal to
-      // the in-process client streams.
-      task.rng_state = rng->Split().SaveState();
+      task.rng_state = client_rngs[p].SaveState();
       task.fedda = is_fedda;
       if (is_fedda) {
         task.mask_bits = state.ClientMask(c);
@@ -368,33 +367,46 @@ struct FederatedRunner::RoundLoop {
       }
       task.sync = BuildDownlinkPayload(mirror.ClaimStale(c, all_groups), c,
                                        round, *global);
-      tasks.push_back(std::move(task));
     }
     std::vector<TransportReply> replies = transport->ExecuteRound(tasks);
     FEDDA_CHECK_EQ(replies.size(), tasks.size());
     std::vector<int> delivered;
     std::vector<double> losses;
     for (size_t p = 0; p < replies.size(); ++p) {
-      const int c = (*participants)[p];
+      const int c = (*trainers)[p];
       TransportReply& reply = replies[p];
-      if (!reply.ok) {
-        // The process died (or went silent past the read deadline) after
-        // receiving this round's broadcast: its update is lost and its
-        // cached copy of the model is gone with it, so a rejoin would be
-        // charged as a full resync — same semantics as a semi-async
-        // departure event.
-        ++record->departures;
-        if (ctr_departures != nullptr) ctr_departures->Increment();
-        downlink.InvalidateClient(c);
-        mirror.InvalidateClient(c);
+      // The decoder checked the reply's structure; its layout is checked
+      // here, against the model it must be applied to.
+      if (!reply.ok || !reply.uplink.CheckLayout(*global).ok()) {
+        Depart(c, record);
         continue;
       }
       delivered.push_back(c);
       losses.push_back(reply.loss);
       uplinks->push_back(std::move(reply.uplink));
     }
-    *participants = std::move(delivered);
+    *trainers = std::move(delivered);
     return losses;
+  }
+
+  /// Semi-async: puts `c`'s arrival or departure in flight at the virtual
+  /// time its transfers and compute take under the NetworkModel.
+  void Schedule(int c, EventKind kind, int64_t uplink_bytes, int round) {
+    const SemiAsyncOptions& sa = options().semi_async;
+    const NetworkModel& net = sa.network;
+    const double speed =
+        sa.client_speed.empty() ? 1.0
+                                : sa.client_speed[static_cast<size_t>(c)];
+    const double duration =
+        speed *
+        (net.round_latency_sec +
+         static_cast<double>(pending[static_cast<size_t>(c)].downlink_bytes) /
+             net.downlink_bytes_per_sec +
+         static_cast<double>(options().local.local_epochs) *
+             net.compute_sec_per_epoch +
+         static_cast<double>(uplink_bytes) / net.uplink_bytes_per_sec);
+    queue.Push(queue.virtual_now() + duration, kind, c, round);
+    in_flight[static_cast<size_t>(c)] = 1;
   }
 
   /// Dynamic deactivation emptied the active set outside any reactivation
@@ -411,12 +423,8 @@ struct FederatedRunner::RoundLoop {
     }
     // Recorded directly (not scheduled): the reactivation happens "now",
     // before anything else this round.
-    Event event;
-    event.time = queue.virtual_now();
-    event.kind = EventKind::kReactivation;
-    event.client = -1;
-    event.round = round;
-    result.events.push_back(event);
+    result.events.push_back(Event{queue.virtual_now(),
+                                  EventKind::kReactivation, -1, round});
   }
 
   void FinishRound(RoundRecord record) {
@@ -445,298 +453,144 @@ struct FederatedRunner::RoundLoop {
     }
   }
 
-  void RunSyncRound(int round);
-  void RunSemiAsyncRound(int round);
+  void RunRound(int round);
 };
 
-void FederatedRunner::RoundLoop::RunSyncRound(int round) {
+/// One round of Algorithm 1 for every mode: select, broadcast and train,
+/// aggregate the arrivals under the masks (Eq. 6), update the masks,
+/// evaluate. Only dispatch (pool or transport) and arrival collection (this
+/// round's trainers, or the event queue drained to K) depend on the mode.
+void FederatedRunner::RoundLoop::RunRound(int round) {
   obs::ScopedSpan round_span(tracer, "round", "round", round);
   if (ctr_rounds != nullptr) ctr_rounds->Increment();
   RoundRecord record;
   record.round = round;
 
-  std::vector<int> participants = runner->SelectParticipants(&state, rng);
-  ForceReactivation(&participants, round, &record);
-  if (options().client_failure_prob > 0.0) {
-    std::vector<int> responding;
-    for (int c : participants) {
-      if (!rng->Bernoulli(options().client_failure_prob)) {
-        responding.push_back(c);
-      }
+  // 1. Select, force reactivation if dynamic deactivation emptied the
+  // active set, and skip clients with an update still in flight. Failures
+  // are drawn on the coordinator in selection order (never on pool
+  // workers). A failed sync participant is never sent the broadcast; a
+  // semi-async dropout receives it and crashes mid-flight. Filtering out a
+  // remote client whose process already departed draws nothing, so a
+  // departure-free remote run replays the in-process RNG stream.
+  std::vector<int> selected = runner->SelectParticipants(&state, rng);
+  ForceReactivation(&selected, round, &record);
+  std::vector<int> trainers;
+  std::vector<int> dropouts;
+  for (int c : selected) {
+    if (in_flight[static_cast<size_t>(c)]) continue;
+    if (semi_async) ++record.started;
+    if (options().client_failure_prob > 0.0 &&
+        rng->Bernoulli(options().client_failure_prob)) {
+      if (semi_async) dropouts.push_back(c);
+    } else if (transport == nullptr || transport->ClientAlive(c)) {
+      trainers.push_back(c);
     }
-    participants = std::move(responding);
-  }
-  if (transport != nullptr) {
-    // Clients whose process already departed cannot be tasked. They are
-    // filtered only *after* every selection and failure draw above, so a
-    // departure-free remote run replays the exact in-process RNG stream.
-    std::vector<int> alive;
-    for (int c : participants) {
-      if (transport->ClientAlive(c)) alive.push_back(c);
-    }
-    participants = std::move(alive);
-  }
-  if (participants.empty()) {
-    // Everyone failed: no training, no aggregation, no uplink. The mean
-    // loss is NaN, not 0: zero would read as a perfect round downstream.
-    record.mean_local_loss = std::numeric_limits<double>::quiet_NaN();
-    record.active_after_round = state.num_active_clients();
-    Evaluate(round, &record);
-    FinishRound(std::move(record));
-    return;
   }
 
-  // FedAvg's random parameter activation (rate D): one server-side group
-  // subset per round, shared by all participants. FedDA transmits per its
-  // masks, so every group is nominally "selected".
-  std::vector<int> selected_groups;
-  int64_t selected_scalars = 0;
-  if (!is_fedda && options().param_fraction < 1.0) {
+  // 2. FedAvg's random parameter activation (rate D): one server-side group
+  // subset per round, shared by all trainers and drawn only when someone
+  // trains. FedDA transmits per its masks, so every group is nominally
+  // "selected".
+  std::vector<int> selected_groups = all_groups;
+  if (!is_fedda && options().param_fraction < 1.0 && !trainers.empty()) {
     const int take = std::max(
         1, static_cast<int>(
                std::llround(options().param_fraction * num_groups)));
+    selected_groups.clear();
     for (size_t idx : rng->SampleWithoutReplacement(
              static_cast<size_t>(num_groups), static_cast<size_t>(take))) {
       selected_groups.push_back(static_cast<int>(idx));
     }
     std::sort(selected_groups.begin(), selected_groups.end());
-  } else {
-    selected_groups.resize(static_cast<size_t>(num_groups));
-    for (int gid = 0; gid < num_groups; ++gid) {
-      selected_groups[static_cast<size_t>(gid)] = gid;
-    }
   }
+  int64_t selected_scalars = 0;
   for (int gid : selected_groups) {
     selected_scalars += global->value(gid).size();
   }
 
-  // The broadcast is the global store itself: streaming aggregation defers
-  // every write to Finalize(), so no global value changes while clients
-  // read it and the old per-round O(model) deep copy is gone.
-  const ParameterStore& broadcast = *global;
-  std::vector<WirePayload> remote_uplinks;
-  const std::vector<double> losses =
-      transport == nullptr
-          ? TrainClients(participants, broadcast, round)
-          : ExecuteRemoteRound(&participants, selected_groups, round,
-                               &record, &remote_uplinks);
-  if (participants.empty()) {
-    // Every tasked participant departed mid-round: nothing arrived, so
-    // nothing aggregates — but the recorded departures stand.
-    record.mean_local_loss = std::numeric_limits<double>::quiet_NaN();
-    record.active_after_round = state.num_active_clients();
-    Evaluate(round, &record);
-    FinishRound(std::move(record));
-    return;
+  // 3. Dispatch; remote trainers that depart drop out of `trainers`.
+  std::vector<WirePayload> uplinks;
+  std::vector<double> losses;
+  if (!trainers.empty()) {
+    losses = Dispatch(&trainers, selected_groups, round, &record, &uplinks);
   }
-  double loss_sum = 0.0;
-  for (double loss : losses) loss_sum += loss;
 
-  record.participants = static_cast<int>(participants.size());
-  record.mean_local_loss =
-      loss_sum / static_cast<double>(participants.size());
-  // Uplink and downlink accounting uses the masks in force *this* round
-  // (before the post-aggregation update below). Bytes are measured off
-  // real fl/wire.h payloads, so they include entry headers and the
-  // bit-packed mask overhead.
+  // 4. Charge the wire under the masks in force this round (before the
+  // post-aggregation update below). Bytes are measured off real fl/wire.h
+  // payloads, so they include entry headers and the bit-packed mask
+  // overhead: a remote uplink is the payload that crossed the wire, an
+  // in-process one is built here from the same masks and weights. The
+  // uplink is captured now and charged on aggregation. Downlink goes to
+  // every client that received the broadcast and is still there: delivered
+  // trainers and semi-async dropouts. An empty need-list costs nothing —
+  // the round trigger is covered by the timing model's per-round latency.
   {
     obs::ScopedSpan wire_span(tracer, "wire-encode", "round", round);
-    for (size_t p = 0; p < participants.size(); ++p) {
-      const int c = participants[p];
-      const int64_t scalars =
-          is_fedda ? state.TransmittedScalars(c) : selected_scalars;
-      record.uplink_groups += is_fedda
-                                  ? state.TransmittedGroups(c)
-                                  : static_cast<int64_t>(
-                                        selected_groups.size());
-      record.uplink_scalars += scalars;
-      record.max_uplink_scalars =
-          std::max(record.max_uplink_scalars, scalars);
-
-      // Transport mode measures the payload that actually crossed the wire;
-      // in-process rounds build it here. Both are the same bytes — the
-      // remote side runs the same builders on the same masks and weights.
-      WirePayload built;
-      if (transport == nullptr) {
-        built = is_fedda
-                    ? BuildUplinkPayload(state, c, round, client(c)->params())
-                    : BuildDenseUplinkPayload(selected_groups, c, round,
-                                              client(c)->params());
-      }
-      const WirePayload& uplink =
-          transport != nullptr ? remote_uplinks[p] : built;
-      const int64_t uplink_bytes = uplink.EncodedBytes();
-      record.uplink_bytes += uplink_bytes;
-      record.max_uplink_bytes =
-          std::max(record.max_uplink_bytes, uplink_bytes);
-
-      // Downlink: requested groups whose cached version is stale. An empty
-      // need-list costs nothing — the round trigger itself is covered by
-      // the timing model's fixed per-round latency.
-      ChargeDownlink(c, broadcast, round, &record);
-    }
-  }
-
-  // Streaming aggregation: one update at a time into per-group running
-  // sums, handed off by move and freed as soon as it is folded in. Peak
-  // server memory is O(model) — the accumulators plus one update — instead
-  // of every participant's full update staying alive until round end.
-  std::vector<uint8_t> groups_updated;
-  std::vector<std::vector<double>> magnitudes;
-  {
-    obs::ScopedSpan agg_span(tracer, "aggregate", "round", round);
-    StreamingAggregator::Config config;
-    config.fedda = is_fedda;
-    config.scalar_granularity = scalar_gran;
-    StreamingAggregator aggregator(global, &state, selected_groups, config);
-    magnitudes.reserve(participants.size());
-    for (size_t p = 0; p < participants.size(); ++p) {
-      const int c = participants[p];
-      ParameterStore update;
-      if (transport != nullptr) {
-        // Reconstruct the remote update from its wire payload onto a copy
-        // of the broadcast. Scalars the payload masks off keep broadcast
-        // values, which is enough for bit-identity: Accumulate never reads
-        // a scalar the client's mask excludes. One reconstruction lives at
-        // a time, preserving the streaming server's O(model) peak memory.
-        update = *global;
-        const core::Status applied = remote_uplinks[p].ApplyTo(&update);
-        FEDDA_CHECK(applied.ok())
-            << "uplink payload does not match the model layout (client "
-            << c << "): " << applied.ToString();
-      } else {
-        update = client(c)->TakeUpdate();
-      }
-      magnitudes.push_back(
-          aggregator.Accumulate(c, runner->AggregationWeight(c), update));
-    }
-    aggregator.Finalize(global, &groups_updated);
-    downlink.AdvanceGroups(groups_updated);
-    if (transport != nullptr) mirror.AdvanceGroups(groups_updated);
-  }
-
-  if (is_fedda) {
-    obs::ScopedSpan mask_span(tracer, "mask-update", "round", round);
-    runner->UpdateActivation(participants, magnitudes, &state, rng);
-  }
-
-  record.active_after_round = state.num_active_clients();
-  Evaluate(round, &record);
-  FinishRound(std::move(record));
-}
-
-void FederatedRunner::RoundLoop::RunSemiAsyncRound(int round) {
-  obs::ScopedSpan round_span(tracer, "round", "round", round);
-  if (ctr_rounds != nullptr) ctr_rounds->Increment();
-  const SemiAsyncOptions& sa = options().semi_async;
-  RoundRecord record;
-  record.round = round;
-
-  // 1. Select, force reactivation if dynamic deactivation emptied the
-  // active set, and keep only clients without an update already in flight.
-  std::vector<int> selected = runner->SelectParticipants(&state, rng);
-  if (is_fedda) ForceReactivation(&selected, round, &record);
-  std::vector<int> starters;
-  for (int c : selected) {
-    if (!in_flight[static_cast<size_t>(c)]) starters.push_back(c);
-  }
-  record.started = static_cast<int>(starters.size());
-
-  // 2. Dropout decisions on the coordinator, in starter order (never on
-  // pool workers), so the event schedule is a pure function of the seed.
-  std::vector<int> trainers;
-  std::vector<int> dropouts;
-  for (int c : starters) {
-    if (options().client_failure_prob > 0.0 &&
-        rng->Bernoulli(options().client_failure_prob)) {
-      dropouts.push_back(c);
-    } else {
-      trainers.push_back(c);
-    }
-  }
-
-  // 3. Every starter receives the broadcast now (dropouts crash later,
-  // mid-flight: their downlink was still spent).
-  const ParameterStore& broadcast = *global;
-  {
-    obs::ScopedSpan wire_span(tracer, "wire-encode", "round", round);
-    for (int c : starters) {
-      pending[static_cast<size_t>(c)].downlink_bytes =
-          ChargeDownlink(c, broadcast, round, &record);
-    }
-  }
-
-  // 4. Local training (dropouts never deliver, so simulating their wasted
-  // epochs would only burn host time; they draw no RNG either).
-  const std::vector<double> losses = TrainClients(trainers, broadcast,
-                                                  round);
-
-  // 5. Schedule events at NetworkModel-derived virtual times. Uplink
-  // accounting is captured now (the masks the client trained under) and
-  // charged when the update arrives.
-  const double now = queue.virtual_now();
-  const NetworkModel& net = sa.network;
-  auto speed_of = [&](int c) {
-    return sa.client_speed.empty()
-               ? 1.0
-               : sa.client_speed[static_cast<size_t>(c)];
-  };
-  const double compute_sec =
-      static_cast<double>(options().local.local_epochs) *
-      net.compute_sec_per_epoch;
-  std::vector<int> all_groups(static_cast<size_t>(num_groups));
-  for (int gid = 0; gid < num_groups; ++gid) {
-    all_groups[static_cast<size_t>(gid)] = gid;
-  }
-  {
-    obs::ScopedSpan sched_span(tracer, "event-schedule", "round", round);
     for (size_t p = 0; p < trainers.size(); ++p) {
       const int c = trainers[p];
       Pending& entry = pending[static_cast<size_t>(c)];
+      entry.round = round;
       entry.loss = losses[p];
       entry.uplink_groups =
           is_fedda ? state.TransmittedGroups(c)
-                   : static_cast<int64_t>(num_groups);
-      entry.uplink_scalars = is_fedda ? state.TransmittedScalars(c)
-                                      : global->num_scalars();
-      const WirePayload uplink =
-          is_fedda ? BuildUplinkPayload(state, c, round, client(c)->params())
-                   : BuildDenseUplinkPayload(all_groups, c, round,
-                                             client(c)->params());
-      entry.uplink_bytes = uplink.EncodedBytes();
-      const double duration =
-          speed_of(c) *
-          (net.round_latency_sec +
-           static_cast<double>(entry.downlink_bytes) /
-               net.downlink_bytes_per_sec +
-           compute_sec +
-           static_cast<double>(entry.uplink_bytes) /
-               net.uplink_bytes_per_sec);
-      queue.Push(now + duration, EventKind::kArrival, c, round);
-      in_flight[static_cast<size_t>(c)] = 1;
+                   : static_cast<int64_t>(selected_groups.size());
+      entry.uplink_scalars =
+          is_fedda ? state.TransmittedScalars(c) : selected_scalars;
+      entry.uplink_bytes =
+          transport != nullptr
+              ? uplinks[p].EncodedBytes()
+              : (is_fedda ? BuildUplinkPayload(state, c, round,
+                                               client(c)->params())
+                          : BuildDenseUplinkPayload(selected_groups, c,
+                                                    round,
+                                                    client(c)->params()))
+                    .EncodedBytes();
+      entry.downlink_bytes = ChargeDownlink(c, round, &record);
     }
     for (int c : dropouts) {
-      // Crashed before upload: latency + downlink + compute, no uplink
-      // term.
-      const double duration =
-          speed_of(c) *
-          (net.round_latency_sec +
-           static_cast<double>(
-               pending[static_cast<size_t>(c)].downlink_bytes) /
-               net.downlink_bytes_per_sec +
-           compute_sec);
-      queue.Push(now + duration, EventKind::kDeparture, c, round);
-      in_flight[static_cast<size_t>(c)] = 1;
+      pending[static_cast<size_t>(c)].downlink_bytes =
+          ChargeDownlink(c, round, &record);
     }
   }
 
-  // 6. Drain the queue until the buffer holds K arrivals (or nothing is in
-  // flight). Departures are processed as encountered: the client's cached
-  // model is invalidated so its rejoin is charged as a full resync.
-  const int buffer_k = sa.buffer_size;
-  std::vector<int> aggregated;
+  // 5. Collect arrivals. Sync: this round's delivered trainers, in order.
+  // Semi-async: schedule this round's events, then drain the queue until
+  // the buffer holds K arrivals (or nothing is in flight), processing
+  // departures as they come.
+  std::vector<int> arrivals;
+  if (!semi_async) {
+    arrivals = trainers;
+  } else {
+    obs::ScopedSpan sched_span(tracer, "event-schedule", "round", round);
+    // Trainers first, so ties pop in that order. A dropout crashes before
+    // upload: its time has no uplink term.
+    for (int c : trainers) {
+      Schedule(c, EventKind::kArrival,
+               pending[static_cast<size_t>(c)].uplink_bytes, round);
+    }
+    for (int c : dropouts) Schedule(c, EventKind::kDeparture, 0, round);
+    const int buffer_k = options().semi_async.buffer_size;
+    while (!queue.empty() &&
+           (buffer_k <= 0 || static_cast<int>(arrivals.size()) < buffer_k)) {
+      const Event event = queue.Pop();
+      result.events.push_back(event);
+      in_flight[static_cast<size_t>(event.client)] = 0;
+      if (event.kind == EventKind::kDeparture) {
+        Depart(event.client, &record);
+      } else {
+        arrivals.push_back(event.client);
+      }
+    }
+    record.virtual_time_sec = queue.virtual_now();
+  }
+
+  // 6. Streaming aggregation: one update at a time into per-group running
+  // sums, handed off by move and freed as soon as it is folded in. Peak
+  // server memory is O(model) — the accumulators plus one update. A stale
+  // update's weight is discounted by 1 / (1 + staleness)^rho; at staleness
+  // 0 the divisor is exactly 1.
   std::vector<std::vector<double>> magnitudes;
-  std::vector<uint8_t> groups_updated;
   double loss_sum = 0.0;
   double staleness_sum = 0.0;
   {
@@ -744,26 +598,12 @@ void FederatedRunner::RoundLoop::RunSemiAsyncRound(int round) {
     StreamingAggregator::Config config;
     config.fedda = is_fedda;
     config.scalar_granularity = scalar_gran;
-    StreamingAggregator aggregator(global, &state, all_groups, config);
-    while (!queue.empty() &&
-           (buffer_k <= 0 ||
-            static_cast<int>(aggregated.size()) < buffer_k)) {
-      const Event event = queue.Pop();
-      result.events.push_back(event);
-      const int c = event.client;
-      in_flight[static_cast<size_t>(c)] = 0;
-      if (event.kind == EventKind::kDeparture) {
-        downlink.InvalidateClient(c);
-        ++record.departures;
-        if (ctr_departures != nullptr) ctr_departures->Increment();
-        continue;
-      }
-      const int staleness = round - event.round;
-      const double weight =
-          runner->AggregationWeight(c) /
-          std::pow(1.0 + static_cast<double>(staleness),
-                   sa.staleness_exponent);
+    StreamingAggregator aggregator(global, &state, selected_groups, config);
+    magnitudes.reserve(arrivals.size());
+    for (size_t a = 0; a < arrivals.size(); ++a) {
+      const int c = arrivals[a];
       const Pending& entry = pending[static_cast<size_t>(c)];
+      const int staleness = round - entry.round;
       record.uplink_groups += entry.uplink_groups;
       record.uplink_scalars += entry.uplink_scalars;
       record.max_uplink_scalars =
@@ -773,33 +613,47 @@ void FederatedRunner::RoundLoop::RunSemiAsyncRound(int round) {
           std::max(record.max_uplink_bytes, entry.uplink_bytes);
       loss_sum += entry.loss;
       staleness_sum += static_cast<double>(staleness);
-      const ParameterStore update = client(c)->TakeUpdate();
+      ParameterStore update;
+      if (transport != nullptr) {
+        // Remote rounds are synchronous, so arrival `a` is trainer `a`.
+        // Reconstruct the update from its payload onto a copy of the
+        // broadcast: scalars the payload masks off keep broadcast values,
+        // which Accumulate never reads. Dispatch checked the layout.
+        update = *global;
+        FEDDA_CHECK(uplinks[a].ApplyTo(&update).ok());
+      } else {
+        update = client(c)->TakeUpdate();
+      }
+      const double weight =
+          runner->AggregationWeight(c) /
+          std::pow(1.0 + static_cast<double>(staleness),
+                   options().semi_async.staleness_exponent);
       magnitudes.push_back(aggregator.Accumulate(c, weight, update));
-      aggregated.push_back(c);
     }
-    if (!aggregated.empty()) {
+    if (!arrivals.empty()) {
+      std::vector<uint8_t> groups_updated;
       aggregator.Finalize(global, &groups_updated);
       downlink.AdvanceGroups(groups_updated);
+      mirror.AdvanceGroups(groups_updated);
     }
   }
-  record.virtual_time_sec = queue.virtual_now();
 
-  if (aggregated.empty()) {
-    // Nothing reached the buffer (everyone in flight dropped out, or no
-    // one was eligible to start): no aggregation, NaN loss.
+  // 7. Masks, evaluation, record.
+  if (arrivals.empty()) {
+    // Nothing arrived (everyone failed or departed, or no one was eligible
+    // to start): no aggregation. The mean loss is NaN, not 0: zero would
+    // read as a perfect round downstream.
     record.mean_local_loss = std::numeric_limits<double>::quiet_NaN();
   } else {
-    record.participants = static_cast<int>(aggregated.size());
-    record.mean_local_loss =
-        loss_sum / static_cast<double>(aggregated.size());
-    record.mean_staleness =
-        staleness_sum / static_cast<double>(aggregated.size());
+    const double n = static_cast<double>(arrivals.size());
+    record.participants = static_cast<int>(arrivals.size());
+    record.mean_local_loss = loss_sum / n;
+    record.mean_staleness = staleness_sum / n;
     if (is_fedda) {
       obs::ScopedSpan mask_span(tracer, "mask-update", "round", round);
-      runner->UpdateActivation(aggregated, magnitudes, &state, rng);
+      runner->UpdateActivation(arrivals, magnitudes, &state, rng);
     }
   }
-
   record.active_after_round = state.num_active_clients();
   Evaluate(round, &record);
   FinishRound(std::move(record));
@@ -813,15 +667,7 @@ FlRunResult FederatedRunner::Run(ParameterStore* global_store,
   obs::ScopedSpan run_span(options_.tracer, "run");
   RoundLoop loop(this, global_store, rng);
   loop.result.aggregation_mode = options_.aggregation_mode;
-  const bool semi_async =
-      options_.aggregation_mode == AggregationMode::kSemiAsync;
-  for (int round = 0; round < options_.rounds; ++round) {
-    if (semi_async) {
-      loop.RunSemiAsyncRound(round);
-    } else {
-      loop.RunSyncRound(round);
-    }
-  }
+  for (int round = 0; round < options_.rounds; ++round) loop.RunRound(round);
   loop.result.final_auc = loop.result.history.back().auc;
   loop.result.final_mrr = loop.result.history.back().mrr;
   return std::move(loop.result);

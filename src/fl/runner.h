@@ -123,9 +123,10 @@ struct FlOptions {
   /// remote run's history equals the in-process history, because the runner
   /// ships each participant its split RNG state, its masks, and a mirror
   /// resync of the global store, and aggregates the returned wire payloads
-  /// in participant order. A peer that dies mid-round is recorded as a
-  /// departure (RoundRecord::departures) and its downlink caches are
-  /// invalidated, exactly like a semi-async departure event.
+  /// in participant order. A peer that dies mid-round, or replies with an
+  /// uplink that does not fit the model layout, is recorded as a departure
+  /// (RoundRecord::departures) and its downlink caches are invalidated,
+  /// exactly like a semi-async departure event.
   Transport* transport = nullptr;
   /// Optional observability sinks (both may be null; null disables with no
   /// measurable overhead). The tracer receives round/phase/client spans and
@@ -182,7 +183,8 @@ struct RoundRecord {
   int started = 0;
   /// Updates lost to a client dropping out while in flight. Semi-async
   /// departure events, and — under a transport — synchronous participants
-  /// whose process died mid-round (EOF/timeout before their reply).
+  /// whose process died mid-round (EOF/timeout before their reply) or whose
+  /// reply did not fit the model layout.
   int departures = 0;
   double mean_staleness = 0.0;
   double virtual_time_sec = 0.0;
@@ -216,10 +218,11 @@ struct FlRunResult {
   int64_t total_downlink_bytes = 0;
   int64_t total_downlink_scalars = 0;
   int64_t total_max_downlink_scalars = 0;
-  /// Semi-async only: every event the server processed, in pop order. The
-  /// sequence is a pure function of the seed (EventQueue ties break on push
-  /// order), so it doubles as the determinism witness across worker_threads
-  /// settings. Empty in synchronous mode.
+  /// Every event the server processed, in order: semi-async arrivals and
+  /// departures in pop order, and forced reactivations in any mode (a
+  /// synchronous run records only kReactivation events). The sequence is a
+  /// pure function of the seed (EventQueue ties break on push order), so it
+  /// doubles as the determinism witness across worker_threads settings.
   std::vector<Event> events;
 };
 
@@ -256,7 +259,7 @@ class FederatedRunner {
   const FlOptions& options() const { return options_; }
 
  private:
-  struct RoundLoop;  // shared per-run state for the round drivers
+  struct RoundLoop;  // shared per-run state and the round driver
 
   /// Participants for round `t` per algorithm.
   std::vector<int> SelectParticipants(ActivationState* state, core::Rng* rng);

@@ -20,9 +20,9 @@ namespace fedda::fl {
 /// multi-process run reproduces the in-process round history verbatim. The
 /// runner makes that possible by shipping each participant the three inputs
 /// local training consumes: the split RNG stream (as raw engine state, in
-/// the same split order TrainClients uses), the activation masks in force,
-/// and a resync payload that makes the remote mirror of the global store
-/// exact (see RoundLoop's mirror tracker in runner.cc).
+/// the split order of the in-process dispatch), the activation masks in
+/// force, and a resync payload that makes the remote mirror of the global
+/// store exact (see RoundLoop's mirror tracker in runner.cc).
 
 /// Everything one participant needs to execute one synchronous round
 /// remotely.

@@ -185,21 +185,29 @@ core::Status WirePayload::Deserialize(const std::vector<uint8_t>& bytes) {
   return core::Status::OK();
 }
 
-core::Status WirePayload::ApplyTo(tensor::ParameterStore* store) const {
-  if (store->num_groups() != total_groups_) {
+core::Status WirePayload::CheckLayout(
+    const tensor::ParameterStore& store) const {
+  if (store.num_groups() != total_groups_) {
     return core::Status::InvalidArgument(
         "payload built for " + std::to_string(total_groups_) +
-        " groups, store has " + std::to_string(store->num_groups()));
+        " groups, store has " + std::to_string(store.num_groups()));
   }
   for (const WireGroup& entry : groups_) {
-    if (entry.group < 0 || entry.group >= store->num_groups()) {
+    if (entry.group < 0 || entry.group >= store.num_groups()) {
       return core::Status::InvalidArgument("group id out of range");
     }
-    tensor::Tensor& target = store->value(entry.group);
-    if (target.size() != entry.size) {
+    if (store.value(entry.group).size() != entry.size) {
       return core::Status::InvalidArgument(
           "group size mismatch for group " + std::to_string(entry.group));
     }
+  }
+  return core::Status::OK();
+}
+
+core::Status WirePayload::ApplyTo(tensor::ParameterStore* store) const {
+  FEDDA_RETURN_IF_ERROR(CheckLayout(*store));
+  for (const WireGroup& entry : groups_) {
+    tensor::Tensor& target = store->value(entry.group);
     if (entry.mask.empty()) {
       FEDDA_CHECK_EQ(static_cast<int64_t>(entry.values.size()), entry.size);
       std::copy(entry.values.begin(), entry.values.end(), target.data());

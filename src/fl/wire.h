@@ -91,12 +91,19 @@ class WirePayload {
   /// a non-OK Status and leaves the payload unchanged; it never crashes.
   [[nodiscard]] core::Status Deserialize(const std::vector<uint8_t>& bytes);
 
+  /// OK when the payload fits `store`'s layout: the same group count, and
+  /// every entry's group id in range with the store's group size.
+  /// Deserialize checks only a payload's own structure, so a payload from
+  /// the wire must pass this before it is applied.
+  [[nodiscard]] core::Status CheckLayout(
+      const tensor::ParameterStore& store) const;
+
   /// Writes the carried values into `store`: dense entries overwrite the
   /// whole group, masked entries overwrite only active scalars (inactive
   /// positions keep the store's values). With every group present and
   /// dense — a full-mask payload — this is bit-identical to
-  /// ParameterStore::CopyValuesFrom. Fails if the payload does not match
-  /// the store's layout.
+  /// ParameterStore::CopyValuesFrom. Fails, writing nothing, if CheckLayout
+  /// fails.
   [[nodiscard]] core::Status ApplyTo(tensor::ParameterStore* store) const;
 
  private:

@@ -481,20 +481,11 @@ Status RemoteClient::ServeRound(const std::vector<uint8_t>& body) {
   }
 
   // 3. Replay the in-process client update: same RNG stream, same draw
-  // order (training first, then DP noise — mirroring
-  // RoundLoop::TrainClients).
+  // order (training first, then DP noise — the calls the runner's
+  // in-process dispatch makes).
   core::Rng rng = core::Rng::FromState(task.rng_state);
   const double loss = client_->Update(*mirror_, options_.local, &rng);
-  if (options_.dp_noise_std > 0.0) {
-    tensor::ParameterStore* params = client_->mutable_params();
-    for (int gid = 0; gid < params->num_groups(); ++gid) {
-      tensor::Tensor& value = params->value(gid);
-      for (int64_t k = 0; k < value.size(); ++k) {
-        value.data()[k] += static_cast<float>(
-            rng.Gaussian(0.0, options_.dp_noise_std));
-      }
-    }
-  }
+  client_->PerturbParams(options_.dp_noise_std, &rng);
 
   // 4. Serialize with the shared builders: these are the bytes the
   // in-process round would have measured.

@@ -201,5 +201,101 @@ TEST(TraceDeterminismTest, MetricsMirrorRunTotals) {
             result.total_downlink_scalars);
 }
 
+/// Semi-async options with a 4x straggler (client 3) and a buffer of two,
+/// so updates land stale and events interleave across rounds.
+FlOptions SemiAsyncTraceOptions(FlAlgorithm algorithm, int worker_threads) {
+  FlOptions options = TraceOptions(algorithm, worker_threads);
+  options.rounds = 6;
+  options.aggregation_mode = AggregationMode::kSemiAsync;
+  options.semi_async.buffer_size = 2;
+  options.semi_async.client_speed = {1.0, 1.0, 1.0, 4.0};
+  return options;
+}
+
+/// The semi-async half of a result: every event in pop order, and the
+/// per-round fields only an event-driven run fills in.
+void ExpectIdenticalSchedules(const FlRunResult& a, const FlRunResult& b) {
+  auto d = [](double x) { return core::StrFormat("%.17g", x); };
+  ASSERT_EQ(a.events.size(), b.events.size());
+  for (size_t i = 0; i < a.events.size(); ++i) {
+    EXPECT_EQ(d(a.events[i].time), d(b.events[i].time)) << "event " << i;
+    EXPECT_EQ(a.events[i].kind, b.events[i].kind) << "event " << i;
+    EXPECT_EQ(a.events[i].client, b.events[i].client) << "event " << i;
+    EXPECT_EQ(a.events[i].round, b.events[i].round) << "event " << i;
+    EXPECT_EQ(a.events[i].seq, b.events[i].seq) << "event " << i;
+  }
+  ASSERT_EQ(a.history.size(), b.history.size());
+  for (size_t i = 0; i < a.history.size(); ++i) {
+    const RoundRecord& ra = a.history[i];
+    const RoundRecord& rb = b.history[i];
+    EXPECT_EQ(ra.started, rb.started) << "round " << i;
+    EXPECT_EQ(ra.departures, rb.departures) << "round " << i;
+    EXPECT_EQ(d(ra.mean_staleness), d(rb.mean_staleness)) << "round " << i;
+    EXPECT_EQ(d(ra.virtual_time_sec), d(rb.virtual_time_sec))
+        << "round " << i;
+    EXPECT_EQ(ra.forced_reactivation, rb.forced_reactivation)
+        << "round " << i;
+  }
+}
+
+TEST(TraceDeterminismTest, SemiAsyncTracedRunWithFailuresIsBitIdentical) {
+  const FederatedSystem system = FederatedSystem::Build(TraceSystemConfig());
+  FlOptions plain = SemiAsyncTraceOptions(FlAlgorithm::kFedDaRestart, 3);
+  plain.client_failure_prob = 0.3;
+  const FlRunResult untraced = RunFederated(system, plain, 123);
+
+  obs::Tracer tracer;
+  obs::MetricsRegistry registry;
+  FlOptions traced_options = plain;
+  traced_options.tracer = &tracer;
+  traced_options.metrics = &registry;
+  const FlRunResult traced = RunFederated(system, traced_options, 123);
+
+  ExpectIdenticalResults(untraced, traced);
+  ExpectIdenticalSchedules(untraced, traced);
+  int departures = 0;
+  for (const RoundRecord& r : traced.history) departures += r.departures;
+  EXPECT_GT(departures, 0) << "the run never exercised a departure";
+  EXPECT_GT(tracer.Collect().size(), 0u);
+}
+
+/// fl.departures and fl.forced_reactivations agree with the records. Scalar
+/// masks with alpha = 1 deactivate every aggregated client and beta_r = 0
+/// never restarts, so the server has to force reactivations.
+void ExpectCountersMatchRecords(FlOptions options) {
+  const FederatedSystem system = FederatedSystem::Build(TraceSystemConfig());
+  obs::MetricsRegistry registry;
+  options.metrics = &registry;
+  options.client_failure_prob = 0.3;
+  options.activation.granularity = ActivationGranularity::kScalar;
+  options.activation.alpha = 1.0;
+  options.beta_r = 0.0;
+  const FlRunResult result = RunFederated(system, options, 123);
+
+  int64_t departures = 0;
+  int64_t forced = 0;
+  for (const RoundRecord& r : result.history) {
+    departures += r.departures;
+    forced += r.forced_reactivation ? 1 : 0;
+  }
+  EXPECT_GT(forced, 0) << "the run never forced a reactivation";
+  EXPECT_EQ(registry.AddCounter("fl.departures")->value(), departures);
+  EXPECT_EQ(registry.AddCounter("fl.forced_reactivations")->value(), forced);
+  if (options.aggregation_mode == AggregationMode::kSemiAsync) {
+    EXPECT_GT(departures, 0) << "the run never exercised a departure";
+  }
+}
+
+TEST(TraceDeterminismTest, SyncCountersMatchDeparturesAndForcedRounds) {
+  FlOptions options = TraceOptions(FlAlgorithm::kFedDaRestart, 0);
+  options.rounds = 5;
+  ExpectCountersMatchRecords(options);
+}
+
+TEST(TraceDeterminismTest, SemiAsyncCountersMatchDeparturesAndForcedRounds) {
+  ExpectCountersMatchRecords(
+      SemiAsyncTraceOptions(FlAlgorithm::kFedDaRestart, 0));
+}
+
 }  // namespace
 }  // namespace fedda::fl

@@ -506,6 +506,97 @@ TEST(SocketTransportTest, SilentPeerTimesOutIntoADeparture) {
                        /*reply_timeout_sec=*/1.0);
 }
 
+// ---- hostile round replies ------------------------------------------------
+
+/// A protocol-speaking client that lies about the model: it answers every
+/// round task with a correctly addressed reply whose uplink was built from
+/// a 3-group store. The reply decodes fine — DecodeRoundReply checks only
+/// structure — so the runner itself must reject it.
+void RunWrongLayoutClient(const std::string& address, int client_id,
+                          uint64_t fingerprint) {
+  Socket socket;
+  ASSERT_TRUE(Connect(address, /*retries=*/40, /*backoff_sec=*/0.05,
+                      &socket)
+                  .ok());
+  ASSERT_TRUE(WriteFrame(&socket, FrameType::kHello,
+                         EncodeHello(client_id, fingerprint))
+                  .ok());
+  Frame ack;
+  ASSERT_TRUE(ReadFrame(&socket, 30.0, &ack).ok());
+  ASSERT_EQ(ack.type, FrameType::kHelloAck);
+  const ParameterStore wrong = MakeStore(9);
+  for (;;) {
+    Frame frame;
+    if (!ReadFrame(&socket, 120.0, &frame).ok() ||
+        frame.type != FrameType::kRoundStart) {
+      return;  // shutdown (or the server hung up)
+    }
+    fl::TransportTask task;
+    ASSERT_TRUE(DecodeRoundStart(frame.body, &task).ok());
+    RoundReplyMessage reply;
+    reply.client = client_id;
+    reply.round = task.round;
+    reply.loss = 0.25;
+    reply.uplink = fl::BuildDenseUplinkPayload({0, 1, 2}, client_id,
+                                               task.round, wrong);
+    ASSERT_TRUE(WriteFrame(&socket, FrameType::kRoundReply,
+                           EncodeRoundReply(reply))
+                    .ok());
+  }
+}
+
+TEST(SocketTransportTest, WrongLayoutReplyDepartsWithoutAbort) {
+  const fl::FederatedSystem system =
+      fl::FederatedSystem::Build(TestSystemConfig());
+  fl::FlOptions options = TestOptions(fl::FlAlgorithm::kFedAvg);
+  const char* tag = "wrong-layout";
+  const uint64_t fingerprint = Fingerprint64(tag);
+  ServerOptions server;
+  server.address = UniqueUdsAddress(tag);
+  server.num_clients = system.num_clients();
+  server.fingerprint = fingerprint;
+  server.accept_timeout_sec = 60.0;
+  server.reply_timeout_sec = 60.0;
+  std::unique_ptr<SocketTransport> transport;
+  ASSERT_TRUE(SocketTransport::Create(server, &transport).ok());
+
+  const int liar = system.num_clients() - 1;
+  std::vector<core::Status> statuses(static_cast<size_t>(liar),
+                                     core::Status::OK());
+  std::vector<std::thread> peers;
+  for (int c = 0; c < liar; ++c) {
+    peers.emplace_back(RunRemoteClient, options, transport->address(), c,
+                       fingerprint, /*round_timeout_sec=*/120.0,
+                       &statuses[static_cast<size_t>(c)]);
+  }
+  peers.emplace_back(RunWrongLayoutClient, transport->address(), liar,
+                     fingerprint);
+  const core::Status accepted = transport->AcceptClients();
+  ASSERT_TRUE(accepted.ok()) << accepted.ToString();
+
+  options.transport = transport.get();
+  const fl::FlRunResult result = fl::RunFederated(system, options, kRunSeed);
+  // The socket stays healthy, so the transport still counts the liar alive.
+  EXPECT_TRUE(transport->ClientAlive(liar));
+  transport->Shutdown();
+  for (std::thread& peer : peers) peer.join();
+  for (const core::Status& status : statuses) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+
+  // The liar is therefore tasked again every round, and
+  // every round its reply is dropped as a departure: no loss, no uplink,
+  // nothing aggregated from it.
+  ASSERT_EQ(result.history.size(), static_cast<size_t>(options.rounds));
+  for (const fl::RoundRecord& record : result.history) {
+    EXPECT_EQ(record.participants, system.num_clients() - 1)
+        << "round " << record.round;
+    EXPECT_EQ(record.departures, 1) << "round " << record.round;
+    EXPECT_TRUE(std::isfinite(record.mean_local_loss))
+        << "round " << record.round;
+  }
+}
+
 // ---- hostile round tasks -------------------------------------------------
 
 /// A protocol-speaking hostile server: accepts one real client, completes
