@@ -1,9 +1,8 @@
 // Microbenchmarks for Simple-HGN forward/backward and federated rounds.
 // The encode and train-round benchmarks carry a dispatch column: the same
-// workload under forced-scalar kernels (fusion off) and under the
-// best-available SIMD path (fusion on), so the end-to-end win of the
-// dispatched kernel layer is measured where it matters, not just in
-// isolated kernel loops.
+// workload under forced-scalar kernels and under the best-available SIMD
+// path, so the end-to-end win of the dispatched kernel layer is measured
+// where it matters, not just in isolated kernel loops.
 
 #include <benchmark/benchmark.h>
 
@@ -15,22 +14,16 @@ namespace {
 
 namespace k = ::fedda::tensor::kernels;
 
-/// Forces (dispatch mode, fusion) for one benchmark run.
-class ScopedKernelConfig {
+/// Forces the dispatch mode for one benchmark run.
+class ScopedDispatch {
  public:
-  ScopedKernelConfig(k::DispatchMode mode, bool fusion)
-      : saved_mode_(k::dispatch_mode()), saved_fusion_(k::FusionEnabled()) {
+  explicit ScopedDispatch(k::DispatchMode mode) : saved_(k::dispatch_mode()) {
     k::SetDispatchMode(mode);
-    k::SetFusionEnabled(fusion);
   }
-  ~ScopedKernelConfig() {
-    k::SetDispatchMode(saved_mode_);
-    k::SetFusionEnabled(saved_fusion_);
-  }
+  ~ScopedDispatch() { k::SetDispatchMode(saved_); }
 
  private:
-  k::DispatchMode saved_mode_;
-  bool saved_fusion_;
+  k::DispatchMode saved_;
 };
 
 fl::FederatedSystem* BuildSystem(int clients) {
@@ -42,9 +35,8 @@ fl::FederatedSystem* BuildSystem(int clients) {
   return new fl::FederatedSystem(fl::FederatedSystem::Build(config));
 }
 
-void BM_EncodeForward(benchmark::State& state, k::DispatchMode mode,
-                      bool fusion) {
-  ScopedKernelConfig kernel_config(mode, fusion);
+void BM_EncodeForward(benchmark::State& state, k::DispatchMode mode) {
+  ScopedDispatch dispatch(mode);
   static fl::FederatedSystem* system = BuildSystem(4);
   tensor::ParameterStore store = system->MakeInitialStore(1);
   const MpStructure mp = system->model().BuildStructure(system->global());
@@ -56,13 +48,11 @@ void BM_EncodeForward(benchmark::State& state, k::DispatchMode mode,
   state.SetItemsProcessed(state.iterations() * system->global().num_edges());
 }
 BENCHMARK_CAPTURE(BM_EncodeForward, dispatch_scalar,
-                  k::DispatchMode::kScalar, false);
-BENCHMARK_CAPTURE(BM_EncodeForward, dispatch_auto, k::DispatchMode::kAuto,
-                  true);
+                  k::DispatchMode::kScalar);
+BENCHMARK_CAPTURE(BM_EncodeForward, dispatch_auto, k::DispatchMode::kAuto);
 
-void BM_TrainRoundFullBatch(benchmark::State& state, k::DispatchMode mode,
-                            bool fusion) {
-  ScopedKernelConfig kernel_config(mode, fusion);
+void BM_TrainRoundFullBatch(benchmark::State& state, k::DispatchMode mode) {
+  ScopedDispatch dispatch(mode);
   static fl::FederatedSystem* system = BuildSystem(4);
   tensor::ParameterStore store = system->MakeInitialStore(1);
   LinkPredictionTask task(&system->model(), &system->global(),
@@ -77,9 +67,9 @@ void BM_TrainRoundFullBatch(benchmark::State& state, k::DispatchMode mode,
                           static_cast<int64_t>(system->train_edges().size()));
 }
 BENCHMARK_CAPTURE(BM_TrainRoundFullBatch, dispatch_scalar,
-                  k::DispatchMode::kScalar, false);
+                  k::DispatchMode::kScalar);
 BENCHMARK_CAPTURE(BM_TrainRoundFullBatch, dispatch_auto,
-                  k::DispatchMode::kAuto, true);
+                  k::DispatchMode::kAuto);
 
 void BM_Evaluate(benchmark::State& state) {
   static fl::FederatedSystem* system = BuildSystem(4);

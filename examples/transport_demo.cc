@@ -483,10 +483,7 @@ int main(int argc, char** argv) {
   parser.AddInt("kill_self_at_round", &flags.kill_self_at_round,
                 "client role: raise SIGKILL on this round's task");
   parser.AddString("outdir", &flags.outdir, "bench output directory");
-  if (const Status status = parser.Parse(argc, argv); !status.ok()) {
-    std::fprintf(stderr, "%s\n", status.message().c_str());
-    return 2;
-  }
+  if (!parser.Parse(argc, argv).ok()) return 2;
 
   Status status;
   if (flags.role == "driver") {

@@ -12,12 +12,4 @@ bool CpuHasAvx2() {
 #endif
 }
 
-bool CpuHasNeon() {
-#if defined(__aarch64__) || defined(_M_ARM64)
-  return true;  // Advanced SIMD is architecturally mandatory on AArch64.
-#else
-  return false;
-#endif
-}
-
 }  // namespace fedda::core

@@ -12,10 +12,6 @@ namespace fedda::core {
 /// x86-64 AVX2 (256-bit integer + float SIMD). False on non-x86 builds.
 bool CpuHasAvx2();
 
-/// AArch64 Advanced SIMD. Baseline on every AArch64 core, so this is a
-/// compile-target probe rather than a runtime one. False on non-ARM builds.
-bool CpuHasNeon();
-
 }  // namespace fedda::core
 
 #endif  // FEDDA_CORE_CPU_FEATURES_H_

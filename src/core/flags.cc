@@ -4,6 +4,7 @@
 #include <climits>
 #include <cstdlib>
 #include <iostream>
+#include <utility>
 
 #include "core/check.h"
 #include "core/string_util.h"
@@ -114,6 +115,12 @@ Status FlagParser::SetValue(Flag* flag, const std::string& text,
 }
 
 Status FlagParser::Parse(int argc, char** argv) {
+  // Every error but --help is reported here, once, so a main can just exit.
+  auto fail = [](Status status) {
+    const std::string& message = status.message();
+    std::cerr << message << (message.back() == '\n' ? "" : "\n");
+    return status;
+  };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -121,7 +128,7 @@ Status FlagParser::Parse(int argc, char** argv) {
       return Status(StatusCode::kFailedPrecondition, "help requested");
     }
     if (!StartsWith(arg, "--")) {
-      return Status::InvalidArgument("unexpected argument: " + arg);
+      return fail(Status::InvalidArgument("unexpected argument: " + arg));
     }
     const size_t eq = arg.find('=');
     std::string name, value;
@@ -135,10 +142,12 @@ Status FlagParser::Parse(int argc, char** argv) {
     }
     auto it = flags_.find(name);
     if (it == flags_.end()) {
-      return Status::InvalidArgument("unknown flag: --" + name + "\n" +
-                                     Usage());
+      return fail(Status::InvalidArgument("unknown flag: --" + name + "\n" +
+                                          Usage()));
     }
-    FEDDA_RETURN_IF_ERROR(SetValue(&it->second, value, name));
+    if (Status status = SetValue(&it->second, value, name); !status.ok()) {
+      return fail(std::move(status));
+    }
   }
   return Status::OK();
 }

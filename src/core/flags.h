@@ -33,7 +33,8 @@ class FlagParser {
                  const std::string& help);
 
   /// Parses argv; supports `--name=value` and `--help`. On `--help`, prints
-  /// usage and returns a non-OK status so the caller can exit.
+  /// usage and returns a non-OK status so the caller can exit. Any other
+  /// error is printed to stderr before it is returned.
   [[nodiscard]] Status Parse(int argc, char** argv);
 
   /// Renders the flag list with defaults and help strings.

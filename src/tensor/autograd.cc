@@ -3,12 +3,8 @@
 #include <utility>
 
 #include "obs/trace.h"
-#include "tensor/kernels/kernels.h"
 
 namespace fedda::tensor {
-
-Graph::Graph(bool training)
-    : training_(training), fusion_(kernels::FusionEnabled()) {}
 
 Var Graph::Constant(Tensor value) {
   Node n;
@@ -44,35 +40,11 @@ Var Graph::AddNode(Tensor value, std::vector<Var> inputs, BackwardFn backward,
   return Var{static_cast<int32_t>(nodes_.size() - 1)};
 }
 
-Var Graph::AddLazyNode(OpKind op, int64_t rows, int64_t cols,
-                       ForwardFn forward, std::vector<Var> inputs,
-                       BackwardFn backward, bool requires_grad) {
-  FEDDA_CHECK(forward != nullptr);
-  Node n;
-  n.op = op;
-  n.pending = true;
-  n.lazy_rows = rows;
-  n.lazy_cols = cols;
-  n.forward = std::move(forward);
-  // Inputs are kept unconditionally: fusion-aware consumers read them even
-  // on inference tapes, where AddNode would have dropped them.
-  n.inputs = std::move(inputs);
-  if (training_ && requires_grad) {
-    n.backward = std::move(backward);
-    n.requires_grad = true;
-  }
-  nodes_.push_back(std::move(n));
-  return Var{static_cast<int32_t>(nodes_.size() - 1)};
-}
-
 void Graph::Backward(Var loss) {
   obs::ScopedSpan span(tracer_, "backward");
   FEDDA_CHECK(training_) << "Backward on an inference graph";
   FEDDA_CHECK(!backward_done_) << "Backward called twice on one tape";
   backward_done_ = true;
-  // Materialize the loss (it could in principle be a pending node) before
-  // inspecting its shape.
-  value(loss);
   Node& loss_node = node(loss);
   FEDDA_CHECK_EQ(loss_node.value.rows(), 1);
   FEDDA_CHECK_EQ(loss_node.value.cols(), 1);
@@ -88,46 +60,14 @@ void Graph::Backward(Var loss) {
   }
 }
 
-const Tensor& Graph::value(Var v) const {
-  const Node& n = node(v);
-  if (n.pending) {
-    n.value = n.forward();
-    FEDDA_CHECK_EQ(n.value.rows(), n.lazy_rows);
-    FEDDA_CHECK_EQ(n.value.cols(), n.lazy_cols);
-    n.forward = nullptr;
-    n.pending = false;
-  }
-  return n.value;
-}
-
-int64_t Graph::rows(Var v) const {
-  const Node& n = node(v);
-  return n.pending ? n.lazy_rows : n.value.rows();
-}
-
-int64_t Graph::cols(Var v) const {
-  const Node& n = node(v);
-  return n.pending ? n.lazy_cols : n.value.cols();
-}
-
-OpKind Graph::op_kind(Var v) const { return node(v).op; }
-
-bool Graph::IsPending(Var v) const { return node(v).pending; }
-
-Var Graph::input(Var v, int i) const {
-  const Node& n = node(v);
-  FEDDA_CHECK(i >= 0 && i < static_cast<int>(n.inputs.size()));
-  return n.inputs[static_cast<size_t>(i)];
-}
+const Tensor& Graph::value(Var v) const { return node(v).value; }
 
 const Tensor& Graph::grad(Var v) const { return node(v).grad; }
 
 Tensor& Graph::mutable_grad(Var v) {
   Node& n = node(v);
-  if (n.grad.empty()) {
-    const int64_t r = n.pending ? n.lazy_rows : n.value.rows();
-    const int64_t c = n.pending ? n.lazy_cols : n.value.cols();
-    if (r * c > 0) n.grad = Tensor::Zeros(r, c);
+  if (n.grad.empty() && n.value.size() > 0) {
+    n.grad = Tensor::Zeros(n.value.rows(), n.value.cols());
   }
   return n.grad;
 }

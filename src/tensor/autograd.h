@@ -26,10 +26,6 @@ struct Var {
   bool valid() const { return id >= 0; }
 };
 
-/// Op identity for the few producers that fusion-aware consumers recognize
-/// (ops.cc). Everything else is kOther.
-enum class OpKind : uint8_t { kOther, kMul, kAddBias };
-
 /// Reverse-mode automatic differentiation over `Tensor` values.
 ///
 /// A `Graph` is a tape: every op (see ops.h) appends a node holding the
@@ -40,26 +36,13 @@ enum class OpKind : uint8_t { kOther, kMul, kAddBias };
 /// The tape is rebuilt for every forward pass (define-by-run). Constructing
 /// with `training == false` skips storing backward closures so inference
 /// passes cost no extra memory.
-///
-/// Fusion (DESIGN.md §13): when kernels::FusionEnabled() at construction,
-/// `Mul` and `AddBias` append *pending* nodes — shape known, value
-/// unmaterialized, a thunk held instead. A fusion-aware consumer (Add over
-/// a pending Mul; activations over a pending AddBias) computes its forward
-/// in one fused pass from the pending producer's inputs without forcing it,
-/// while keeping the producer on the tape as the gradient router, so the
-/// backward pass is structurally and bit-wise identical to the unfused
-/// graph. Any other consumer transparently forces the producer through
-/// `value()`. Fusion therefore never changes results, only skips
-/// materializing intermediates nobody reads.
 class Graph {
  public:
   /// Backward closure: reads grad(self) and accumulates into the grads of
   /// its input nodes via `mutable_grad`.
   using BackwardFn = std::function<void(Graph*, Var)>;
-  /// Deferred forward computation of a pending node.
-  using ForwardFn = std::function<Tensor()>;
 
-  explicit Graph(bool training = true);
+  explicit Graph(bool training = true) : training_(training) {}
 
   Graph(const Graph&) = delete;
   Graph& operator=(const Graph&) = delete;
@@ -80,55 +63,22 @@ class Graph {
   Var AddNode(Tensor value, std::vector<Var> inputs, BackwardFn backward,
               bool requires_grad);
 
-  /// Appends a *pending* op node: shape is (rows x cols) but the value is
-  /// computed by `forward` only when first read through `value()`. Unlike
-  /// AddNode, `inputs` are retained even in inference mode — fusion-aware
-  /// consumers introspect them via `input()`. The backward closure (dropped
-  /// unless training and requires_grad) is the producer's standard one, so
-  /// gradient flow is identical whether or not the value ever materializes.
-  Var AddLazyNode(OpKind op, int64_t rows, int64_t cols, ForwardFn forward,
-                  std::vector<Var> inputs, BackwardFn backward,
-                  bool requires_grad);
-
   /// Runs reverse-mode accumulation from `loss`, which must be 1x1.
   /// May be called once per tape.
   void Backward(Var loss);
 
-  /// Forward value of `v`, materializing a pending node on first read.
   const Tensor& value(Var v) const;
-
-  /// Shape accessors that never force a pending node — fusion-aware
-  /// consumers use these for shape checks.
-  int64_t rows(Var v) const;
-  int64_t cols(Var v) const;
-
-  /// Which recognized op built `v` (kOther for constants, leaves, and
-  /// unrecognized ops).
-  OpKind op_kind(Var v) const;
-
-  /// True while `v`'s value is unmaterialized.
-  bool IsPending(Var v) const;
-
-  /// The i-th input of `v` (bounds-checked). Only meaningful for op nodes;
-  /// pending nodes always retain inputs.
-  Var input(Var v, int i) const;
 
   /// Gradient of node `v`; empty before Backward or for non-grad nodes.
   const Tensor& grad(Var v) const;
 
   /// Gradient slot for accumulation inside backward closures. Allocates
-  /// (zeroed, value-shaped — via the lazy shape for pending nodes) on first
-  /// access.
+  /// (zeroed, value-shaped) on first access.
   Tensor& mutable_grad(Var v);
 
   bool requires_grad(Var v) const;
   bool training() const { return training_; }
   size_t num_nodes() const { return nodes_.size(); }
-
-  /// Whether this tape builds fused/pending ops. Latched from
-  /// kernels::FusionEnabled() at construction so a mid-tape toggle cannot
-  /// produce a half-fused graph.
-  bool fusion_enabled() const { return fusion_; }
 
   /// Optional compute pool consulted by the op kernels (ops.cc) for row-level
   /// parallelism in forward and backward passes. Null means sequential. The
@@ -154,18 +104,11 @@ class Graph {
 
  private:
   struct Node {
-    // `value`, `forward` and `pending` are mutable so that value() — a
-    // logically-const read — can materialize a pending node in place.
-    mutable Tensor value;
-    mutable ForwardFn forward;  // non-empty only while pending
-    mutable bool pending = false;
+    Tensor value;
     Tensor grad;  // empty until needed
     std::vector<Var> inputs;
     BackwardFn backward;
     Tensor* grad_sink = nullptr;  // leaves only
-    OpKind op = OpKind::kOther;
-    int64_t lazy_rows = 0;  // shape promise while pending
-    int64_t lazy_cols = 0;
     bool requires_grad = false;
   };
 
@@ -180,7 +123,6 @@ class Graph {
 
   std::vector<Node> nodes_;
   bool training_;
-  bool fusion_;
   bool backward_done_ = false;
   core::ThreadPool* pool_ = nullptr;
   core::Arena* arena_ = nullptr;

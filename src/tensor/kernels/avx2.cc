@@ -287,20 +287,6 @@ void EwMul(const float* a, const float* b, float* out, int64_t begin,
   for (; i < end; ++i) out[i] = a[i] * b[i];
 }
 
-void EwMulAdd(const float* a, const float* b, const float* c, float* out,
-              int64_t begin, int64_t end) {
-  int64_t i = begin;
-  for (; i + 8 <= end; i += 8) {
-    const __m256 prod =
-        _mm256_mul_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-    _mm256_storeu_ps(out + i, _mm256_add_ps(prod, _mm256_loadu_ps(c + i)));
-  }
-  for (; i < end; ++i) {
-    const float prod = a[i] * b[i];
-    out[i] = prod + c[i];
-  }
-}
-
 void EwAdd(const float* a, const float* b, float* out, int64_t begin,
            int64_t end) {
   int64_t i = begin;
@@ -361,28 +347,20 @@ void Scale(float* dst, float alpha, int64_t begin, int64_t end) {
   for (; i < end; ++i) dst[i] *= alpha;
 }
 
-namespace {
-
-// v > 0 ? v : slope * v, lane-wise. The compare-and-blend reproduces the
-// scalar ternary exactly: +0/-0 compare as not-greater (take slope * v, and
+// a > 0 ? a : slope * a, lane-wise. The compare-and-blend reproduces the
+// scalar ternary exactly: +0/-0 compare as not-greater (take slope * a, and
 // slope * ±0 matches scalar), NaN compares false (take slope * NaN = NaN,
 // same quieted multiply as scalar).
-inline __m256 LeakyReluVec(__m256 v, __m256 vslope, __m256 vzero) {
-  const __m256 neg = _mm256_mul_ps(vslope, v);
-  const __m256 gt = _mm256_cmp_ps(v, vzero, _CMP_GT_OQ);
-  return _mm256_blendv_ps(neg, v, gt);
-}
-
-}  // namespace
-
 void LeakyRelu(const float* a, float* out, float slope, int64_t begin,
                int64_t end) {
   const __m256 vslope = _mm256_set1_ps(slope);
   const __m256 vzero = _mm256_setzero_ps();
   int64_t i = begin;
   for (; i + 8 <= end; i += 8) {
-    _mm256_storeu_ps(out + i,
-                     LeakyReluVec(_mm256_loadu_ps(a + i), vslope, vzero));
+    const __m256 v = _mm256_loadu_ps(a + i);
+    const __m256 neg = _mm256_mul_ps(vslope, v);
+    const __m256 gt = _mm256_cmp_ps(v, vzero, _CMP_GT_OQ);
+    _mm256_storeu_ps(out + i, _mm256_blendv_ps(neg, v, gt));
   }
   for (; i < end; ++i) {
     const float x = a[i];
@@ -401,27 +379,6 @@ void BiasAddRows(const float* x, const float* bias, float* out,
                                                _mm256_loadu_ps(bias + c)));
     }
     for (; c < cols; ++c) orow[c] = xrow[c] + bias[c];
-  }
-}
-
-void BiasLeakyReluRows(const float* x, const float* bias, float* out,
-                       int64_t row_begin, int64_t row_end, int64_t cols,
-                       float slope) {
-  const __m256 vslope = _mm256_set1_ps(slope);
-  const __m256 vzero = _mm256_setzero_ps();
-  for (int64_t r = row_begin; r < row_end; ++r) {
-    const float* xrow = x + r * cols;
-    float* orow = out + r * cols;
-    int64_t c = 0;
-    for (; c + 8 <= cols; c += 8) {
-      const __m256 v =
-          _mm256_add_ps(_mm256_loadu_ps(xrow + c), _mm256_loadu_ps(bias + c));
-      _mm256_storeu_ps(orow + c, LeakyReluVec(v, vslope, vzero));
-    }
-    for (; c < cols; ++c) {
-      const float v = xrow[c] + bias[c];
-      orow[c] = v > 0.0f ? v : slope * v;
-    }
   }
 }
 
@@ -543,10 +500,6 @@ void EwMul(const float* a, const float* b, float* out, int64_t begin,
            int64_t end) {
   scalar::EwMul(a, b, out, begin, end);
 }
-void EwMulAdd(const float* a, const float* b, const float* c, float* out,
-              int64_t begin, int64_t end) {
-  scalar::EwMulAdd(a, b, c, out, begin, end);
-}
 void EwAdd(const float* a, const float* b, float* out, int64_t begin,
            int64_t end) {
   scalar::EwAdd(a, b, out, begin, end);
@@ -576,11 +529,6 @@ void LeakyRelu(const float* a, float* out, float slope, int64_t begin,
 void BiasAddRows(const float* x, const float* bias, float* out,
                  int64_t row_begin, int64_t row_end, int64_t cols) {
   scalar::BiasAddRows(x, bias, out, row_begin, row_end, cols);
-}
-void BiasLeakyReluRows(const float* x, const float* bias, float* out,
-                       int64_t row_begin, int64_t row_end, int64_t cols,
-                       float slope) {
-  scalar::BiasLeakyReluRows(x, bias, out, row_begin, row_end, cols, slope);
 }
 void RowScaleRows(const float* x, const float* s, float* out,
                   int64_t row_begin, int64_t row_end, int64_t cols) {

@@ -32,18 +32,6 @@ std::atomic<uint8_t>& ModeStorage() {
   return mode;
 }
 
-bool ParseFusionEnv() {
-  const char* v = std::getenv("FEDDA_KERNEL_FUSION");
-  if (v == nullptr) return true;
-  return std::strcmp(v, "0") != 0 && std::strcmp(v, "off") != 0 &&
-         std::strcmp(v, "false") != 0;
-}
-
-std::atomic<bool>& FusionStorage() {
-  static std::atomic<bool> fusion{ParseFusionEnv()};
-  return fusion;
-}
-
 }  // namespace
 
 DispatchMode dispatch_mode() {
@@ -58,7 +46,6 @@ DispatchMode ParseDispatchMode(const char* value) {
   if (value == nullptr) return DispatchMode::kAuto;
   if (std::strcmp(value, "scalar") == 0) return DispatchMode::kScalar;
   if (std::strcmp(value, "avx2") == 0) return DispatchMode::kAvx2;
-  if (std::strcmp(value, "neon") == 0) return DispatchMode::kNeon;
   return DispatchMode::kAuto;
 }
 
@@ -72,14 +59,10 @@ Path ActivePath() {
       return Path::kScalar;
     case DispatchMode::kAvx2:
       return Avx2Available() ? Path::kAvx2 : Path::kScalar;
-    case DispatchMode::kNeon:
-      return core::CpuHasNeon() ? Path::kNeon : Path::kScalar;
     case DispatchMode::kAuto:
       break;
   }
-  if (Avx2Available()) return Path::kAvx2;
-  if (core::CpuHasNeon()) return Path::kNeon;
-  return Path::kScalar;
+  return Avx2Available() ? Path::kAvx2 : Path::kScalar;
 }
 
 const char* PathName(Path path) {
@@ -88,8 +71,6 @@ const char* PathName(Path path) {
       return "scalar";
     case Path::kAvx2:
       return "avx2";
-    case Path::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -97,13 +78,10 @@ const char* PathName(Path path) {
 std::vector<Path> SupportedPaths() {
   std::vector<Path> paths{Path::kScalar};
   if (Avx2Available()) paths.push_back(Path::kAvx2);
-  if (core::CpuHasNeon()) paths.push_back(Path::kNeon);
   return paths;
 }
 
-bool FusionEnabled() { return FusionStorage().load(); }
-
-void SetFusionEnabled(bool enabled) { FusionStorage().store(enabled); }
+bool FusionEnabled() { return false; }
 
 // ---------------------------------------------------------------------------
 // CSR grouping + cache
@@ -192,25 +170,11 @@ int64_t CsrCacheMisses() { return g_csr_misses.load(); }
 
 // Resolve the path once per kernel call (not per chunk) and route each
 // chunk to that path's serial implementation.
-#define FEDDA_DISPATCH_PATH(path, fn, ...)   \
-  switch (path) {                            \
-    case Path::kScalar:                      \
-      scalar::fn(__VA_ARGS__);               \
-      break;                                 \
-    case Path::kAvx2:                        \
-      avx2::fn(__VA_ARGS__);                 \
-      break;                                 \
-    case Path::kNeon:                        \
-      neon::fn(__VA_ARGS__);                 \
-      break;                                 \
-  }
-
-// Kernels with no NEON body run the scalar one on the NEON path.
-#define FEDDA_DISPATCH_AVX2_OR_SCALAR(path, fn, ...) \
-  if ((path) == Path::kAvx2) {                       \
-    avx2::fn(__VA_ARGS__);                           \
-  } else {                                           \
-    scalar::fn(__VA_ARGS__);                         \
+#define FEDDA_DISPATCH_PATH(path, fn, ...) \
+  if ((path) == Path::kAvx2) {             \
+    avx2::fn(__VA_ARGS__);                 \
+  } else {                                 \
+    scalar::fn(__VA_ARGS__);               \
   }
 
 void MatMul(const float* a, const float* b, float* out, int64_t m, int64_t k,
@@ -237,8 +201,8 @@ void MatMulAtB(const float* a, const float* b, float* out, int64_t m,
       std::max<int64_t>(1, kRowWorkGrain / std::max<int64_t>(1, k * n));
   core::ParallelForRange(
       pool, m, grain, [=](int64_t row_begin, int64_t row_end) {
-        FEDDA_DISPATCH_AVX2_OR_SCALAR(path, MatMulAtBRows, a, b, out,
-                                      row_begin, row_end, m, k, n)
+        FEDDA_DISPATCH_PATH(path, MatMulAtBRows, a, b, out, row_begin,
+                            row_end, m, k, n)
       });
 }
 
@@ -249,8 +213,8 @@ void MatMulABt(const float* a, const float* b, float* out, int64_t m,
       std::max<int64_t>(1, kRowWorkGrain / std::max<int64_t>(1, k * n));
   core::ParallelForRange(
       pool, m, grain, [=](int64_t row_begin, int64_t row_end) {
-        FEDDA_DISPATCH_AVX2_OR_SCALAR(path, MatMulABtRows, a, b, out,
-                                      row_begin, row_end, k, n)
+        FEDDA_DISPATCH_PATH(path, MatMulABtRows, a, b, out, row_begin,
+                            row_end, k, n)
       });
 }
 
@@ -261,16 +225,6 @@ void EwMul(const float* a, const float* b, float* out, int64_t n,
                          [=](int64_t begin, int64_t end) {
                            FEDDA_DISPATCH_PATH(path, EwMul, a, b, out, begin,
                                                end)
-                         });
-}
-
-void EwMulAdd(const float* a, const float* b, const float* c, float* out,
-              int64_t n, core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  core::ParallelForRange(pool, n, kElementGrain,
-                         [=](int64_t begin, int64_t end) {
-                           FEDDA_DISPATCH_PATH(path, EwMulAdd, a, b, c, out,
-                                               begin, end)
                          });
 }
 
@@ -354,53 +308,13 @@ void BiasAdd(const float* x, const float* bias, float* out, int64_t rows,
                          });
 }
 
-void BiasLeakyRelu(const float* x, const float* bias, float* out,
-                   int64_t rows, int64_t cols, float slope,
-                   core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  core::ParallelForRange(
-      pool, rows, RowGrain(cols), [=](int64_t row_begin, int64_t row_end) {
-        FEDDA_DISPATCH_PATH(path, BiasLeakyReluRows, x, bias, out, row_begin,
-                            row_end, cols, slope)
-      });
-}
-
-// The exp-based fused forwards run the scalar body on every path: a
-// vectorized exp() approximation would change bits.
-void BiasSigmoid(const float* x, const float* bias, float* out, int64_t rows,
-                 int64_t cols, core::ThreadPool* pool) {
-  core::ParallelForRange(pool, rows, RowGrain(cols),
-                         [=](int64_t row_begin, int64_t row_end) {
-                           scalar::BiasSigmoidRows(x, bias, out, row_begin,
-                                                   row_end, cols);
-                         });
-}
-
-void BiasTanh(const float* x, const float* bias, float* out, int64_t rows,
-              int64_t cols, core::ThreadPool* pool) {
-  core::ParallelForRange(pool, rows, RowGrain(cols),
-                         [=](int64_t row_begin, int64_t row_end) {
-                           scalar::BiasTanhRows(x, bias, out, row_begin,
-                                                row_end, cols);
-                         });
-}
-
-void BiasElu(const float* x, const float* bias, float* out, int64_t rows,
-             int64_t cols, float alpha, core::ThreadPool* pool) {
-  core::ParallelForRange(pool, rows, RowGrain(cols),
-                         [=](int64_t row_begin, int64_t row_end) {
-                           scalar::BiasEluRows(x, bias, out, row_begin,
-                                               row_end, cols, alpha);
-                         });
-}
-
 void RowScale(const float* x, const float* s, float* out, int64_t rows,
               int64_t cols, core::ThreadPool* pool) {
   const Path path = ActivePath();
   core::ParallelForRange(
       pool, rows, RowGrain(cols), [=](int64_t row_begin, int64_t row_end) {
-        FEDDA_DISPATCH_AVX2_OR_SCALAR(path, RowScaleRows, x, s, out,
-                                      row_begin, row_end, cols)
+        FEDDA_DISPATCH_PATH(path, RowScaleRows, x, s, out, row_begin, row_end,
+                            cols)
       });
 }
 
@@ -409,8 +323,8 @@ void RowScaleAccumulate(const float* s, const float* x, float* dst,
   const Path path = ActivePath();
   core::ParallelForRange(
       pool, rows, RowGrain(cols), [=](int64_t row_begin, int64_t row_end) {
-        FEDDA_DISPATCH_AVX2_OR_SCALAR(path, RowScaleAccumulateRows, s, x, dst,
-                                      row_begin, row_end, cols)
+        FEDDA_DISPATCH_PATH(path, RowScaleAccumulateRows, s, x, dst,
+                            row_begin, row_end, cols)
       });
 }
 
@@ -419,8 +333,8 @@ void RowDot(const float* x, const float* y, float* dst, int64_t rows,
   const Path path = ActivePath();
   core::ParallelForRange(
       pool, rows, RowGrain(cols), [=](int64_t row_begin, int64_t row_end) {
-        FEDDA_DISPATCH_AVX2_OR_SCALAR(path, RowDotRows, x, y, dst, row_begin,
-                                      row_end, cols)
+        FEDDA_DISPATCH_PATH(path, RowDotRows, x, y, dst, row_begin, row_end,
+                            cols)
       });
 }
 
@@ -479,7 +393,6 @@ void SegmentSoftmaxGrad(const float* y, const float* dy, const Csr& csr,
                          });
 }
 
-#undef FEDDA_DISPATCH_AVX2_OR_SCALAR
 #undef FEDDA_DISPATCH_PATH
 
 }  // namespace fedda::tensor::kernels

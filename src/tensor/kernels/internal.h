@@ -17,10 +17,6 @@
 /// the subset where vectorization cannot change bits (lane-independent
 /// elementwise work, and matmul whose per-element reduction order is fixed);
 /// when avx2.cc is built without -mavx2 its functions forward to scalar.
-/// `neon` is a porting stub that forwards to scalar (AArch64 hosts still
-/// run correctly; vector bodies can land per-function later). Kernels
-/// added since have no `neon` entry: dispatch.cc runs their scalar body on
-/// the NEON path.
 
 namespace fedda::tensor::kernels::scalar {
 
@@ -33,8 +29,6 @@ void MatMulABtRows(const float* a, const float* b, float* out,
                    int64_t row_begin, int64_t row_end, int64_t k, int64_t n);
 void EwMul(const float* a, const float* b, float* out, int64_t begin,
            int64_t end);
-void EwMulAdd(const float* a, const float* b, const float* c, float* out,
-              int64_t begin, int64_t end);
 void EwAdd(const float* a, const float* b, float* out, int64_t begin,
            int64_t end);
 void EwSub(const float* a, const float* b, float* out, int64_t begin,
@@ -49,22 +43,12 @@ void LeakyRelu(const float* a, float* out, float slope, int64_t begin,
                int64_t end);
 void BiasAddRows(const float* x, const float* bias, float* out,
                  int64_t row_begin, int64_t row_end, int64_t cols);
-void BiasLeakyReluRows(const float* x, const float* bias, float* out,
-                       int64_t row_begin, int64_t row_end, int64_t cols,
-                       float slope);
 void RowScaleRows(const float* x, const float* s, float* out,
                   int64_t row_begin, int64_t row_end, int64_t cols);
 void RowScaleAccumulateRows(const float* s, const float* x, float* dst,
                             int64_t row_begin, int64_t row_end, int64_t cols);
 void RowDotRows(const float* x, const float* y, float* dst, int64_t row_begin,
                 int64_t row_end, int64_t cols);
-void BiasSigmoidRows(const float* x, const float* bias, float* out,
-                     int64_t row_begin, int64_t row_end, int64_t cols);
-void BiasTanhRows(const float* x, const float* bias, float* out,
-                  int64_t row_begin, int64_t row_end, int64_t cols);
-void BiasEluRows(const float* x, const float* bias, float* out,
-                 int64_t row_begin, int64_t row_end, int64_t cols,
-                 float alpha);
 void GatherRowsRange(const float* src, const int32_t* idx, int64_t i_begin,
                      int64_t i_end, int64_t cols, float* out);
 void AccumulateGatherRowsRange(const float* src, const int32_t* idx,
@@ -94,8 +78,6 @@ void MatMulABtRows(const float* a, const float* b, float* out,
                    int64_t row_begin, int64_t row_end, int64_t k, int64_t n);
 void EwMul(const float* a, const float* b, float* out, int64_t begin,
            int64_t end);
-void EwMulAdd(const float* a, const float* b, const float* c, float* out,
-              int64_t begin, int64_t end);
 void EwAdd(const float* a, const float* b, float* out, int64_t begin,
            int64_t end);
 void EwSub(const float* a, const float* b, float* out, int64_t begin,
@@ -110,9 +92,6 @@ void LeakyRelu(const float* a, float* out, float slope, int64_t begin,
                int64_t end);
 void BiasAddRows(const float* x, const float* bias, float* out,
                  int64_t row_begin, int64_t row_end, int64_t cols);
-void BiasLeakyReluRows(const float* x, const float* bias, float* out,
-                       int64_t row_begin, int64_t row_end, int64_t cols,
-                       float slope);
 void RowScaleRows(const float* x, const float* s, float* out,
                   int64_t row_begin, int64_t row_end, int64_t cols);
 void RowScaleAccumulateRows(const float* s, const float* x, float* dst,
@@ -126,38 +105,5 @@ void ScatterAddRowsRange(const float* src, const Csr& csr, int64_t cols,
                          float* out, int64_t row_begin, int64_t row_end);
 
 }  // namespace fedda::tensor::kernels::avx2
-
-namespace fedda::tensor::kernels::neon {
-
-void MatMulRows(const float* a, const float* b, float* out, int64_t row_begin,
-                int64_t row_end, int64_t k, int64_t n);
-void EwMul(const float* a, const float* b, float* out, int64_t begin,
-           int64_t end);
-void EwMulAdd(const float* a, const float* b, const float* c, float* out,
-              int64_t begin, int64_t end);
-void EwAdd(const float* a, const float* b, float* out, int64_t begin,
-           int64_t end);
-void EwSub(const float* a, const float* b, float* out, int64_t begin,
-           int64_t end);
-void AccumulateAdd(float* dst, const float* src, int64_t begin, int64_t end);
-void AccumulateAxpy(float* dst, float alpha, const float* src, int64_t begin,
-                    int64_t end);
-void AccumulateMul(float* dst, const float* a, const float* b, int64_t begin,
-                   int64_t end);
-void Scale(float* dst, float alpha, int64_t begin, int64_t end);
-void LeakyRelu(const float* a, float* out, float slope, int64_t begin,
-               int64_t end);
-void BiasAddRows(const float* x, const float* bias, float* out,
-                 int64_t row_begin, int64_t row_end, int64_t cols);
-void BiasLeakyReluRows(const float* x, const float* bias, float* out,
-                       int64_t row_begin, int64_t row_end, int64_t cols,
-                       float slope);
-void AccumulateGatherRowsRange(const float* src, const int32_t* idx,
-                               int64_t i_begin, int64_t i_end, int64_t cols,
-                               float* dst);
-void ScatterAddRowsRange(const float* src, const Csr& csr, int64_t cols,
-                         float* out, int64_t row_begin, int64_t row_end);
-
-}  // namespace fedda::tensor::kernels::neon
 
 #endif  // FEDDA_TENSOR_KERNELS_INTERNAL_H_

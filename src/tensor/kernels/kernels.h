@@ -16,16 +16,14 @@ namespace fedda::tensor::kernels {
 /// Every kernel here is *bit-exact across dispatch paths*: the vectorized
 /// implementations only reorganize lane-independent arithmetic (separate
 /// mul and add, never FMA; reductions keep the scalar path's accumulation
-/// order), so scalar, AVX2, and NEON produce byte-identical outputs. The
+/// order), so the scalar and AVX2 paths produce byte-identical outputs. The
 /// kernel-equivalence suite (tests/tensor/kernel_equivalence_test.cc)
 /// enforces this for every kernel under every available path × {0,1,4}
 /// threads; the golden-run suite enforces it end to end.
 ///
-/// Exp-based kernels (segment-softmax, the sigmoid/tanh/elu fused
-/// forwards) deliberately stay scalar under every path — a vectorized
-/// exp() approximation would change bits. Kernels with no NEON body (the
-/// transposed matmuls and the row kernels) run the scalar body on the NEON
-/// path.
+/// Exp-based kernels (segment-softmax) deliberately stay scalar under every
+/// path — a vectorized exp() approximation would change bits. Hosts without
+/// AVX2, AArch64 included, run the scalar bodies.
 
 // ---------------------------------------------------------------------------
 // Dispatch policy
@@ -33,16 +31,16 @@ namespace fedda::tensor::kernels {
 
 /// What the process is asked to run. kAuto resolves to the best path the
 /// CPU and build support. Initialized once from FEDDA_KERNEL_DISPATCH
-/// (scalar|avx2|neon|auto, default auto); tests override programmatically.
-enum class DispatchMode : uint8_t { kAuto, kScalar, kAvx2, kNeon };
+/// (scalar|avx2|auto, default auto); tests override programmatically.
+enum class DispatchMode : uint8_t { kAuto, kScalar, kAvx2 };
 
 /// What actually executes. A mode requesting an unavailable path resolves
 /// to kScalar (graceful, never fatal: the scalar path is always correct).
-enum class Path : uint8_t { kScalar, kAvx2, kNeon };
+enum class Path : uint8_t { kScalar, kAvx2 };
 
 DispatchMode dispatch_mode();
 void SetDispatchMode(DispatchMode mode);
-/// Parses "scalar"/"avx2"/"neon"/"auto"; anything else (and null) -> kAuto.
+/// Parses "scalar"/"avx2"/"auto"; anything else (and null) -> kAuto.
 DispatchMode ParseDispatchMode(const char* value);
 
 /// The path the current mode resolves to on this machine.
@@ -53,13 +51,9 @@ std::vector<Path> SupportedPaths();
 /// True when avx2.cc was compiled with -mavx2 AND the CPU reports AVX2.
 bool Avx2Available();
 
-/// Elementwise-chain fusion switch (mul+add, bias+activation) consulted by
-/// Graph at construction. Initialized once from FEDDA_KERNEL_FUSION
-/// ("0"/"off" disables; default on). Fusion never changes bits: fused
-/// forwards compute the identical per-element expression in one pass, and
-/// the backward tape is unchanged.
+/// Always false: every op runs its own kernel; nothing is fused. Kept
+/// because perfbench prints it on its host line.
 bool FusionEnabled();
-void SetFusionEnabled(bool enabled);
 
 // ---------------------------------------------------------------------------
 // CSR grouping for gather / scatter / segment-softmax
@@ -129,9 +123,6 @@ void MatMulABt(const float* a, const float* b, float* out, int64_t m,
 /// out[i] = a[i] * b[i].
 void EwMul(const float* a, const float* b, float* out, int64_t n,
            core::ThreadPool* pool);
-/// out[i] = a[i] * b[i] + c[i] (separate mul and add — never FMA).
-void EwMulAdd(const float* a, const float* b, const float* c, float* out,
-              int64_t n, core::ThreadPool* pool);
 /// out[i] = a[i] + b[i].
 void EwAdd(const float* a, const float* b, float* out, int64_t n,
            core::ThreadPool* pool);
@@ -158,17 +149,6 @@ void LeakyRelu(const float* a, float* out, int64_t n, float slope,
 /// out[r,c] = x[r,c] + bias[c]; x is (rows x cols), bias is (1 x cols).
 void BiasAdd(const float* x, const float* bias, float* out, int64_t rows,
              int64_t cols, core::ThreadPool* pool);
-/// Fused bias + leaky-relu: out[r,c] = lrelu(x[r,c] + bias[c]).
-void BiasLeakyRelu(const float* x, const float* bias, float* out,
-                   int64_t rows, int64_t cols, float slope,
-                   core::ThreadPool* pool);
-/// Fused bias + sigmoid / tanh / elu. Scalar on every path (exp-based).
-void BiasSigmoid(const float* x, const float* bias, float* out, int64_t rows,
-                 int64_t cols, core::ThreadPool* pool);
-void BiasTanh(const float* x, const float* bias, float* out, int64_t rows,
-              int64_t cols, core::ThreadPool* pool);
-void BiasElu(const float* x, const float* bias, float* out, int64_t rows,
-             int64_t cols, float alpha, core::ThreadPool* pool);
 
 // ---------------------------------------------------------------------------
 // Row kernels: x is (rows x cols), s and dst columns are (rows x 1)

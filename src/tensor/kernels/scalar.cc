@@ -67,14 +67,6 @@ void EwMul(const float* a, const float* b, float* out, int64_t begin,
   for (int64_t i = begin; i < end; ++i) out[i] = a[i] * b[i];
 }
 
-void EwMulAdd(const float* a, const float* b, const float* c, float* out,
-              int64_t begin, int64_t end) {
-  for (int64_t i = begin; i < end; ++i) {
-    const float prod = a[i] * b[i];
-    out[i] = prod + c[i];
-  }
-}
-
 void EwAdd(const float* a, const float* b, float* out, int64_t begin,
            int64_t end) {
   for (int64_t i = begin; i < end; ++i) out[i] = a[i] + b[i];
@@ -117,56 +109,6 @@ void BiasAddRows(const float* x, const float* bias, float* out,
     const float* xrow = x + r * cols;
     float* orow = out + r * cols;
     for (int64_t c = 0; c < cols; ++c) orow[c] = xrow[c] + bias[c];
-  }
-}
-
-void BiasLeakyReluRows(const float* x, const float* bias, float* out,
-                       int64_t row_begin, int64_t row_end, int64_t cols,
-                       float slope) {
-  for (int64_t r = row_begin; r < row_end; ++r) {
-    const float* xrow = x + r * cols;
-    float* orow = out + r * cols;
-    for (int64_t c = 0; c < cols; ++c) {
-      const float v = xrow[c] + bias[c];
-      orow[c] = v > 0.0f ? v : slope * v;
-    }
-  }
-}
-
-void BiasSigmoidRows(const float* x, const float* bias, float* out,
-                     int64_t row_begin, int64_t row_end, int64_t cols) {
-  for (int64_t r = row_begin; r < row_end; ++r) {
-    const float* xrow = x + r * cols;
-    float* orow = out + r * cols;
-    for (int64_t c = 0; c < cols; ++c) {
-      const float v = xrow[c] + bias[c];
-      orow[c] = 1.0f / (1.0f + std::exp(-v));
-    }
-  }
-}
-
-void BiasTanhRows(const float* x, const float* bias, float* out,
-                  int64_t row_begin, int64_t row_end, int64_t cols) {
-  for (int64_t r = row_begin; r < row_end; ++r) {
-    const float* xrow = x + r * cols;
-    float* orow = out + r * cols;
-    for (int64_t c = 0; c < cols; ++c) {
-      const float v = xrow[c] + bias[c];
-      orow[c] = std::tanh(v);
-    }
-  }
-}
-
-void BiasEluRows(const float* x, const float* bias, float* out,
-                 int64_t row_begin, int64_t row_end, int64_t cols,
-                 float alpha) {
-  for (int64_t r = row_begin; r < row_end; ++r) {
-    const float* xrow = x + r * cols;
-    float* orow = out + r * cols;
-    for (int64_t c = 0; c < cols; ++c) {
-      const float v = xrow[c] + bias[c];
-      orow[c] = v > 0.0f ? v : alpha * (std::exp(v) - 1.0f);
-    }
   }
 }
 

@@ -19,16 +19,6 @@ bool AnyRequiresGrad(const Graph& g, std::initializer_list<Var> vars) {
   return false;
 }
 
-/// True when `v` is a still-unmaterialized producer of `kind` that a
-/// fusion-aware consumer may absorb (reading its inputs instead of its
-/// value). The consumer must keep `v` in its own inputs and leave its
-/// backward untouched — the pending node stays the gradient router, which
-/// is what keeps fused and unfused backward passes bit-identical even when
-/// the producer has other consumers.
-bool FusiblePending(const Graph& g, Var v, OpKind kind) {
-  return g.fusion_enabled() && g.op_kind(v) == kind && g.IsPending(v);
-}
-
 /// The shape check behind a raw-pointer gradient loop. The gradient slot of
 /// a zero-size value stays an empty 0x0 tensor (Graph::mutable_grad); the
 /// loop then touches no element of it.
@@ -61,46 +51,26 @@ std::shared_ptr<const std::vector<int32_t>> MakeIndices(
 }
 
 Var Add(Graph* g, Var a, Var b) {
-  FEDDA_CHECK_EQ(g->rows(a), g->rows(b));
-  FEDDA_CHECK_EQ(g->cols(a), g->cols(b));
-  const bool rg = AnyRequiresGrad(*g, {a, b});
-  auto backward = [a, b](Graph* bg, Var self) {
-    const Tensor& dy = bg->grad(self);
-    if (bg->requires_grad(a)) {
-      kernels::AccumulateAdd(bg->mutable_grad(a).data(), dy.data(), dy.size(),
-                             bg->pool());
-    }
-    if (bg->requires_grad(b)) {
-      kernels::AccumulateAdd(bg->mutable_grad(b).data(), dy.data(), dy.size(),
-                             bg->pool());
-    }
-  };
-  // Fuse `a*b + c` into one pass when either operand is an unconsumed Mul.
-  // The pending Mul stays on the tape as the gradient router; only its
-  // forward materialization is skipped. Float addition is bit-commutative
-  // (outside NaN payloads), so mul-operand-second is also safe.
-  Var mul{}, other{};
-  if (FusiblePending(*g, a, OpKind::kMul)) {
-    mul = a;
-    other = b;
-  } else if (FusiblePending(*g, b, OpKind::kMul)) {
-    mul = b;
-    other = a;
-  }
-  if (mul.valid()) {
-    const Tensor& m0 = g->value(g->input(mul, 0));
-    const Tensor& m1 = g->value(g->input(mul, 1));
-    const Tensor& ov = g->value(other);
-    Tensor out(ov.rows(), ov.cols());
-    kernels::EwMulAdd(m0.data(), m1.data(), ov.data(), out.data(), ov.size(),
-                      g->pool());
-    return g->AddNode(std::move(out), {a, b}, std::move(backward), rg);
-  }
   const Tensor& av = g->value(a);
   const Tensor& bv = g->value(b);
+  FEDDA_CHECK(av.SameShape(bv));
   Tensor out(av.rows(), av.cols());
   kernels::EwAdd(av.data(), bv.data(), out.data(), av.size(), g->pool());
-  return g->AddNode(std::move(out), {a, b}, std::move(backward), rg);
+  const bool rg = AnyRequiresGrad(*g, {a, b});
+  return g->AddNode(
+      std::move(out), {a, b},
+      [a, b](Graph* bg, Var self) {
+        const Tensor& dy = bg->grad(self);
+        if (bg->requires_grad(a)) {
+          kernels::AccumulateAdd(bg->mutable_grad(a).data(), dy.data(),
+                                 dy.size(), bg->pool());
+        }
+        if (bg->requires_grad(b)) {
+          kernels::AccumulateAdd(bg->mutable_grad(b).data(), dy.data(),
+                                 dy.size(), bg->pool());
+        }
+      },
+      rg);
 }
 
 Var Sub(Graph* g, Var a, Var b) {
@@ -127,39 +97,30 @@ Var Sub(Graph* g, Var a, Var b) {
 }
 
 Var Mul(Graph* g, Var a, Var b) {
-  FEDDA_CHECK_EQ(g->rows(a), g->rows(b));
-  FEDDA_CHECK_EQ(g->cols(a), g->cols(b));
+  const Tensor& av = g->value(a);
+  const Tensor& bv = g->value(b);
+  FEDDA_CHECK(av.SameShape(bv));
+  Tensor out(av.rows(), av.cols());
+  kernels::EwMul(av.data(), bv.data(), out.data(), av.size(), g->pool());
   const bool rg = AnyRequiresGrad(*g, {a, b});
-  auto backward = [a, b](Graph* bg, Var self) {
-    const Tensor& dy = bg->grad(self);
-    if (bg->requires_grad(a)) {
-      Tensor& da = bg->mutable_grad(a);
-      const Tensor& b_in = bg->value(b);
-      kernels::AccumulateMul(da.data(), dy.data(), b_in.data(), dy.size(),
-                             bg->pool());
-    }
-    if (bg->requires_grad(b)) {
-      Tensor& db = bg->mutable_grad(b);
-      const Tensor& a_in = bg->value(a);
-      kernels::AccumulateMul(db.data(), dy.data(), a_in.data(), dy.size(),
-                             bg->pool());
-    }
-  };
-  auto forward = [g, a, b]() {
-    const Tensor& av = g->value(a);
-    const Tensor& bv = g->value(b);
-    Tensor out(av.rows(), av.cols());
-    kernels::EwMul(av.data(), bv.data(), out.data(), av.size(), g->pool());
-    return out;
-  };
-  if (g->fusion_enabled()) {
-    // Pending: a fusion-aware consumer (Add) can absorb the multiply; any
-    // other reader forces `forward` through Graph::value().
-    return g->AddLazyNode(OpKind::kMul, g->rows(a), g->cols(a),
-                          std::move(forward), {a, b}, std::move(backward),
-                          rg);
-  }
-  return g->AddNode(forward(), {a, b}, std::move(backward), rg);
+  return g->AddNode(
+      std::move(out), {a, b},
+      [a, b](Graph* bg, Var self) {
+        const Tensor& dy = bg->grad(self);
+        if (bg->requires_grad(a)) {
+          Tensor& da = bg->mutable_grad(a);
+          const Tensor& b_in = bg->value(b);
+          kernels::AccumulateMul(da.data(), dy.data(), b_in.data(), dy.size(),
+                                 bg->pool());
+        }
+        if (bg->requires_grad(b)) {
+          Tensor& db = bg->mutable_grad(b);
+          const Tensor& a_in = bg->value(a);
+          kernels::AccumulateMul(db.data(), dy.data(), a_in.data(), dy.size(),
+                                 bg->pool());
+        }
+      },
+      rg);
 }
 
 Var Scale(Graph* g, Var a, float alpha) {
@@ -222,57 +183,39 @@ Var MatMul(Graph* g, Var a, Var b) {
 }
 
 Var AddBias(Graph* g, Var a, Var bias) {
-  FEDDA_CHECK_EQ(g->rows(bias), 1);
-  FEDDA_CHECK_EQ(g->cols(bias), g->cols(a));
+  const Tensor& av = g->value(a);
+  const Tensor& bv = g->value(bias);
+  FEDDA_CHECK_EQ(bv.rows(), 1);
+  FEDDA_CHECK_EQ(bv.cols(), av.cols());
+  Tensor out(av.rows(), av.cols());
+  kernels::BiasAdd(av.data(), bv.data(), out.data(), av.rows(), av.cols(),
+                   g->pool());
   const bool rg = AnyRequiresGrad(*g, {a, bias});
-  auto backward = [a, bias](Graph* bg, Var self) {
-    const Tensor& dy = bg->grad(self);
-    if (bg->requires_grad(a)) {
-      kernels::AccumulateAdd(bg->mutable_grad(a).data(), dy.data(), dy.size(),
-                             bg->pool());
-    }
-    if (bg->requires_grad(bias)) {
-      Tensor& db = bg->mutable_grad(bias);
-      for (int64_t r = 0; r < dy.rows(); ++r) {
-        for (int64_t c = 0; c < dy.cols(); ++c) {
-          db.at(0, c) += dy.at(r, c);
+  return g->AddNode(
+      std::move(out), {a, bias},
+      [a, bias](Graph* bg, Var self) {
+        const Tensor& dy = bg->grad(self);
+        if (bg->requires_grad(a)) {
+          kernels::AccumulateAdd(bg->mutable_grad(a).data(), dy.data(),
+                                 dy.size(), bg->pool());
         }
-      }
-    }
-  };
-  auto forward = [g, a, bias]() {
-    const Tensor& av = g->value(a);
-    const Tensor& bv = g->value(bias);
-    Tensor out(av.rows(), av.cols());
-    kernels::BiasAdd(av.data(), bv.data(), out.data(), av.rows(), av.cols(),
-                     g->pool());
-    return out;
-  };
-  if (g->fusion_enabled()) {
-    // Pending: the activation ops can fold the bias row into their first
-    // pass; any other reader forces `forward` through Graph::value().
-    return g->AddLazyNode(OpKind::kAddBias, g->rows(a), g->cols(a),
-                          std::move(forward), {a, bias}, std::move(backward),
-                          rg);
-  }
-  return g->AddNode(forward(), {a, bias}, std::move(backward), rg);
+        if (bg->requires_grad(bias)) {
+          Tensor& db = bg->mutable_grad(bias);
+          for (int64_t r = 0; r < dy.rows(); ++r) {
+            for (int64_t c = 0; c < dy.cols(); ++c) {
+              db.at(0, c) += dy.at(r, c);
+            }
+          }
+        }
+      },
+      rg);
 }
 
 Var LeakyRelu(Graph* g, Var a, float slope) {
+  const Tensor& av = g->value(a);
+  Tensor out(av.rows(), av.cols());
+  kernels::LeakyRelu(av.data(), out.data(), av.size(), slope, g->pool());
   const bool rg = g->requires_grad(a);
-  Tensor out(g->rows(a), g->cols(a));
-  if (FusiblePending(*g, a, OpKind::kAddBias)) {
-    // One fused pass over the AddBias inputs; the pending AddBias keeps
-    // routing gradients (its value materializes lazily in the backward,
-    // which reads value(a) for the slope mask).
-    const Tensor& xv = g->value(g->input(a, 0));
-    const Tensor& bv = g->value(g->input(a, 1));
-    kernels::BiasLeakyRelu(xv.data(), bv.data(), out.data(), xv.rows(),
-                           xv.cols(), slope, g->pool());
-  } else {
-    const Tensor& av = g->value(a);
-    kernels::LeakyRelu(av.data(), out.data(), av.size(), slope, g->pool());
-  }
   return g->AddNode(
       std::move(out), {a},
       [a, slope](Graph* bg, Var self) {
@@ -293,24 +236,17 @@ Var LeakyRelu(Graph* g, Var a, float slope) {
 }
 
 Var Elu(Graph* g, Var a, float alpha) {
+  const Tensor& av = g->value(a);
+  Tensor out(av.rows(), av.cols());
+  ParallelChunks(g, av.size(), kElementGrain,
+                 [&out, &av, alpha](int64_t begin, int64_t end) {
+                   for (int64_t i = begin; i < end; ++i) {
+                     const float x = av.data()[i];
+                     out.data()[i] =
+                         x > 0.0f ? x : alpha * (std::exp(x) - 1.0f);
+                   }
+                 });
   const bool rg = g->requires_grad(a);
-  Tensor out(g->rows(a), g->cols(a));
-  if (FusiblePending(*g, a, OpKind::kAddBias)) {
-    const Tensor& xv = g->value(g->input(a, 0));
-    const Tensor& bv = g->value(g->input(a, 1));
-    kernels::BiasElu(xv.data(), bv.data(), out.data(), xv.rows(), xv.cols(),
-                     alpha, g->pool());
-  } else {
-    const Tensor& av = g->value(a);
-    ParallelChunks(g, av.size(), kElementGrain,
-                   [&out, &av, alpha](int64_t begin, int64_t end) {
-                     for (int64_t i = begin; i < end; ++i) {
-                       const float x = av.data()[i];
-                       out.data()[i] =
-                           x > 0.0f ? x : alpha * (std::exp(x) - 1.0f);
-                     }
-                   });
-  }
   return g->AddNode(
       std::move(out), {a},
       [a, alpha](Graph* bg, Var self) {
@@ -334,24 +270,15 @@ Var Elu(Graph* g, Var a, float alpha) {
 }
 
 Var Sigmoid(Graph* g, Var a) {
+  const Tensor& av = g->value(a);
+  Tensor out(av.rows(), av.cols());
+  ParallelChunks(g, av.size(), kElementGrain,
+                 [&out, &av](int64_t begin, int64_t end) {
+                   for (int64_t i = begin; i < end; ++i) {
+                     out.data()[i] = 1.0f / (1.0f + std::exp(-av.data()[i]));
+                   }
+                 });
   const bool rg = g->requires_grad(a);
-  Tensor out(g->rows(a), g->cols(a));
-  if (FusiblePending(*g, a, OpKind::kAddBias)) {
-    // Full fusion win: sigmoid's backward only reads value(self), so the
-    // AddBias intermediate is never materialized at all.
-    const Tensor& xv = g->value(g->input(a, 0));
-    const Tensor& bv = g->value(g->input(a, 1));
-    kernels::BiasSigmoid(xv.data(), bv.data(), out.data(), xv.rows(),
-                         xv.cols(), g->pool());
-  } else {
-    const Tensor& av = g->value(a);
-    ParallelChunks(g, av.size(), kElementGrain,
-                   [&out, &av](int64_t begin, int64_t end) {
-                     for (int64_t i = begin; i < end; ++i) {
-                       out.data()[i] = 1.0f / (1.0f + std::exp(-av.data()[i]));
-                     }
-                   });
-  }
   return g->AddNode(
       std::move(out), {a},
       [a](Graph* bg, Var self) {
@@ -371,22 +298,15 @@ Var Sigmoid(Graph* g, Var a) {
 }
 
 Var Tanh(Graph* g, Var a) {
+  const Tensor& av = g->value(a);
+  Tensor out(av.rows(), av.cols());
+  ParallelChunks(g, av.size(), kElementGrain,
+                 [&out, &av](int64_t begin, int64_t end) {
+                   for (int64_t i = begin; i < end; ++i) {
+                     out.data()[i] = std::tanh(av.data()[i]);
+                   }
+                 });
   const bool rg = g->requires_grad(a);
-  Tensor out(g->rows(a), g->cols(a));
-  if (FusiblePending(*g, a, OpKind::kAddBias)) {
-    const Tensor& xv = g->value(g->input(a, 0));
-    const Tensor& bv = g->value(g->input(a, 1));
-    kernels::BiasTanh(xv.data(), bv.data(), out.data(), xv.rows(), xv.cols(),
-                      g->pool());
-  } else {
-    const Tensor& av = g->value(a);
-    ParallelChunks(g, av.size(), kElementGrain,
-                   [&out, &av](int64_t begin, int64_t end) {
-                     for (int64_t i = begin; i < end; ++i) {
-                       out.data()[i] = std::tanh(av.data()[i]);
-                     }
-                   });
-  }
   return g->AddNode(
       std::move(out), {a},
       [a](Graph* bg, Var self) {

@@ -1,5 +1,9 @@
 #include "core/flags.h"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace fedda::core {
@@ -143,6 +147,34 @@ TEST(FlagParserTest, NonFlagArgumentRejected) {
   std::vector<std::string> storage = {"prog", "positional"};
   auto argv = MakeArgv(&storage);
   EXPECT_FALSE(flags.Parse(static_cast<int>(argv.size()), argv.data()).ok());
+}
+
+TEST(FlagParserTest, ErrorsPrintedToStderrOnce) {
+  // Mains exit on a failed Parse without printing, so Parse itself must
+  // report every error but --help, exactly once.
+  FlagParser flags;
+  int rounds = 40;
+  flags.AddInt("rounds", &rounds, "communication rounds");
+  auto parse_stderr = [&flags](std::string arg) {
+    std::vector<std::string> storage = {"prog", std::move(arg)};
+    auto argv = MakeArgv(&storage);
+    ::testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStderr();
+    const Status status =
+        flags.Parse(static_cast<int>(argv.size()), argv.data());
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    ::testing::internal::GetCapturedStdout();
+    EXPECT_FALSE(status.ok());
+    return err;
+  };
+
+  // The unknown-flag message leads and is followed by the usage text;
+  // rfind == 0 means it appears exactly once.
+  const std::string unknown = parse_stderr("--roundz=3");
+  EXPECT_EQ(unknown.rfind("unknown flag: --roundz\n"), 0u) << unknown;
+  EXPECT_NE(unknown.find("--rounds"), std::string::npos) << unknown;
+  EXPECT_EQ(parse_stderr("--rounds=abc"), "bad integer for --rounds: abc\n");
+  EXPECT_EQ(parse_stderr("--help"), "");
 }
 
 TEST(FlagParserTest, UsageListsFlagsWithDefaults) {

@@ -171,31 +171,27 @@ TEST(GoldenRunTest, RerunIsBitIdentical) {
   }
 }
 
-// The kernel dispatch layer promises that SIMD and op fusion never change
-// bits (DESIGN.md §13). Hold it to that end to end: the forced-scalar,
-// fusion-off run and the best-available, fusion-on run must produce the
-// same %.17g history, byte counts, and participant schedule. The pinned
-// tests above already run under whatever mode the environment selects;
-// this one forces both extremes in-process so a drifting vector kernel
-// cannot slip through on a machine where auto happens to resolve to scalar.
-TEST(GoldenRunTest, KernelDispatchAndFusionAreBitNeutral) {
+// The kernel dispatch layer promises that SIMD never changes bits
+// (DESIGN.md §13). Hold it to that end to end: the forced-scalar run and
+// the best-available run must produce the same %.17g history, byte
+// counts, and participant schedule. The pinned tests above already run
+// under whatever mode the environment selects; this one forces both
+// extremes in-process so a drifting vector kernel cannot slip through on a
+// machine where auto happens to resolve to scalar.
+TEST(GoldenRunTest, KernelDispatchIsBitNeutral) {
   const FederatedSystem system = FederatedSystem::Build(GoldenSystemConfig());
   const FlOptions options = GoldenOptions(FlAlgorithm::kFedDaRestart);
 
   namespace k = tensor::kernels;
   const k::DispatchMode saved_mode = k::dispatch_mode();
-  const bool saved_fusion = k::FusionEnabled();
 
   k::SetDispatchMode(k::DispatchMode::kScalar);
-  k::SetFusionEnabled(false);
   const FlRunResult scalar_run = RunFederated(system, options, kRunSeed);
 
   k::SetDispatchMode(k::DispatchMode::kAuto);
-  k::SetFusionEnabled(true);
   const FlRunResult simd_run = RunFederated(system, options, kRunSeed);
 
   k::SetDispatchMode(saved_mode);
-  k::SetFusionEnabled(saved_fusion);
 
   EXPECT_EQ(GoldenDouble(scalar_run.final_auc),
             GoldenDouble(simd_run.final_auc));
@@ -230,7 +226,7 @@ TEST(GoldenRunTest, KernelDispatchAndFusionAreBitNeutral) {
                      "0.51123046875"},
       /*participants=*/{4, 4, 3, 4, 3},
   };
-  CheckOrRegen("KernelDispatchAndFusionAreBitNeutral", scalar_run, golden);
+  CheckOrRegen("KernelDispatchIsBitNeutral", scalar_run, golden);
 }
 
 }  // namespace

@@ -2,10 +2,9 @@
 // tensor/ops.cc, plus one end-to-end Simple-HGN layer checked through the
 // ParameterStore. The op checks are parameterized twice over: each
 // (eps, tolerance, seed) configuration catches backward formulas that only
-// "pass" at one perturbation size, and each (dispatch, fusion)
-// configuration runs the same battery through the forced-scalar kernels,
-// the best-available SIMD path, and the fused-op graph builder — so a
-// vector kernel or fusion rule with a wrong backward cannot hide behind
+// "pass" at one perturbation size, and each dispatch configuration runs the
+// same battery through the forced-scalar kernels and the best-available
+// SIMD path — so a vector kernel with a wrong backward cannot hide behind
 // the default configuration.
 
 #include <cmath>
@@ -32,22 +31,16 @@ struct GradParams {
   float tolerance;
   uint64_t seed;
   const char* dispatch = "auto";  // forwarded to kernels::ParseDispatchMode
-  bool fusion = true;             // lazy/fused graph building on or off
 };
 
 class OpsGradCheck : public ::testing::TestWithParam<GradParams> {
  protected:
   void SetUp() override {
     saved_mode_ = kernels::dispatch_mode();
-    saved_fusion_ = kernels::FusionEnabled();
     kernels::SetDispatchMode(
         kernels::ParseDispatchMode(GetParam().dispatch));
-    kernels::SetFusionEnabled(GetParam().fusion);
   }
-  void TearDown() override {
-    kernels::SetDispatchMode(saved_mode_);
-    kernels::SetFusionEnabled(saved_fusion_);
-  }
+  void TearDown() override { kernels::SetDispatchMode(saved_mode_); }
 
   float eps() const { return GetParam().eps; }
   float tol() const { return GetParam().tolerance; }
@@ -60,7 +53,6 @@ class OpsGradCheck : public ::testing::TestWithParam<GradParams> {
 
  private:
   kernels::DispatchMode saved_mode_ = kernels::DispatchMode::kAuto;
-  bool saved_fusion_ = true;
 };
 
 INSTANTIATE_TEST_SUITE_P(
@@ -68,14 +60,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(GradParams{1e-2f, 2e-2f, 7},
                       GradParams{5e-3f, 2.5e-2f, 1234}));
 
-// The same battery across the kernel-dispatch × fusion grid: forced scalar
-// with and without fusion, and the best-available SIMD path without fusion
-// (the default instantiation above already covers auto + fusion).
+// The same battery under forced-scalar kernels (the instantiation above
+// runs the best-available SIMD path).
 INSTANTIATE_TEST_SUITE_P(
-    DispatchAndFusion, OpsGradCheck,
-    ::testing::Values(GradParams{1e-2f, 2e-2f, 7, "scalar", false},
-                      GradParams{1e-2f, 2e-2f, 7, "scalar", true},
-                      GradParams{1e-2f, 2e-2f, 7, "auto", false}));
+    ForcedScalar, OpsGradCheck,
+    ::testing::Values(GradParams{1e-2f, 2e-2f, 7, "scalar"}));
 
 TEST_P(OpsGradCheck, AddSubMulScaleAddScalar) {
   core::Rng rng = MakeRng();

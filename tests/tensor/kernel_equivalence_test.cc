@@ -38,8 +38,6 @@ k::DispatchMode ModeFor(k::Path path) {
       return k::DispatchMode::kScalar;
     case k::Path::kAvx2:
       return k::DispatchMode::kAvx2;
-    case k::Path::kNeon:
-      return k::DispatchMode::kNeon;
   }
   return k::DispatchMode::kScalar;
 }
@@ -372,17 +370,12 @@ TEST_P(KernelEquivalenceTest, ElementwiseAndAccumulate) {
   for (int64_t n : kTailSizes) {
     const std::vector<float> a = RandomData(n, &rng);
     const std::vector<float> b = RandomData(n, &rng);
-    const std::vector<float> c = RandomData(n, &rng);
+    RandomData(n, &rng);  // unused draw; keeps `seed` on its stream position
     const std::vector<float> seed = RandomData(n, &rng);
     const std::string tag = " n=" + std::to_string(n);
     RunCase("ewmul" + tag, [&](core::ThreadPool* p) {
       std::vector<float> out(a.size());
       k::EwMul(a.data(), b.data(), out.data(), n, p);
-      return out;
-    });
-    RunCase("ewmuladd" + tag, [&](core::ThreadPool* p) {
-      std::vector<float> out(a.size());
-      k::EwMulAdd(a.data(), b.data(), c.data(), out.data(), n, p);
       return out;
     });
     RunCase("ewadd" + tag, [&](core::ThreadPool* p) {
@@ -486,27 +479,6 @@ TEST_P(KernelEquivalenceTest, BiasKernels) {
     RunCase("bias-add" + tag, [&](core::ThreadPool* p) {
       std::vector<float> out(out_size);
       k::BiasAdd(x.data(), bias.data(), out.data(), s.rows, s.cols, p);
-      return out;
-    });
-    RunCase("bias-leaky-relu" + tag, [&](core::ThreadPool* p) {
-      std::vector<float> out(out_size);
-      k::BiasLeakyRelu(x.data(), bias.data(), out.data(), s.rows, s.cols,
-                       0.2f, p);
-      return out;
-    });
-    RunCase("bias-sigmoid" + tag, [&](core::ThreadPool* p) {
-      std::vector<float> out(out_size);
-      k::BiasSigmoid(x.data(), bias.data(), out.data(), s.rows, s.cols, p);
-      return out;
-    });
-    RunCase("bias-tanh" + tag, [&](core::ThreadPool* p) {
-      std::vector<float> out(out_size);
-      k::BiasTanh(x.data(), bias.data(), out.data(), s.rows, s.cols, p);
-      return out;
-    });
-    RunCase("bias-elu" + tag, [&](core::ThreadPool* p) {
-      std::vector<float> out(out_size);
-      k::BiasElu(x.data(), bias.data(), out.data(), s.rows, s.cols, 1.0f, p);
       return out;
     });
   }
@@ -616,22 +588,17 @@ TEST(DispatchPolicyTest, ParseDispatchMode) {
   EXPECT_EQ(k::ParseDispatchMode("auto"), k::DispatchMode::kAuto);
   EXPECT_EQ(k::ParseDispatchMode("scalar"), k::DispatchMode::kScalar);
   EXPECT_EQ(k::ParseDispatchMode("avx2"), k::DispatchMode::kAvx2);
-  EXPECT_EQ(k::ParseDispatchMode("neon"), k::DispatchMode::kNeon);
+  EXPECT_EQ(k::ParseDispatchMode("neon"), k::DispatchMode::kAuto);
   EXPECT_EQ(k::ParseDispatchMode("bogus"), k::DispatchMode::kAuto);
 }
 
 TEST(DispatchPolicyTest, UnavailablePathFallsBackToScalar) {
   DispatchGuard guard;
-  // At most one of AVX2/NEON can be available; the other must degrade to
-  // scalar instead of crashing.
+  // Asking for AVX2 where it is unavailable degrades to scalar instead of
+  // crashing.
   k::SetDispatchMode(k::DispatchMode::kAvx2);
-  const k::Path avx2 = k::ActivePath();
-  k::SetDispatchMode(k::DispatchMode::kNeon);
-  const k::Path neon = k::ActivePath();
-  EXPECT_TRUE(avx2 == k::Path::kScalar || neon == k::Path::kScalar);
-  if (!k::Avx2Available()) {
-    EXPECT_EQ(avx2, k::Path::kScalar);
-  }
+  EXPECT_EQ(k::ActivePath(),
+            k::Avx2Available() ? k::Path::kAvx2 : k::Path::kScalar);
 }
 
 TEST(DispatchPolicyTest, SupportedPathsAlwaysIncludesScalar) {

@@ -26,8 +26,6 @@ k::DispatchMode ModeFor(k::Path path) {
       return k::DispatchMode::kScalar;
     case k::Path::kAvx2:
       return k::DispatchMode::kAvx2;
-    case k::Path::kNeon:
-      return k::DispatchMode::kNeon;
   }
   return k::DispatchMode::kScalar;
 }
@@ -84,9 +82,9 @@ TEST_F(KernelPropertyTest, RandomizedElementwise) {
     const float alpha = static_cast<float>(rng.Uniform(-2.0, 2.0));
     const std::string tag = "iter " + std::to_string(iter) + " n=" +
                             std::to_string(n);
-    CheckAllPaths("ewmuladd " + tag, [&](core::ThreadPool* p) {
+    CheckAllPaths("ewmul " + tag, [&](core::ThreadPool* p) {
       std::vector<float> out(a.size());
-      k::EwMulAdd(a.data(), b.data(), c.data(), out.data(), n, p);
+      k::EwMul(a.data(), b.data(), out.data(), n, p);
       return out;
     });
     CheckAllPaths("axpy " + tag, [&](core::ThreadPool* p) {
@@ -133,10 +131,9 @@ TEST_F(KernelPropertyTest, RandomizedBiasAndScatter) {
     const std::vector<float> x = RandomData(rows * cols, &rng);
     const std::vector<float> bias = RandomData(cols, &rng);
     const std::string tag = "iter " + std::to_string(iter);
-    CheckAllPaths("bias-leaky-relu " + tag, [&](core::ThreadPool* p) {
+    CheckAllPaths("bias-add " + tag, [&](core::ThreadPool* p) {
       std::vector<float> out(x.size());
-      k::BiasLeakyRelu(x.data(), bias.data(), out.data(), rows, cols, 0.2f,
-                       p);
+      k::BiasAdd(x.data(), bias.data(), out.data(), rows, cols, p);
       return out;
     });
 

@@ -142,8 +142,6 @@ k::DispatchMode ModeFor(k::Path path) {
       return k::DispatchMode::kScalar;
     case k::Path::kAvx2:
       return k::DispatchMode::kAvx2;
-    case k::Path::kNeon:
-      return k::DispatchMode::kNeon;
   }
   return k::DispatchMode::kScalar;
 }
