@@ -2,9 +2,9 @@
 // loop, covering what the golden runs leave out — client failures, FedAvg's
 // C and D below 1, both FedDA granularities, Explore, weighted aggregation
 // with DP noise, the worker pool, and forced reactivations. Each fingerprint
-// hashes the %.17g rendering of every RoundRecord field, every FlRunResult
-// total and every event, so any change to what a round computes, charges or
-// records trips the pin of the configuration that exercises it.
+// (tests/fl/run_fingerprint.h) covers every field a run records, so any
+// change to what a round computes, charges or records trips the pin of the
+// configuration that exercises it.
 //
 // The table is a property of the seeded computation: it was generated once
 // and must never be regenerated to make a refactoring pass. To print it:
@@ -23,7 +23,7 @@
 
 #include "core/string_util.h"
 #include "fl/experiment.h"
-#include "net/transport.h"
+#include "tests/fl/run_fingerprint.h"
 
 namespace fedda::fl {
 namespace {
@@ -156,48 +156,6 @@ std::vector<PinConfig> Grid(AggregationMode mode) {
   return grid;
 }
 
-/// Every field the run produced, one line per record and per event.
-std::string Render(const FlRunResult& result) {
-  std::string out = StrFormat(
-      "mode=%d final_auc=%.17g final_mrr=%.17g up_groups=%lld "
-      "up_scalars=%lld max_up_scalars=%lld up_bytes=%lld down_bytes=%lld "
-      "down_scalars=%lld max_down_scalars=%lld\n",
-      static_cast<int>(result.aggregation_mode), result.final_auc,
-      result.final_mrr, static_cast<long long>(result.total_uplink_groups),
-      static_cast<long long>(result.total_uplink_scalars),
-      static_cast<long long>(result.total_max_uplink_scalars),
-      static_cast<long long>(result.total_uplink_bytes),
-      static_cast<long long>(result.total_downlink_bytes),
-      static_cast<long long>(result.total_downlink_scalars),
-      static_cast<long long>(result.total_max_downlink_scalars));
-  for (const RoundRecord& r : result.history) {
-    out += StrFormat(
-        "round=%d auc=%.17g mrr=%.17g loss=%.17g participants=%d "
-        "up_groups=%lld up_scalars=%lld max_up_scalars=%lld up_bytes=%lld "
-        "max_up_bytes=%lld down_scalars=%lld max_down_scalars=%lld "
-        "down_bytes=%lld max_down_bytes=%lld active=%d started=%d "
-        "departures=%d staleness=%.17g vtime=%.17g forced=%d\n",
-        r.round, r.auc, r.mrr, r.mean_local_loss, r.participants,
-        static_cast<long long>(r.uplink_groups),
-        static_cast<long long>(r.uplink_scalars),
-        static_cast<long long>(r.max_uplink_scalars),
-        static_cast<long long>(r.uplink_bytes),
-        static_cast<long long>(r.max_uplink_bytes),
-        static_cast<long long>(r.downlink_scalars),
-        static_cast<long long>(r.max_downlink_scalars),
-        static_cast<long long>(r.downlink_bytes),
-        static_cast<long long>(r.max_downlink_bytes), r.active_after_round,
-        r.started, r.departures, r.mean_staleness, r.virtual_time_sec,
-        r.forced_reactivation ? 1 : 0);
-  }
-  for (const Event& e : result.events) {
-    out += StrFormat("event time=%.17g kind=%d client=%d round=%d seq=%llu\n",
-                     e.time, static_cast<int>(e.kind), e.client, e.round,
-                     static_cast<unsigned long long>(e.seq));
-  }
-  return out;
-}
-
 /// Fingerprints generated at the commit before the round loop was unified.
 const std::map<std::string, uint64_t>& PinTable() {
   static const std::map<std::string, uint64_t> table = {
@@ -327,8 +285,7 @@ void CheckGrid(AggregationMode mode, Coverage* coverage) {
       coverage->reactivation_events +=
           e.kind == EventKind::kReactivation ? 1 : 0;
     }
-    const std::string rendering = Render(result);
-    const uint64_t fingerprint = net::Fingerprint64(rendering);
+    const uint64_t fingerprint = testing::RunFingerprint(result);
     if (regen) {
       std::printf("      {\"%s\", 0x%016llxull},\n", name.c_str(),
                   static_cast<unsigned long long>(fingerprint));
@@ -340,7 +297,7 @@ void CheckGrid(AggregationMode mode, Coverage* coverage) {
       continue;
     }
     EXPECT_EQ(fingerprint, it->second) << name << " renders as:\n"
-                                       << rendering;
+                                       << testing::RenderRun(result);
   }
 }
 
