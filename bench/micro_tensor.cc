@@ -191,48 +191,68 @@ void KernelMatMulABt(benchmark::State& state, k::DispatchMode mode,
                           kBackwardOut);
 }
 
-// RowScale over one head's message matrix: 32768 edges x 16 columns.
-constexpr int64_t kRowScaleRows = 32768, kRowScaleCols = 16;
+// EdgeAggregate at one client head's shape in the benchmark's Simple-HGN:
+// 925 node rows, 8192 edges, 16 columns.
+constexpr int64_t kAggRows = 925, kAggEdges = 8192, kAggCols = 16;
 
-void KernelRowScale(benchmark::State& state, k::DispatchMode mode,
-                    int threads) {
+/// Seeded edge endpoints in [0, kAggRows).
+std::vector<int32_t> AggEndpoints(core::Rng* rng) {
+  std::vector<int32_t> ids(static_cast<size_t>(kAggEdges));
+  for (auto& i : ids) {
+    i = static_cast<int32_t>(rng->UniformInt(static_cast<uint64_t>(kAggRows)));
+  }
+  return ids;
+}
+
+/// The EdgeAggregate forward: a weighted gather-sum grouped by destination.
+void KernelEdgeAggregate(benchmark::State& state, k::DispatchMode mode,
+                         int threads) {
   ScopedDispatch dispatch(mode);
   std::unique_ptr<core::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<core::ThreadPool>(threads);
   core::Rng rng(16);
-  const Tensor x = Tensor::RandomNormal(kRowScaleRows, kRowScaleCols, &rng);
-  const Tensor s = Tensor::RandomNormal(kRowScaleRows, 1, &rng);
-  Tensor out(kRowScaleRows, kRowScaleCols);
+  const Tensor x = Tensor::RandomNormal(kAggRows, kAggCols, &rng);
+  const Tensor w = Tensor::RandomNormal(kAggEdges, 1, &rng);
+  const std::vector<int32_t> src = AggEndpoints(&rng);
+  const std::vector<int32_t> dst = AggEndpoints(&rng);
+  const k::Csr by_dst = k::BuildCsr(dst, kAggRows);
+  Tensor out(kAggRows, kAggCols);
   for (auto _ : state) {
-    k::RowScale(x.data(), s.data(), out.data(), kRowScaleRows, kRowScaleCols,
-                pool.get());
+    out.Fill(0.0f);
+    k::WeightedGatherSum(x.data(), src.data(), w.data(), by_dst, kAggCols,
+                         out.data(), pool.get());
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetItemsProcessed(state.iterations() * kRowScaleRows * kRowScaleCols);
+  state.SetItemsProcessed(state.iterations() * kAggEdges * kAggCols);
 }
 
-/// The RowScale backward: the input gradient (RowScaleAccumulate) and the
-/// scale gradient (RowDot) over the same message matrix.
-void KernelRowScaleGrad(benchmark::State& state, k::DispatchMode mode,
-                        int threads) {
+/// The EdgeAggregate backward: the input gradient (a weighted gather-sum
+/// grouped by source) and the weight gradient (IndexedRowDot).
+void KernelEdgeAggregateGrad(benchmark::State& state, k::DispatchMode mode,
+                             int threads) {
   ScopedDispatch dispatch(mode);
   std::unique_ptr<core::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<core::ThreadPool>(threads);
   core::Rng rng(17);
-  const Tensor x = Tensor::RandomNormal(kRowScaleRows, kRowScaleCols, &rng);
-  const Tensor s = Tensor::RandomNormal(kRowScaleRows, 1, &rng);
-  const Tensor dy = Tensor::RandomNormal(kRowScaleRows, kRowScaleCols, &rng);
-  Tensor dx(kRowScaleRows, kRowScaleCols);
-  Tensor ds(kRowScaleRows, 1);
+  const Tensor x = Tensor::RandomNormal(kAggRows, kAggCols, &rng);
+  const Tensor w = Tensor::RandomNormal(kAggEdges, 1, &rng);
+  const Tensor dy = Tensor::RandomNormal(kAggRows, kAggCols, &rng);
+  const std::vector<int32_t> src = AggEndpoints(&rng);
+  const std::vector<int32_t> dst = AggEndpoints(&rng);
+  const k::Csr by_src = k::BuildCsr(src, kAggRows);
+  Tensor dx(kAggRows, kAggCols);
+  Tensor dw(kAggEdges, 1);
   for (auto _ : state) {
-    k::RowScaleAccumulate(s.data(), dy.data(), dx.data(), kRowScaleRows,
-                          kRowScaleCols, pool.get());
-    k::RowDot(x.data(), dy.data(), ds.data(), kRowScaleRows, kRowScaleCols,
-              pool.get());
+    dx.Fill(0.0f);
+    dw.Fill(0.0f);
+    k::WeightedGatherSum(dy.data(), dst.data(), w.data(), by_src, kAggCols,
+                         dx.data(), pool.get());
+    k::IndexedRowDot(x.data(), src.data(), dy.data(), dst.data(), dw.data(),
+                     kAggEdges, kAggCols, pool.get());
     benchmark::DoNotOptimize(dx.data());
-    benchmark::DoNotOptimize(ds.data());
+    benchmark::DoNotOptimize(dw.data());
   }
-  state.SetItemsProcessed(state.iterations() * kRowScaleRows * kRowScaleCols);
+  state.SetItemsProcessed(state.iterations() * kAggEdges * kAggCols);
 }
 
 void KernelGather(benchmark::State& state, k::DispatchMode mode,
@@ -284,8 +304,8 @@ void RegisterKernelGrid() {
   } kernels[] = {{"matmul", KernelMatMul},
                  {"matmul_at_b", KernelMatMulAtB},
                  {"matmul_a_bt", KernelMatMulABt},
-                 {"row_scale", KernelRowScale},
-                 {"row_scale_grad", KernelRowScaleGrad},
+                 {"edge_aggregate", KernelEdgeAggregate},
+                 {"edge_aggregate_grad", KernelEdgeAggregateGrad},
                  {"gather", KernelGather},
                  {"segment_softmax", KernelSegmentSoftmax}};
   const struct {

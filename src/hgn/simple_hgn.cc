@@ -262,9 +262,7 @@ Var SimpleHgn::EncodeBlocks(Graph* g,
 
       // Aggregate alpha-weighted messages at destinations (Eq. 3), with
       // pre-activation residual W_res h_u.
-      Var messages =
-          tensor::RowScale(g, tensor::GatherRows(g, wh, mp.src), alpha);
-      Var aggregated = tensor::ScatterAddRows(g, messages, mp.dst, n);
+      Var aggregated = tensor::EdgeAggregate(g, wh, alpha, mp.src, mp.dst, n);
       if (config_.residual) {
         aggregated =
             tensor::Add(g, aggregated, tensor::MatMul(g, h, param(ids.w_res)));

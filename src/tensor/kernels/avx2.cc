@@ -13,10 +13,10 @@
 //    columns j (lane-independent direction);
 //  - branches become compare+blend mirroring the scalar ternary exactly
 //    (including negative zero and NaN operands);
-//  - where lanes run over rows instead of columns (RowDot, and MatMulAtB
-//    with one output column), tiles are transposed in registers and the
-//    zero-skip becomes a per-lane blend, so each lane still replays one
-//    scalar row's sequence of rounded operations.
+//  - where lanes run over rows instead of columns (RowDot, IndexedRowDot,
+//    and MatMulAtB with one output column), tiles are transposed in
+//    registers and the zero-skip becomes a per-lane blend, so each lane
+//    still replays one scalar row's sequence of rounded operations.
 
 #include <algorithm>
 
@@ -382,21 +382,6 @@ void BiasAddRows(const float* x, const float* bias, float* out,
   }
 }
 
-void RowScaleRows(const float* x, const float* s, float* out,
-                  int64_t row_begin, int64_t row_end, int64_t cols) {
-  for (int64_t r = row_begin; r < row_end; ++r) {
-    const float f = s[r];
-    const __m256 vf = _mm256_set1_ps(f);
-    const float* xrow = x + r * cols;
-    float* orow = out + r * cols;
-    int64_t c = 0;
-    for (; c + 8 <= cols; c += 8) {
-      _mm256_storeu_ps(orow + c, _mm256_mul_ps(vf, _mm256_loadu_ps(xrow + c)));
-    }
-    for (; c < cols; ++c) orow[c] = f * xrow[c];
-  }
-}
-
 void RowScaleAccumulateRows(const float* s, const float* x, float* dst,
                             int64_t row_begin, int64_t row_end, int64_t cols) {
   for (int64_t r = row_begin; r < row_end; ++r) {
@@ -445,21 +430,6 @@ void RowDotRows(const float* x, const float* y, float* dst, int64_t row_begin,
   scalar::RowDotRows(x, y, dst, r, row_end, cols);
 }
 
-void AccumulateGatherRowsRange(const float* src, const int32_t* idx,
-                               int64_t i_begin, int64_t i_end, int64_t cols,
-                               float* dst) {
-  for (int64_t i = i_begin; i < i_end; ++i) {
-    const float* srow = src + static_cast<int64_t>(idx[i]) * cols;
-    float* drow = dst + i * cols;
-    int64_t c = 0;
-    for (; c + 8 <= cols; c += 8) {
-      _mm256_storeu_ps(drow + c, _mm256_add_ps(_mm256_loadu_ps(drow + c),
-                                               _mm256_loadu_ps(srow + c)));
-    }
-    for (; c < cols; ++c) drow[c] += srow[c];
-  }
-}
-
 void ScatterAddRowsRange(const float* src, const Csr& csr, int64_t cols,
                          float* out, int64_t row_begin, int64_t row_end) {
   // Contributions to one destination row are accumulated position by
@@ -479,6 +449,84 @@ void ScatterAddRowsRange(const float* src, const Csr& csr, int64_t cols,
       for (; c < cols; ++c) dst[c] += srow[c];
     }
   }
+}
+
+void WeightedGatherSumRows(const float* x, const int32_t* idx,
+                           const float* w, const Csr& csr, int64_t cols,
+                           float* out, int64_t row_begin, int64_t row_end) {
+  // Lanes run over columns, so every out[r,c] adds its rounded products
+  // position by position in CSR order, exactly as the scalar body. A
+  // column block's accumulators stay in registers across the row's
+  // positions; the load and store around them move bits unchanged.
+  for (int64_t r = row_begin; r < row_end; ++r) {
+    const int64_t lo = csr.offsets[static_cast<size_t>(r)];
+    const int64_t hi = csr.offsets[static_cast<size_t>(r) + 1];
+    float* orow = out + r * cols;
+    int64_t c = 0;
+    for (; c + 16 <= cols; c += 16) {
+      __m256 acc0 = _mm256_loadu_ps(orow + c);
+      __m256 acc1 = _mm256_loadu_ps(orow + c + 8);
+      for (int64_t q = lo; q < hi; ++q) {
+        const int64_t p = csr.order[static_cast<size_t>(q)];
+        const __m256 vw = _mm256_set1_ps(w[p]);
+        const float* xrow = x + static_cast<int64_t>(idx[p]) * cols + c;
+        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(vw, _mm256_loadu_ps(xrow)));
+        acc1 =
+            _mm256_add_ps(acc1, _mm256_mul_ps(vw, _mm256_loadu_ps(xrow + 8)));
+      }
+      _mm256_storeu_ps(orow + c, acc0);
+      _mm256_storeu_ps(orow + c + 8, acc1);
+    }
+    for (; c < cols; c += 8) {
+      // Masked lanes read and write nothing past the row end.
+      const __m256i mask = LaneMask(std::min<int64_t>(8, cols - c));
+      __m256 acc = _mm256_maskload_ps(orow + c, mask);
+      for (int64_t q = lo; q < hi; ++q) {
+        const int64_t p = csr.order[static_cast<size_t>(q)];
+        const float* xrow = x + static_cast<int64_t>(idx[p]) * cols + c;
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(w[p]),
+                                               _mm256_maskload_ps(xrow, mask)));
+      }
+      _mm256_maskstore_ps(orow + c, mask, acc);
+    }
+  }
+}
+
+void IndexedRowDotRange(const float* x, const int32_t* x_idx, const float* y,
+                        const int32_t* y_idx, float* dst, int64_t i_begin,
+                        int64_t i_end, int64_t cols) {
+  // RowDotRows over gathered rows: lanes are 8 positions, each tile of
+  // products is transposed so lane l adds its row's products in
+  // increasing c. Leftover positions run the scalar body.
+  int64_t i = i_begin;
+  for (; i + 8 <= i_end; i += 8) {
+    const float* xrows[8];
+    const float* yrows[8];
+    for (int64_t l = 0; l < 8; ++l) {
+      xrows[l] = x + static_cast<int64_t>(x_idx[i + l]) * cols;
+      yrows[l] = y + static_cast<int64_t>(y_idx[i + l]) * cols;
+    }
+    __m256 dot = _mm256_setzero_ps();
+    for (int64_t c0 = 0; c0 < cols; c0 += 8) {
+      const int64_t cw = std::min<int64_t>(8, cols - c0);
+      const __m256i mask = LaneMask(cw);
+      __m256 prod[8];
+      for (int64_t l = 0; l < 8; ++l) {
+        const float* xr = xrows[l] + c0;
+        const float* yr = yrows[l] + c0;
+        const __m256 vx =
+            cw == 8 ? _mm256_loadu_ps(xr) : _mm256_maskload_ps(xr, mask);
+        const __m256 vy =
+            cw == 8 ? _mm256_loadu_ps(yr) : _mm256_maskload_ps(yr, mask);
+        prod[l] = _mm256_mul_ps(vx, vy);
+      }
+      __m256 col[8];
+      Transpose8x8(prod, col);
+      for (int64_t t = 0; t < cw; ++t) dot = _mm256_add_ps(dot, col[t]);
+    }
+    _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(dst + i), dot));
+  }
+  scalar::IndexedRowDotRange(x, x_idx, y, y_idx, dst, i, i_end, cols);
 }
 
 #else  // !defined(__AVX2__): toolchain without -mavx2; forward to scalar.
@@ -530,10 +578,6 @@ void BiasAddRows(const float* x, const float* bias, float* out,
                  int64_t row_begin, int64_t row_end, int64_t cols) {
   scalar::BiasAddRows(x, bias, out, row_begin, row_end, cols);
 }
-void RowScaleRows(const float* x, const float* s, float* out,
-                  int64_t row_begin, int64_t row_end, int64_t cols) {
-  scalar::RowScaleRows(x, s, out, row_begin, row_end, cols);
-}
 void RowScaleAccumulateRows(const float* s, const float* x, float* dst,
                             int64_t row_begin, int64_t row_end, int64_t cols) {
   scalar::RowScaleAccumulateRows(s, x, dst, row_begin, row_end, cols);
@@ -542,14 +586,20 @@ void RowDotRows(const float* x, const float* y, float* dst, int64_t row_begin,
                 int64_t row_end, int64_t cols) {
   scalar::RowDotRows(x, y, dst, row_begin, row_end, cols);
 }
-void AccumulateGatherRowsRange(const float* src, const int32_t* idx,
-                               int64_t i_begin, int64_t i_end, int64_t cols,
-                               float* dst) {
-  scalar::AccumulateGatherRowsRange(src, idx, i_begin, i_end, cols, dst);
-}
 void ScatterAddRowsRange(const float* src, const Csr& csr, int64_t cols,
                          float* out, int64_t row_begin, int64_t row_end) {
   scalar::ScatterAddRowsRange(src, csr, cols, out, row_begin, row_end);
+}
+void WeightedGatherSumRows(const float* x, const int32_t* idx,
+                           const float* w, const Csr& csr, int64_t cols,
+                           float* out, int64_t row_begin, int64_t row_end) {
+  scalar::WeightedGatherSumRows(x, idx, w, csr, cols, out, row_begin,
+                                row_end);
+}
+void IndexedRowDotRange(const float* x, const int32_t* x_idx, const float* y,
+                        const int32_t* y_idx, float* dst, int64_t i_begin,
+                        int64_t i_end, int64_t cols) {
+  scalar::IndexedRowDotRange(x, x_idx, y, y_idx, dst, i_begin, i_end, cols);
 }
 
 #endif  // defined(__AVX2__)

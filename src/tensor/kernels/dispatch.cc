@@ -308,16 +308,6 @@ void BiasAdd(const float* x, const float* bias, float* out, int64_t rows,
                          });
 }
 
-void RowScale(const float* x, const float* s, float* out, int64_t rows,
-              int64_t cols, core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  core::ParallelForRange(
-      pool, rows, RowGrain(cols), [=](int64_t row_begin, int64_t row_end) {
-        FEDDA_DISPATCH_PATH(path, RowScaleRows, x, s, out, row_begin, row_end,
-                            cols)
-      });
-}
-
 void RowScaleAccumulate(const float* s, const float* x, float* dst,
                         int64_t rows, int64_t cols, core::ThreadPool* pool) {
   const Path path = ActivePath();
@@ -349,16 +339,6 @@ void GatherRows(const float* src, const int32_t* idx, int64_t n_idx,
                          });
 }
 
-void AccumulateGatherRows(const float* src, const int32_t* idx, int64_t n_idx,
-                          int64_t cols, float* dst, core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  core::ParallelForRange(
-      pool, n_idx, RowGrain(cols), [=](int64_t i_begin, int64_t i_end) {
-        FEDDA_DISPATCH_PATH(path, AccumulateGatherRowsRange, src, idx,
-                            i_begin, i_end, cols, dst)
-      });
-}
-
 void ScatterAddRows(const float* src, const Csr& csr, int64_t cols,
                     float* out, core::ThreadPool* pool) {
   const Path path = ActivePath();
@@ -368,6 +348,32 @@ void ScatterAddRows(const float* src, const Csr& csr, int64_t cols,
       pool, num_rows, RowGrain(cols), [=](int64_t row_begin, int64_t row_end) {
         FEDDA_DISPATCH_PATH(path, ScatterAddRowsRange, src, *csr_ptr, cols,
                             out, row_begin, row_end)
+      });
+}
+
+// Partitioned over output rows like ScatterAddRows: a row's positions all
+// land in one chunk, so any partition keeps each row's order.
+void WeightedGatherSum(const float* x, const int32_t* idx, const float* w,
+                       const Csr& csr, int64_t cols, float* out,
+                       core::ThreadPool* pool) {
+  const Path path = ActivePath();
+  const Csr* csr_ptr = &csr;
+  const int64_t num_rows = static_cast<int64_t>(csr.offsets.size()) - 1;
+  core::ParallelForRange(
+      pool, num_rows, RowGrain(cols), [=](int64_t row_begin, int64_t row_end) {
+        FEDDA_DISPATCH_PATH(path, WeightedGatherSumRows, x, idx, w, *csr_ptr,
+                            cols, out, row_begin, row_end)
+      });
+}
+
+void IndexedRowDot(const float* x, const int32_t* x_idx, const float* y,
+                   const int32_t* y_idx, float* dst, int64_t n, int64_t cols,
+                   core::ThreadPool* pool) {
+  const Path path = ActivePath();
+  core::ParallelForRange(
+      pool, n, RowGrain(cols), [=](int64_t i_begin, int64_t i_end) {
+        FEDDA_DISPATCH_PATH(path, IndexedRowDotRange, x, x_idx, y, y_idx, dst,
+                            i_begin, i_end, cols)
       });
 }
 

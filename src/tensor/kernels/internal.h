@@ -43,19 +43,20 @@ void LeakyRelu(const float* a, float* out, float slope, int64_t begin,
                int64_t end);
 void BiasAddRows(const float* x, const float* bias, float* out,
                  int64_t row_begin, int64_t row_end, int64_t cols);
-void RowScaleRows(const float* x, const float* s, float* out,
-                  int64_t row_begin, int64_t row_end, int64_t cols);
 void RowScaleAccumulateRows(const float* s, const float* x, float* dst,
                             int64_t row_begin, int64_t row_end, int64_t cols);
 void RowDotRows(const float* x, const float* y, float* dst, int64_t row_begin,
                 int64_t row_end, int64_t cols);
 void GatherRowsRange(const float* src, const int32_t* idx, int64_t i_begin,
                      int64_t i_end, int64_t cols, float* out);
-void AccumulateGatherRowsRange(const float* src, const int32_t* idx,
-                               int64_t i_begin, int64_t i_end, int64_t cols,
-                               float* dst);
 void ScatterAddRowsRange(const float* src, const Csr& csr, int64_t cols,
                          float* out, int64_t row_begin, int64_t row_end);
+void WeightedGatherSumRows(const float* x, const int32_t* idx,
+                           const float* w, const Csr& csr, int64_t cols,
+                           float* out, int64_t row_begin, int64_t row_end);
+void IndexedRowDotRange(const float* x, const int32_t* x_idx, const float* y,
+                        const int32_t* y_idx, float* dst, int64_t i_begin,
+                        int64_t i_end, int64_t cols);
 void SegmentSoftmaxRows(const float* logits, const Csr& csr, float* out,
                         int64_t seg_begin, int64_t seg_end);
 void SegmentSoftmaxGradRows(const float* y, const float* dy, const Csr& csr,
@@ -92,17 +93,18 @@ void LeakyRelu(const float* a, float* out, float slope, int64_t begin,
                int64_t end);
 void BiasAddRows(const float* x, const float* bias, float* out,
                  int64_t row_begin, int64_t row_end, int64_t cols);
-void RowScaleRows(const float* x, const float* s, float* out,
-                  int64_t row_begin, int64_t row_end, int64_t cols);
 void RowScaleAccumulateRows(const float* s, const float* x, float* dst,
                             int64_t row_begin, int64_t row_end, int64_t cols);
 void RowDotRows(const float* x, const float* y, float* dst, int64_t row_begin,
                 int64_t row_end, int64_t cols);
-void AccumulateGatherRowsRange(const float* src, const int32_t* idx,
-                               int64_t i_begin, int64_t i_end, int64_t cols,
-                               float* dst);
 void ScatterAddRowsRange(const float* src, const Csr& csr, int64_t cols,
                          float* out, int64_t row_begin, int64_t row_end);
+void WeightedGatherSumRows(const float* x, const int32_t* idx,
+                           const float* w, const Csr& csr, int64_t cols,
+                           float* out, int64_t row_begin, int64_t row_end);
+void IndexedRowDotRange(const float* x, const int32_t* x_idx, const float* y,
+                        const int32_t* y_idx, float* dst, int64_t i_begin,
+                        int64_t i_end, int64_t cols);
 
 }  // namespace fedda::tensor::kernels::avx2
 

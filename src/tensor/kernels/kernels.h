@@ -154,16 +154,13 @@ void BiasAdd(const float* x, const float* bias, float* out, int64_t rows,
 // Row kernels: x is (rows x cols), s and dst columns are (rows x 1)
 // ---------------------------------------------------------------------------
 
-/// out[r,c] = s[r] * x[r,c]. The RowScale forward.
-void RowScale(const float* x, const float* s, float* out, int64_t rows,
-              int64_t cols, core::ThreadPool* pool);
-/// dst[r,c] += s[r] * x[r,c], the product rounded before the add. The
-/// RowScale input gradient and both RowDot input gradients.
+/// dst[r,c] += s[r] * x[r,c], the product rounded before the add. Both
+/// RowDot input gradients.
 void RowScaleAccumulate(const float* s, const float* x, float* dst,
                         int64_t rows, int64_t cols, core::ThreadPool* pool);
 /// dst[r] += dot, where dot starts at 0.0f and adds x[r,c] * y[r,c] in
 /// increasing c. The RowDot forward (into a zeroed dst; dot is never -0.0,
-/// so 0.0f + dot == dot bit for bit) and the RowScale scale gradient.
+/// so 0.0f + dot == dot bit for bit).
 void RowDot(const float* x, const float* y, float* dst, int64_t rows,
             int64_t cols, core::ThreadPool* pool);
 
@@ -176,17 +173,26 @@ void RowDot(const float* x, const float* y, float* dst, int64_t rows,
 void GatherRows(const float* src, const int32_t* idx, int64_t n_idx,
                 int64_t cols, float* out, core::ThreadPool* pool);
 
-/// dst[i, :] += src[idx[i], :] — the backward of ScatterAddRows. Output
-/// positions are independent, so any partition is race-free.
-void AccumulateGatherRows(const float* src, const int32_t* idx,
-                          int64_t n_idx, int64_t cols, float* dst,
-                          core::ThreadPool* pool);
-
 /// out[r, :] += sum over positions p grouped under r (in increasing
-/// position order) of src[p, :]. Serves both the ScatterAddRows forward
-/// (zeroed out) and the GatherRows backward (accumulating grad).
+/// position order) of src[p, :]. The GatherRows backward.
 void ScatterAddRows(const float* src, const Csr& csr, int64_t cols,
                     float* out, core::ThreadPool* pool);
+
+/// out[r, :] += w[p] * x[idx[p], :] for each position p grouped under r,
+/// in increasing position order; each product is rounded before its add.
+/// The EdgeAggregate forward (grouped by destination, idx = source, zeroed
+/// out) and its input gradient (grouped by source, idx = destination,
+/// x = the output gradient). No per-position rows are materialized.
+void WeightedGatherSum(const float* x, const int32_t* idx, const float* w,
+                       const Csr& csr, int64_t cols, float* out,
+                       core::ThreadPool* pool);
+
+/// dst[i] += dot, where dot starts at 0.0f and adds
+/// x[x_idx[i], c] * y[y_idx[i], c] in increasing c: RowDot over gathered
+/// rows, without gathering them. The EdgeAggregate weight gradient.
+void IndexedRowDot(const float* x, const int32_t* x_idx, const float* y,
+                   const int32_t* y_idx, float* dst, int64_t n, int64_t cols,
+                   core::ThreadPool* pool);
 
 /// Per-segment max-shifted softmax over a column of logits; out must not
 /// alias logits. Scalar on every path (exp).

@@ -112,16 +112,6 @@ void BiasAddRows(const float* x, const float* bias, float* out,
   }
 }
 
-void RowScaleRows(const float* x, const float* s, float* out,
-                  int64_t row_begin, int64_t row_end, int64_t cols) {
-  for (int64_t r = row_begin; r < row_end; ++r) {
-    const float f = s[r];
-    const float* xrow = x + r * cols;
-    float* orow = out + r * cols;
-    for (int64_t c = 0; c < cols; ++c) orow[c] = f * xrow[c];
-  }
-}
-
 void RowScaleAccumulateRows(const float* s, const float* x, float* dst,
                             int64_t row_begin, int64_t row_end, int64_t cols) {
   for (int64_t r = row_begin; r < row_end; ++r) {
@@ -151,16 +141,6 @@ void GatherRowsRange(const float* src, const int32_t* idx, int64_t i_begin,
   }
 }
 
-void AccumulateGatherRowsRange(const float* src, const int32_t* idx,
-                               int64_t i_begin, int64_t i_end, int64_t cols,
-                               float* dst) {
-  for (int64_t i = i_begin; i < i_end; ++i) {
-    const float* srow = src + static_cast<int64_t>(idx[i]) * cols;
-    float* drow = dst + i * cols;
-    for (int64_t c = 0; c < cols; ++c) drow[c] += srow[c];
-  }
-}
-
 void ScatterAddRowsRange(const float* src, const Csr& csr, int64_t cols,
                          float* out, int64_t row_begin, int64_t row_end) {
   for (int64_t r = row_begin; r < row_end; ++r) {
@@ -171,6 +151,35 @@ void ScatterAddRowsRange(const float* src, const Csr& csr, int64_t cols,
       const float* srow = src + i * cols;
       for (int64_t c = 0; c < cols; ++c) dst[c] += srow[c];
     }
+  }
+}
+
+void WeightedGatherSumRows(const float* x, const int32_t* idx,
+                           const float* w, const Csr& csr, int64_t cols,
+                           float* out, int64_t row_begin, int64_t row_end) {
+  // Term for term the scatter of w-scaled gathered rows: out[r,c] adds
+  // w[p] * x[idx[p],c] for the positions p of row r in increasing order.
+  for (int64_t r = row_begin; r < row_end; ++r) {
+    float* orow = out + r * cols;
+    for (int64_t q = csr.offsets[static_cast<size_t>(r)];
+         q < csr.offsets[static_cast<size_t>(r) + 1]; ++q) {
+      const int64_t p = csr.order[static_cast<size_t>(q)];
+      const float f = w[p];
+      const float* xrow = x + static_cast<int64_t>(idx[p]) * cols;
+      for (int64_t c = 0; c < cols; ++c) orow[c] += f * xrow[c];
+    }
+  }
+}
+
+void IndexedRowDotRange(const float* x, const int32_t* x_idx, const float* y,
+                        const int32_t* y_idx, float* dst, int64_t i_begin,
+                        int64_t i_end, int64_t cols) {
+  for (int64_t i = i_begin; i < i_end; ++i) {
+    const float* xrow = x + static_cast<int64_t>(x_idx[i]) * cols;
+    const float* yrow = y + static_cast<int64_t>(y_idx[i]) * cols;
+    float dot = 0.0f;
+    for (int64_t c = 0; c < cols; ++c) dot += xrow[c] * yrow[c];
+    dst[i] += dot;
   }
 }
 

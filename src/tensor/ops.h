@@ -53,11 +53,15 @@ Var Mean(Graph* g, Var a);
 Var GatherRows(Graph* g, Var a,
                std::shared_ptr<const std::vector<int32_t>> indices);
 
-/// y has `num_rows` rows; y[r, :] = sum over i with indices[i] == r of
-/// a[i, :]. The scatter-add dual of GatherRows.
-Var ScatterAddRows(Graph* g, Var a,
-                   std::shared_ptr<const std::vector<int32_t>> indices,
-                   int64_t num_rows);
+/// Weighted neighbour sum over the edges e = (src[e] -> dst[e]): y has
+/// `num_rows` rows and y[v, :] = sum over e with dst[e] == v, in increasing
+/// e, of w[e] * x[src[e], :]. `w` is an (E x 1) column. Bit for bit the
+/// gather -> row-scale -> scatter-add chain, without building its
+/// (E x cols) message tensors, forward or backward.
+Var EdgeAggregate(Graph* g, Var x, Var w,
+                  std::shared_ptr<const std::vector<int32_t>> src,
+                  std::shared_ptr<const std::vector<int32_t>> dst,
+                  int64_t num_rows);
 
 /// Softmax over groups of rows of a (m x 1) logit column: entries sharing
 /// segment_ids[i] are normalized together (numerically stable, max-shifted).
@@ -77,9 +81,6 @@ Var RowL2Normalize(Graph* g, Var a, float eps = 1e-12f);
 
 /// Row-wise dot product of two (n x d) tensors -> (n x 1).
 Var RowDot(Graph* g, Var a, Var b);
-
-/// Scales row i of a (m x d) tensor by s[i, 0] from a (m x 1) column.
-Var RowScale(Graph* g, Var a, Var s);
 
 /// Mean binary cross-entropy with logits -> (1 x 1).
 /// `labels` is a constant (n x 1) tensor of {0, 1}.

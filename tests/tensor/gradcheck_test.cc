@@ -162,23 +162,29 @@ TEST_P(OpsGradCheck, GatherRowsWithDuplicateIndices) {
   });
 }
 
-TEST_P(OpsGradCheck, ScatterAddRowsWithDuplicatesAndEmptyRows) {
+TEST_P(OpsGradCheck, EdgeAggregateWithDuplicatesAndEmptyRows) {
   core::Rng rng = MakeRng();
-  const Tensor a = Tensor::RandomUniform(4, 3, &rng, -1.0f, 1.0f);
-  // Destination rows 0 and 2 each receive two source rows (duplicate
-  // indices); destination rows 1 and 3 receive none (empty rows).
-  auto indices = MakeIndices({0, 2, 2, 0});
-  Check({a}, [indices](Graph* g, const std::vector<Var>& v) {
-    return Sum(g, Tanh(g, ScatterAddRows(g, v[0], indices, 4)));
+  const Tensor x = Tensor::RandomUniform(3, 3, &rng, -1.0f, 1.0f);
+  const Tensor w = Tensor::RandomUniform(4, 1, &rng, -1.0f, 1.0f);
+  // Destination rows 0 and 2 each receive two edges; destination rows 1
+  // and 3 receive none (empty rows). The (1 -> 2) edge appears twice, so
+  // source row 1 collects two terms for one destination.
+  auto src = MakeIndices({0, 1, 1, 2});
+  auto dst = MakeIndices({0, 2, 2, 0});
+  Check({x, w}, [src, dst](Graph* g, const std::vector<Var>& v) {
+    return Sum(g, Tanh(g, EdgeAggregate(g, v[0], v[1], src, dst, 4)));
   });
 }
 
-TEST_P(OpsGradCheck, ScatterAddRowsAllIntoOneRow) {
+TEST_P(OpsGradCheck, EdgeAggregateAllIntoOneRow) {
   core::Rng rng = MakeRng();
-  const Tensor a = Tensor::RandomUniform(5, 2, &rng, -0.5f, 0.5f);
-  auto indices = MakeIndices({1, 1, 1, 1, 1});
-  Check({a}, [indices](Graph* g, const std::vector<Var>& v) {
-    return Sum(g, Sigmoid(g, ScatterAddRows(g, v[0], indices, 3)));
+  const Tensor x = Tensor::RandomUniform(3, 2, &rng, -0.5f, 0.5f);
+  const Tensor w = Tensor::RandomUniform(5, 1, &rng, -1.0f, 1.0f);
+  // Every edge lands in row 1, a self loop among them.
+  auto src = MakeIndices({0, 1, 2, 0, 2});
+  auto dst = MakeIndices({1, 1, 1, 1, 1});
+  Check({x, w}, [src, dst](Graph* g, const std::vector<Var>& v) {
+    return Sum(g, Sigmoid(g, EdgeAggregate(g, v[0], v[1], src, dst, 3)));
   });
 }
 
@@ -231,16 +237,12 @@ TEST_P(OpsGradCheck, RowL2Normalize) {
   });
 }
 
-TEST_P(OpsGradCheck, RowDotAndRowScale) {
+TEST_P(OpsGradCheck, RowDot) {
   core::Rng rng = MakeRng();
   const Tensor a = Tensor::RandomUniform(4, 3, &rng, -1.0f, 1.0f);
   const Tensor b = Tensor::RandomUniform(4, 3, &rng, -1.0f, 1.0f);
   Check({a, b}, [](Graph* g, const std::vector<Var>& v) {
     return Sum(g, Tanh(g, RowDot(g, v[0], v[1])));
-  });
-  const Tensor s = Tensor::RandomUniform(4, 1, &rng, -1.0f, 1.0f);
-  Check({a, s}, [](Graph* g, const std::vector<Var>& v) {
-    return Sum(g, Sigmoid(g, RowScale(g, v[0], v[1])));
   });
 }
 

@@ -8,7 +8,7 @@
 // Shapes are adversarial on purpose: empty, singleton, every tail residue
 // n ≡ 1..7 (mod 8) around the AVX2 vector width, sizes straddling the
 // 64-column matmul register block, aliased outputs for the elementwise
-// kernels, and gather/scatter index patterns with heavy duplication. The
+// kernels, and gather/scatter/edge index patterns with heavy duplication. The
 // transposed matmuls are also pinned to the MatMul-of-a-Transposed()-copy
 // form they replace in the MatMul backward.
 
@@ -185,6 +185,27 @@ std::vector<float> RandomDataWithNan(int64_t n, core::Rng* rng) {
   return out;
 }
 
+/// RandomData plus NaN and both infinities. Inf times zero and inf minus
+/// inf make NaNs of their own, so the planted NaN is the one this machine's
+/// arithmetic produces: every NaN in a case then has the same bits, and the
+/// payload a path propagates cannot depend on operand order.
+std::vector<float> RandomDataWithSpecials(int64_t n, core::Rng* rng) {
+  volatile float inf = std::numeric_limits<float>::infinity();
+  const float nan = inf - inf;
+  std::vector<float> out = RandomData(n, rng);
+  for (auto& v : out) {
+    const double roll = rng->Uniform();
+    if (roll < 0.02) {
+      v = nan;
+    } else if (roll < 0.03) {
+      v = inf;
+    } else if (roll < 0.04) {
+      v = -inf;
+    }
+  }
+  return out;
+}
+
 void ExpectSameBits(const std::string& what, const std::vector<float>& want,
                     const std::vector<float>& got) {
   ASSERT_EQ(want.size(), got.size()) << what;
@@ -346,11 +367,6 @@ TEST_P(KernelEquivalenceTest, RowKernels) {
       const std::vector<float> col_seed = RandomData(rows, &rng);
       const std::string tag =
           " " + std::to_string(rows) + "x" + std::to_string(cols);
-      RunCase("row-scale" + tag, [&](core::ThreadPool* p) {
-        std::vector<float> out(x.size());
-        k::RowScale(x.data(), s.data(), out.data(), rows, cols, p);
-        return out;
-      });
       RunCase("row-scale-accumulate" + tag, [&](core::ThreadPool* p) {
         std::vector<float> dst = seed;
         k::RowScaleAccumulate(s.data(), x.data(), dst.data(), rows, cols, p);
@@ -521,12 +537,6 @@ TEST_P(KernelEquivalenceTest, GatherScatterSegment) {
       k::GatherRows(src.data(), idx.data(), s.n_idx, s.cols, out.data(), p);
       return out;
     });
-    RunCase("accumulate-gather-rows" + tag, [&](core::ThreadPool* p) {
-      std::vector<float> dst = contrib;  // pre-seeded accumulator
-      k::AccumulateGatherRows(src.data(), idx.data(), s.n_idx, s.cols,
-                              dst.data(), p);
-      return dst;
-    });
     RunCase("scatter-add-rows" + tag, [&](core::ThreadPool* p) {
       std::vector<float> out(static_cast<size_t>(s.num_rows * s.cols), 0.0f);
       k::ScatterAddRows(contrib.data(), csr, s.cols, out.data(), p);
@@ -544,6 +554,55 @@ TEST_P(KernelEquivalenceTest, GatherScatterSegment) {
       k::SegmentSoftmaxGrad(y.data(), dy.data(), csr, dl.data(), p);
       return dl;
     });
+  }
+}
+
+TEST_P(KernelEquivalenceTest, EdgeAggregateKernels) {
+  // Both EdgeAggregate kernels in each of their uses: the forward and the
+  // input gradient of WeightedGatherSum (grouped by destination, then by
+  // source) and the weight gradient of IndexedRowDot. Edge counts straddle
+  // IndexedRowDot's 8-position lanes; widths hit every tail of both
+  // bodies. Index draws duplicate heavily, so rows run empty, full, and
+  // through self loops and repeated (src, dst) pairs. x, w and dy carry
+  // NaN, +-0 and +-inf.
+  core::Rng rng(66);
+  for (int64_t cols : kRowWidths) {
+    for (int64_t n_edges : {0LL, 1LL, 7LL, 8LL, 9LL, 17LL, 33LL, 100LL}) {
+      const int64_t num_rows = 2 + n_edges / 4;  // RandomIndices needs 2
+      const std::vector<float> x =
+          RandomDataWithSpecials(num_rows * cols, &rng);
+      const std::vector<float> dy =
+          RandomDataWithSpecials(num_rows * cols, &rng);
+      const std::vector<float> w = RandomDataWithSpecials(n_edges, &rng);
+      const std::vector<float> seed = RandomData(num_rows * cols, &rng);
+      const std::vector<float> col_seed = RandomData(n_edges, &rng);
+      const std::vector<int32_t> src = RandomIndices(n_edges, num_rows, &rng);
+      const std::vector<int32_t> dst = RandomIndices(n_edges, num_rows, &rng);
+      const k::Csr by_dst = k::BuildCsr(dst, num_rows);
+      const k::Csr by_src = k::BuildCsr(src, num_rows);
+      const std::string tag = " edges=" + std::to_string(n_edges) +
+                              " rows=" + std::to_string(num_rows) +
+                              " cols=" + std::to_string(cols);
+      RunCase("weighted-gather-sum" + tag, [&](core::ThreadPool* p) {
+        std::vector<float> out(static_cast<size_t>(num_rows * cols), 0.0f);
+        k::WeightedGatherSum(x.data(), src.data(), w.data(), by_dst, cols,
+                             out.data(), p);
+        return out;
+      });
+      RunCase("weighted-gather-sum by source" + tag,
+              [&](core::ThreadPool* p) {
+                std::vector<float> dx = seed;  // pre-seeded accumulator
+                k::WeightedGatherSum(dy.data(), dst.data(), w.data(), by_src,
+                                     cols, dx.data(), p);
+                return dx;
+              });
+      RunCase("indexed-row-dot" + tag, [&](core::ThreadPool* p) {
+        std::vector<float> dw = col_seed;
+        k::IndexedRowDot(x.data(), src.data(), dy.data(), dst.data(),
+                         dw.data(), n_edges, cols, p);
+        return dw;
+      });
+    }
   }
 }
 

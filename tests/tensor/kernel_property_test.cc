@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,6 +40,29 @@ std::vector<float> RandomData(int64_t n, core::Rng* rng) {
   return out;
 }
 
+/// RandomData plus -0, NaN and both infinities. The planted NaN is the one
+/// this machine's arithmetic makes (inf - inf), so the NaNs that inf * 0
+/// creates share its bits and no result depends on which NaN operand an
+/// add or multiply propagates.
+std::vector<float> RandomDataWithSpecials(int64_t n, core::Rng* rng) {
+  volatile float inf = std::numeric_limits<float>::infinity();
+  const float nan = inf - inf;
+  std::vector<float> out = RandomData(n, rng);
+  for (auto& v : out) {
+    const double roll = rng->Uniform();
+    if (roll < 0.03) {
+      v = -0.0f;
+    } else if (roll < 0.05) {
+      v = nan;
+    } else if (roll < 0.06) {
+      v = inf;
+    } else if (roll < 0.07) {
+      v = -inf;
+    }
+  }
+  return out;
+}
+
 bool BitEqual(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() &&
          (a.empty() || std::memcmp(a.data(), b.data(),
@@ -50,18 +74,21 @@ class KernelPropertyTest : public ::testing::Test {
   void SetUp() override { saved_ = k::dispatch_mode(); }
   void TearDown() override { k::SetDispatchMode(saved_); }
 
-  /// Checks `make_output` under every supported path × {inline, 4 threads}
-  /// against the scalar inline reference.
+  /// Checks `make_output` under every supported path × {inline, 1, 4
+  /// threads} against the scalar inline reference.
   template <typename Fn>
   void CheckAllPaths(const std::string& what, Fn&& make_output) {
     k::SetDispatchMode(k::DispatchMode::kScalar);
     const std::vector<float> expected = make_output(nullptr);
-    core::ThreadPool pool(4);
+    core::ThreadPool pool1(1);
+    core::ThreadPool pool4(4);
     for (k::Path path : k::SupportedPaths()) {
       k::SetDispatchMode(ModeFor(path));
       ASSERT_TRUE(BitEqual(expected, make_output(nullptr)))
           << what << " diverged on " << k::PathName(path) << " (inline)";
-      ASSERT_TRUE(BitEqual(expected, make_output(&pool)))
+      ASSERT_TRUE(BitEqual(expected, make_output(&pool1)))
+          << what << " diverged on " << k::PathName(path) << " (1 thread)";
+      ASSERT_TRUE(BitEqual(expected, make_output(&pool4)))
           << what << " diverged on " << k::PathName(path) << " (4 threads)";
     }
   }
@@ -154,6 +181,55 @@ TEST_F(KernelPropertyTest, RandomizedBiasAndScatter) {
       std::vector<float> out(static_cast<size_t>(n_idx * cols));
       k::GatherRows(x.data(), idx.data(), n_idx, cols, out.data(), p);
       return out;
+    });
+  }
+}
+
+TEST_F(KernelPropertyTest, RandomizedEdgeAggregate) {
+  // Random edge lists over few rows (so rows repeat, run empty and take
+  // self loops), widths cycling every tail residue, and x, w and dy
+  // carrying NaN, +-0 and +-inf: the forward and the input gradient of
+  // WeightedGatherSum and the weight gradient of IndexedRowDot.
+  core::Rng rng(4242);
+  for (int iter = 0; iter < 16; ++iter) {
+    const int64_t rows = 1 + static_cast<int64_t>(rng.UniformInt(uint64_t{9}));
+    const int64_t cols =
+        1 + 8 * static_cast<int64_t>(rng.UniformInt(uint64_t{6})) +
+        (iter % 8);
+    const int64_t n_edges =
+        static_cast<int64_t>(rng.UniformInt(uint64_t{70}));
+    std::vector<int32_t> src(static_cast<size_t>(n_edges));
+    std::vector<int32_t> dst(static_cast<size_t>(n_edges));
+    const auto row_count = static_cast<uint64_t>(rows);
+    for (size_t e = 0; e < src.size(); ++e) {
+      src[e] = static_cast<int32_t>(rng.UniformInt(row_count));
+      dst[e] = static_cast<int32_t>(rng.UniformInt(row_count));
+    }
+    const k::Csr by_dst = k::BuildCsr(dst, rows);
+    const k::Csr by_src = k::BuildCsr(src, rows);
+    const std::vector<float> x = RandomDataWithSpecials(rows * cols, &rng);
+    const std::vector<float> dy = RandomDataWithSpecials(rows * cols, &rng);
+    const std::vector<float> w = RandomDataWithSpecials(n_edges, &rng);
+    const std::string tag = "iter " + std::to_string(iter);
+    CheckAllPaths("weighted-gather-sum " + tag, [&](core::ThreadPool* p) {
+      std::vector<float> out(static_cast<size_t>(rows * cols), 0.0f);
+      k::WeightedGatherSum(x.data(), src.data(), w.data(), by_dst, cols,
+                           out.data(), p);
+      return out;
+    });
+    CheckAllPaths("weighted-gather-sum by source " + tag,
+                  [&](core::ThreadPool* p) {
+                    std::vector<float> dx(static_cast<size_t>(rows * cols),
+                                          0.0f);
+                    k::WeightedGatherSum(dy.data(), dst.data(), w.data(),
+                                         by_src, cols, dx.data(), p);
+                    return dx;
+                  });
+    CheckAllPaths("indexed-row-dot " + tag, [&](core::ThreadPool* p) {
+      std::vector<float> dw(static_cast<size_t>(n_edges), 0.0f);
+      k::IndexedRowDot(x.data(), src.data(), dy.data(), dst.data(), dw.data(),
+                       n_edges, cols, p);
+      return dw;
     });
   }
 }

@@ -53,7 +53,7 @@ TEST(OpsForwardTest, ActivationValues) {
   EXPECT_NEAR(th.at(0, 2), std::tanh(2.0f), 1e-6);
 }
 
-TEST(OpsForwardTest, GatherAndScatterAreDuals) {
+TEST(OpsForwardTest, GatherRowsAndEdgeAggregate) {
   Graph g(false);
   Var a = g.Constant(Tensor::FromVector(3, 2, {1, 2, 3, 4, 5, 6}));
   auto idx = MakeIndices({2, 0, 2});
@@ -62,13 +62,16 @@ TEST(OpsForwardTest, GatherAndScatterAreDuals) {
   EXPECT_EQ(gathered.at(0, 0), 5.0f);
   EXPECT_EQ(gathered.at(1, 1), 2.0f);
 
-  Var b = g.Constant(Tensor::FromVector(3, 1, {1, 10, 100}));
-  const Tensor& scattered = g.value(ScatterAddRows(&g, b, idx, 4));
-  EXPECT_EQ(scattered.rows(), 4);
-  EXPECT_EQ(scattered.at(2, 0), 101.0f);  // rows 0 and 2 of b
-  EXPECT_EQ(scattered.at(0, 0), 10.0f);
-  EXPECT_EQ(scattered.at(1, 0), 0.0f);
-  EXPECT_EQ(scattered.at(3, 0), 0.0f);
+  // Edges 0 -> 2, 1 -> 0, 2 -> 2 with weights 1, 10, 100.
+  Var b = g.Constant(Tensor::FromVector(3, 1, {1, 2, 3}));
+  Var w = g.Constant(Tensor::ColVector({1.0f, 10.0f, 100.0f}));
+  const Tensor& aggregated =
+      g.value(EdgeAggregate(&g, b, w, MakeIndices({0, 1, 2}), idx, 4));
+  EXPECT_EQ(aggregated.rows(), 4);
+  EXPECT_EQ(aggregated.at(2, 0), 301.0f);  // 1 * b[0] + 100 * b[2]
+  EXPECT_EQ(aggregated.at(0, 0), 20.0f);   // 10 * b[1]
+  EXPECT_EQ(aggregated.at(1, 0), 0.0f);
+  EXPECT_EQ(aggregated.at(3, 0), 0.0f);
 }
 
 TEST(OpsForwardTest, SegmentSoftmaxNormalizesPerSegment) {
@@ -133,18 +136,13 @@ TEST(OpsForwardTest, RowL2NormalizeZeroRowIsSafe) {
   EXPECT_FALSE(std::isnan(n.at(0, 1)));
 }
 
-TEST(OpsForwardTest, RowDotAndRowScale) {
+TEST(OpsForwardTest, RowDot) {
   Graph g(false);
   Var a = g.Constant(Tensor::FromVector(2, 2, {1, 2, 3, 4}));
   Var b = g.Constant(Tensor::FromVector(2, 2, {5, 6, 7, 8}));
   const Tensor& dot = g.value(RowDot(&g, a, b));
   EXPECT_EQ(dot.at(0, 0), 17.0f);
   EXPECT_EQ(dot.at(1, 0), 53.0f);
-
-  Var s = g.Constant(Tensor::ColVector({2.0f, -1.0f}));
-  const Tensor& scaled = g.value(RowScale(&g, a, s));
-  EXPECT_EQ(scaled.at(0, 1), 4.0f);
-  EXPECT_EQ(scaled.at(1, 0), -3.0f);
 }
 
 TEST(OpsForwardTest, BceWithLogitsMatchesClosedForm) {
@@ -310,11 +308,12 @@ TEST(OpsGradTest, GatherRows) {
                  });
 }
 
-TEST(OpsGradTest, ScatterAddRows) {
-  auto idx = MakeIndices({1, 1, 0});
-  CheckGradients({RandomTensor(3, 2, 20)},
-                 [idx](Graph* g, const std::vector<Var>& v) {
-                   Var s = ScatterAddRows(g, v[0], idx, 3);
+TEST(OpsGradTest, EdgeAggregate) {
+  auto src = MakeIndices({0, 2, 1});
+  auto dst = MakeIndices({1, 1, 0});
+  CheckGradients({RandomTensor(3, 2, 20), RandomTensor(3, 1, 29)},
+                 [src, dst](Graph* g, const std::vector<Var>& v) {
+                   Var s = EdgeAggregate(g, v[0], v[1], src, dst, 3);
                    return Sum(g, Mul(g, s, s));
                  });
 }
@@ -366,14 +365,6 @@ TEST(OpsGradTest, RowDot) {
                  });
 }
 
-TEST(OpsGradTest, RowScale) {
-  CheckGradients({RandomTensor(3, 2, 28), RandomTensor(3, 1, 29)},
-                 [](Graph* g, const std::vector<Var>& v) {
-                   Var s = RowScale(g, v[0], v[1]);
-                   return Sum(g, Mul(g, s, s));
-                 });
-}
-
 TEST(OpsGradTest, BceWithLogits) {
   Tensor labels = Tensor::ColVector({1.0f, 0.0f, 1.0f, 0.0f});
   CheckGradients({RandomTensor(4, 1, 30)},
@@ -384,8 +375,8 @@ TEST(OpsGradTest, BceWithLogits) {
 
 TEST(OpsGradTest, CompositeAttentionLikeExpression) {
   // A miniature one-head attention: exercises the exact op chain used by
-  // the Simple-HGN layer (matmul -> gather -> segment softmax -> row scale
-  // -> scatter -> normalize).
+  // the Simple-HGN layer (matmul -> gather -> segment softmax -> edge
+  // aggregate -> normalize).
   auto src = MakeIndices({0, 1, 2, 0});
   auto dst = MakeIndices({1, 2, 1, 2});
   CheckGradients(
@@ -396,8 +387,7 @@ TEST(OpsGradTest, CompositeAttentionLikeExpression) {
         Var logits = Add(g, GatherRows(g, MatMul(g, wh, v[2]), src),
                          GatherRows(g, MatMul(g, wh, v[2]), dst));
         Var alpha = SegmentSoftmax(g, LeakyRelu(g, logits, 0.2f), dst, 3);
-        Var msg = RowScale(g, GatherRows(g, wh, src), alpha);
-        Var agg = ScatterAddRows(g, msg, dst, 3);
+        Var agg = EdgeAggregate(g, wh, alpha, src, dst, 3);
         Var out = RowL2Normalize(g, Elu(g, agg));
         return Sum(g, Mul(g, out, out));
       },
@@ -414,8 +404,9 @@ struct ForwardBackwardResult {
 
 // Runs the attention-like expression forward + backward with `pool` attached
 // to the graph. Sizes are chosen to cross every kernel's chunking grain:
-// elementwise (4096 scalars), matmul rows, gather/scatter rows, and segment
-// softmax (>16 segments), so the parallel code paths actually execute.
+// elementwise (4096 scalars), matmul rows, gather and edge-aggregate rows,
+// and segment softmax (>16 segments), so the parallel code paths actually
+// execute.
 ForwardBackwardResult RunAttentionExpression(core::ThreadPool* pool) {
   constexpr int kNodes = 200;
   constexpr int kEdges = 3000;
@@ -448,8 +439,7 @@ ForwardBackwardResult RunAttentionExpression(core::ThreadPool* pool) {
   Var logits = Add(&g, GatherRows(&g, scores, src),
                    GatherRows(&g, scores, dst));
   Var alpha = SegmentSoftmax(&g, LeakyRelu(&g, logits, 0.2f), dst, kNodes);
-  Var msg = RowScale(&g, GatherRows(&g, wh, src), alpha);
-  Var agg = ScatterAddRows(&g, msg, dst, kNodes);
+  Var agg = EdgeAggregate(&g, wh, alpha, src, dst, kNodes);
   Var out = RowL2Normalize(&g, Elu(&g, agg));
   Var loss = Sum(&g, Mul(&g, out, out));
   result.loss = g.value(loss).at(0, 0);

@@ -62,9 +62,14 @@ TEST_P(GatherScatterAdjointTest, AdjointIdentityHolds) {
   for (int64_t i = 0; i < gathered.size(); ++i) {
     lhs += static_cast<double>(gathered.data()[i]) * b.data()[i];
   }
-  // <A, Scatter(B)>
+  // <A, Scatter(B)>, the scatter being EdgeAggregate with unit weights
+  // over the edges i -> indices[i].
+  std::vector<int32_t> positions(static_cast<size_t>(num_indices));
+  for (int i = 0; i < num_indices; ++i) positions[static_cast<size_t>(i)] = i;
+  Var ones = g.Constant(Tensor::Ones(num_indices, 1));
   const Tensor scattered =
-      g.value(ScatterAddRows(&g, gb, indices, num_rows));
+      g.value(EdgeAggregate(&g, gb, ones, MakeIndices(std::move(positions)),
+                            indices, num_rows));
   double rhs = 0.0;
   for (int64_t i = 0; i < scattered.size(); ++i) {
     rhs += static_cast<double>(scattered.data()[i]) * a.data()[i];

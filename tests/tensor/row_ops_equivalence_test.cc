@@ -1,10 +1,12 @@
 // Op-level equivalence for the row ops whose loops moved from per-element
 // Tensor::at() indexing to kernels and raw pointers behind one shape check:
-// RowScale, RowDot, RowL2Normalize and BceWithLogits. The reference below
-// is the earlier op bodies, kept as bounds-checked at() loops. Each op's
-// forward value and every input gradient must match it bit for bit (memcmp)
-// on random shapes, including 1-column and 0-row inputs, with and without a
-// 4-thread pool, on every dispatch path.
+// RowDot, RowL2Normalize and BceWithLogits. The reference below is the
+// earlier op bodies, kept as bounds-checked at() loops. EdgeAggregate is
+// held to the gather -> row-scale -> scatter-add chain it replaced in the
+// Simple-HGN layer, replayed op by op through its (E x cols) message
+// tensors. Each op's forward value and every input gradient must match its
+// reference bit for bit (memcmp) on random shapes, including 1-column and
+// 0-row inputs, with and without a 4-thread pool, on every dispatch path.
 
 #include <algorithm>
 #include <cmath>
@@ -30,28 +32,55 @@ namespace k = ::fedda::tensor::kernels;
 // Reference: the at()-based loops the ops used to run.
 // ---------------------------------------------------------------------------
 
-struct RowScaleRef {
-  Tensor y, da, ds;
+struct EdgeAggregateRef {
+  Tensor y, dx, dw;
 };
 
-RowScaleRef RowScaleReference(const Tensor& av, const Tensor& sv,
-                              const Tensor& dy) {
-  RowScaleRef ref{Tensor(av.rows(), av.cols()), Tensor(av.rows(), av.cols()),
-                  Tensor(sv.rows(), 1)};
-  for (int64_t r = 0; r < av.rows(); ++r) {
-    const float f = sv.at(r, 0);
-    for (int64_t c = 0; c < av.cols(); ++c) ref.y.at(r, c) = f * av.at(r, c);
+/// The three ops EdgeAggregate replaced, each as its at()-loop body:
+/// m = GatherRows(x, src), ms = RowScale(m, w), y = ScatterAddRows(ms, dst)
+/// forward, and their backward closures in reverse tape order. Scatter and
+/// the gather backward add in increasing edge order per row, as the CSR
+/// kernels did.
+EdgeAggregateRef EdgeAggregateReference(const Tensor& xv, const Tensor& wv,
+                                        const std::vector<int32_t>& src,
+                                        const std::vector<int32_t>& dst,
+                                        int64_t num_rows, const Tensor& dy) {
+  const int64_t edges = static_cast<int64_t>(src.size());
+  const int64_t cols = xv.cols();
+  auto at = [](const std::vector<int32_t>& v, int64_t e) {
+    return static_cast<int64_t>(v.at(static_cast<size_t>(e)));
+  };
+  EdgeAggregateRef ref{Tensor(num_rows, cols), Tensor(xv.rows(), cols),
+                       Tensor(edges, 1)};
+  Tensor m(edges, cols), ms(edges, cols);
+  for (int64_t e = 0; e < edges; ++e) {
+    for (int64_t c = 0; c < cols; ++c) m.at(e, c) = xv.at(at(src, e), c);
   }
-  for (int64_t r = 0; r < dy.rows(); ++r) {
-    const float f = sv.at(r, 0);
-    for (int64_t c = 0; c < dy.cols(); ++c) {
-      ref.da.at(r, c) += f * dy.at(r, c);
-    }
+  for (int64_t e = 0; e < edges; ++e) {
+    const float f = wv.at(e, 0);
+    for (int64_t c = 0; c < cols; ++c) ms.at(e, c) = f * m.at(e, c);
   }
-  for (int64_t r = 0; r < dy.rows(); ++r) {
+  for (int64_t e = 0; e < edges; ++e) {
+    for (int64_t c = 0; c < cols; ++c) ref.y.at(at(dst, e), c) += ms.at(e, c);
+  }
+  // ScatterAddRows backward: d ms = gather of dy by destination.
+  Tensor dms(edges, cols), dm(edges, cols);
+  for (int64_t e = 0; e < edges; ++e) {
+    for (int64_t c = 0; c < cols; ++c) dms.at(e, c) += dy.at(at(dst, e), c);
+  }
+  // RowScale backward: d m, then d w as a row dot.
+  for (int64_t e = 0; e < edges; ++e) {
+    const float f = wv.at(e, 0);
+    for (int64_t c = 0; c < cols; ++c) dm.at(e, c) += f * dms.at(e, c);
+  }
+  for (int64_t e = 0; e < edges; ++e) {
     float dot = 0.0f;
-    for (int64_t c = 0; c < dy.cols(); ++c) dot += av.at(r, c) * dy.at(r, c);
-    ref.ds.at(r, 0) += dot;
+    for (int64_t c = 0; c < cols; ++c) dot += m.at(e, c) * dms.at(e, c);
+    ref.dw.at(e, 0) += dot;
+  }
+  // GatherRows backward: d x = scatter of d m by source.
+  for (int64_t e = 0; e < edges; ++e) {
+    for (int64_t c = 0; c < cols; ++c) ref.dx.at(at(src, e), c) += dm.at(e, c);
   }
   return ref;
 }
@@ -210,26 +239,62 @@ std::string Tag(const Shape& s) {
   return " " + std::to_string(s.rows) + "x" + std::to_string(s.cols);
 }
 
-TEST_P(RowOpsEquivalenceTest, RowScale) {
+/// One edge list for the EdgeAggregate case.
+struct EdgeCase {
+  std::string name;
+  int64_t x_rows, num_rows;
+  std::vector<int32_t> src, dst;
+};
+
+std::vector<EdgeCase> EdgeCases(core::Rng* rng) {
+  std::vector<EdgeCase> cases = {
+      {"no edges", 4, 3, {}, {}},
+      {"no edges, 0-row x", 0, 2, {}, {}},
+      {"all into one row", 5, 4, {0, 1, 2, 3, 4, 2}, {1, 1, 1, 1, 1, 1}},
+      // 2 -> 1 three times, 0 -> 0 twice; 0, 1 and 3 loop on themselves.
+      {"duplicates and self loops",
+       4,
+       4,
+       {0, 2, 2, 3, 0, 2, 1},
+       {0, 1, 1, 3, 0, 1, 1}},
+  };
+  // Random sources into even destinations only: the odd rows stay empty.
+  EdgeCase sparse{"empty destination rows", 9, 10, {}, {}};
+  for (int e = 0; e < 40; ++e) {
+    sparse.src.push_back(static_cast<int32_t>(rng->UniformInt(uint64_t{9})));
+    sparse.dst.push_back(
+        static_cast<int32_t>(2 * rng->UniformInt(uint64_t{5})));
+  }
+  cases.push_back(sparse);
+  return cases;
+}
+
+TEST_P(RowOpsEquivalenceTest, EdgeAggregate) {
   core::Rng rng(7);
-  for (const Shape& s : kShapes) {
-    const Tensor av = RandomTensor(s.rows, s.cols, &rng);
-    const Tensor sv = RandomTensor(s.rows, 1, &rng);
-    const Tensor w = RandomTensor(s.rows, s.cols, &rng);
-    Tensor sink_a(s.rows, s.cols), sink_s(s.rows, 1);
-    auto g = NewGraph();
-    Var a = g->Leaf(av, &sink_a);
-    Var sc = g->Leaf(sv, &sink_s);
-    Var y = RowScale(g.get(), a, sc);
-    const Tensor dy = BackwardWith(g.get(), y, w);
-    const RowScaleRef ref = RowScaleReference(av, sv, dy);
-    ExpectSameBits("RowScale y" + Tag(s), ref.y, g->value(y));
-    if (dy.empty()) {  // a zero-size output gets no backward pass
-      EXPECT_TRUE(g->grad(a).empty() && g->grad(sc).empty()) << Tag(s);
-      continue;
+  for (const EdgeCase& ec : EdgeCases(&rng)) {
+    for (int64_t cols : {1LL, 7LL, 8LL, 9LL, 16LL, 17LL, 48LL}) {
+      const int64_t n_edges = static_cast<int64_t>(ec.src.size());
+      const Tensor xv = RandomTensor(ec.x_rows, cols, &rng);
+      const Tensor wv = RandomTensor(n_edges, 1, &rng);
+      const Tensor weights = RandomTensor(ec.num_rows, cols, &rng);
+      Tensor sink_x(ec.x_rows, cols), sink_w(n_edges, 1);
+      auto g = NewGraph();
+      Var x = g->Leaf(xv, &sink_x);
+      Var w = g->Leaf(wv, &sink_w);
+      Var y = EdgeAggregate(g.get(), x, w, MakeIndices(ec.src),
+                            MakeIndices(ec.dst), ec.num_rows);
+      const Tensor dy = BackwardWith(g.get(), y, weights);
+      const EdgeAggregateRef ref = EdgeAggregateReference(
+          xv, wv, ec.src, ec.dst, ec.num_rows, dy);
+      const std::string tag = " " + ec.name + " cols=" + std::to_string(cols);
+      ExpectSameBits("EdgeAggregate y" + tag, ref.y, g->value(y));
+      if (n_edges == 0) {  // the chain's empty messages sent nothing back
+        EXPECT_TRUE(g->grad(x).empty() && g->grad(w).empty()) << tag;
+        continue;
+      }
+      ExpectSameBits("EdgeAggregate dx" + tag, ref.dx, g->grad(x));
+      ExpectSameBits("EdgeAggregate dw" + tag, ref.dw, g->grad(w));
     }
-    ExpectSameBits("RowScale da" + Tag(s), ref.da, g->grad(a));
-    ExpectSameBits("RowScale ds" + Tag(s), ref.ds, g->grad(sc));
   }
 }
 
