@@ -11,9 +11,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,6 +30,7 @@
 #include "net/framing.h"
 #include "net/socket.h"
 #include "tensor/parameter_store.h"
+#include "tests/fl/wire_pin_payloads.h"
 
 namespace fedda::net {
 namespace {
@@ -198,6 +201,67 @@ TEST(TransportCodecTest, RoundStartRejectsOversizeGroupCount) {
   EXPECT_NE(status.message().find("group count exceeds payload"),
             std::string::npos)
       << status.ToString();
+}
+
+// Round-start and round-reply bodies carrying every pinned payload shape
+// (tests/fl/wire_pin_payloads.h), pinned by length and FNV-1a hash.
+// Generated once, before the payload's in-memory representation changed,
+// and never regenerated: a remote peer parses exactly these bytes.
+TEST(TransportPinTest, BodiesCarryingPinnedPayloadsArePinned) {
+  struct Pin {
+    const char* name;
+    size_t start_size;
+    uint64_t start_hash;
+    size_t reply_size;
+    uint64_t reply_hash;
+  };
+  const Pin kPins[] = {
+      {"fedavg-dense-uplink", 214, 5602554745512875028ull, 179,
+       13239157180663327310ull},
+      {"fedda-tensor-uplink", 381, 8488277635273835063ull, 336,
+       17326656549222318211ull},
+      {"fedda-scalar-uplink", 329, 8592842015804763317ull, 294,
+       1133364799867826751ull},
+      {"full-downlink", 406, 5321303105646834345ull, 361,
+       301626924428965493ull},
+      {"empty-downlink", 87, 9755816848679575334ull, 52,
+       16564907727291414472ull},
+      {"default", 97, 9778475784464126962ull, 52,
+       1338541076785200454ull},
+  };
+  const auto hash = [](const std::vector<uint8_t>& bytes) {
+    return Fingerprint64(std::string(bytes.begin(), bytes.end()));
+  };
+  std::vector<fl::testing::PinPayload> payloads = fl::testing::PinPayloads();
+  ASSERT_EQ(payloads.size(), std::size(kPins));
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    // FedDA tasks carry an 11-unit mask (odd tail); FedAvg tasks a group
+    // list. The two alternate so both task shapes are pinned.
+    fl::TransportTask task;
+    task.client = 2;
+    task.round = 9;
+    task.rng_state = {1u, 2u, 0xDEADBEEFu, 4u};
+    task.fedda = i % 2 == 0;
+    if (task.fedda) {
+      task.mask_bits = {1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0};
+    } else {
+      task.selected_groups = {0, 2, 3};
+    }
+    task.sync = payloads[i].payload;
+    RoundReplyMessage reply;
+    reply.client = 2;
+    reply.round = 9;
+    reply.loss = 0.625;
+    reply.uplink = std::move(payloads[i].payload);
+
+    const std::vector<uint8_t> start = EncodeRoundStart(task);
+    const std::vector<uint8_t> reply_body = EncodeRoundReply(reply);
+    EXPECT_EQ(payloads[i].name, kPins[i].name);
+    EXPECT_EQ(start.size(), kPins[i].start_size) << kPins[i].name;
+    EXPECT_EQ(hash(start), kPins[i].start_hash) << kPins[i].name;
+    EXPECT_EQ(reply_body.size(), kPins[i].reply_size) << kPins[i].name;
+    EXPECT_EQ(hash(reply_body), kPins[i].reply_hash) << kPins[i].name;
+  }
 }
 
 // ---- end-to-end loopback -------------------------------------------------
