@@ -266,4 +266,13 @@ std::vector<uint8_t> ByteReader::ReadBytes(size_t count) {
   return bytes;
 }
 
+void ByteReader::Skip(size_t count) {
+  if (!status_.ok()) return;
+  if (count > size_ - pos_) {
+    status_ = Status::IoError("block exceeds payload");
+    return;
+  }
+  pos_ += count;
+}
+
 }  // namespace fedda::core

@@ -144,8 +144,13 @@ class ByteReader {
   std::vector<float> ReadFloats(size_t count);
   /// Reads exactly `count` raw bytes.
   std::vector<uint8_t> ReadBytes(size_t count);
+  /// Steps over exactly `count` bytes without copying them, for decoders
+  /// that validate a block in place (read it at `position()` first).
+  void Skip(size_t count);
 
   [[nodiscard]] const Status& status() const { return status_; }
+  /// Offset of the next byte to read.
+  [[nodiscard]] size_t position() const { return pos_; }
   /// Bytes left to read (0 after a failure).
   [[nodiscard]] size_t remaining() const {
     return status_.ok() ? size_ - pos_ : 0;

@@ -617,8 +617,9 @@ void FederatedRunner::RoundLoop::RunRound(int round) {
       if (transport != nullptr) {
         // Remote rounds are synchronous, so arrival `a` is trainer `a`.
         // Reconstruct the update from its payload onto a copy of the
-        // broadcast: scalars the payload masks off keep broadcast values,
-        // which Accumulate never reads. Dispatch checked the layout.
+        // broadcast, which carries values only (no gradient slots):
+        // scalars the payload masks off keep broadcast values, which
+        // Accumulate never reads. Dispatch checked the layout.
         update = *global;
         FEDDA_CHECK(uplinks[a].ApplyTo(&update).ok());
       } else {

@@ -1,6 +1,8 @@
 #include "fl/wire.h"
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 #include <utility>
 
 #include "core/binary_io.h"
@@ -25,12 +27,16 @@ constexpr uint8_t kEncodingMasked = 1;
 
 int64_t MaskBytes(int64_t bit_count) { return (bit_count + 7) / 8; }
 
-int64_t CountSetBits(const std::vector<uint8_t>& packed, int64_t count) {
+int64_t CountSetBits(const uint8_t* packed, int64_t count) {
   int64_t set = 0;
   for (int64_t i = 0; i < count; ++i) {
-    if (packed[static_cast<size_t>(i / 8)] & (1u << (i % 8))) ++set;
+    if (packed[i / 8] & (1u << (i % 8))) ++set;
   }
   return set;
+}
+
+int64_t DenseEntryBytes(int64_t size) {
+  return kEntryHeaderBytes + size * static_cast<int64_t>(sizeof(float));
 }
 
 }  // namespace
@@ -57,50 +63,83 @@ std::vector<uint8_t> UnpackBits(const std::vector<uint8_t>& packed,
   return bits;
 }
 
-int64_t WireGroup::EncodedBytes() const {
-  return kEntryHeaderBytes + static_cast<int64_t>(mask.size()) +
-         static_cast<int64_t>(values.size()) *
-             static_cast<int64_t>(sizeof(float));
+WirePayload::WirePayload()
+    : WirePayload(WireKind::kUplink, 0, 0, 0, 0, kHeaderBytes) {}
+
+WirePayload::WirePayload(WireKind kind, int client, int round,
+                         int total_groups, size_t entry_count,
+                         int64_t encoded_bytes)
+    : kind_(kind), client_(client), round_(round),
+      total_groups_(total_groups) {
+  entries_.reserve(entry_count);
+  bytes_.reserve(static_cast<size_t>(encoded_bytes));
+  for (const uint32_t word :
+       {kWireMagic, kWireVersion, static_cast<uint32_t>(kind),
+        static_cast<uint32_t>(client), static_cast<uint32_t>(round),
+        static_cast<uint32_t>(total_groups),
+        static_cast<uint32_t>(entry_count)}) {
+    AppendRaw(&word, sizeof(word));
+  }
+}
+
+void WirePayload::AppendRaw(const void* data, size_t size) {
+  // An empty group's data() may be null: skip it rather than offset it.
+  if (size == 0) return;
+  const uint8_t* begin = static_cast<const uint8_t*>(data);
+  bytes_.insert(bytes_.end(), begin, begin + size);
+}
+
+void WirePayload::AppendEntryHeader(const Entry& entry) {
+  const uint32_t id = static_cast<uint32_t>(entry.group);
+  const uint8_t encoding = entry.masked ? kEncodingMasked : kEncodingDense;
+  AppendRaw(&id, sizeof(id));
+  AppendRaw(&encoding, sizeof(encoding));
+  AppendRaw(&entry.size, sizeof(entry.size));
+}
+
+void WirePayload::AppendDense(int group, const tensor::Tensor& value) {
+  Entry entry;
+  entry.group = group;
+  entry.size = value.size();
+  entry.values = value.size();
+  AppendEntryHeader(entry);
+  entry.values_offset = bytes_.size();
+  AppendRaw(value.data(), static_cast<size_t>(value.size()) * sizeof(float));
+  entries_.push_back(entry);
+}
+
+void WirePayload::AppendMasked(int group, const uint8_t* bits, int64_t active,
+                               const tensor::Tensor& value) {
+  Entry entry;
+  entry.group = group;
+  entry.size = value.size();
+  entry.masked = true;
+  entry.values = active;
+  AppendEntryHeader(entry);
+  entry.mask_offset = bytes_.size();
+  const std::vector<uint8_t> mask =
+      PackBits(bits, static_cast<size_t>(entry.size));
+  AppendRaw(mask.data(), mask.size());
+  entry.values_offset = bytes_.size();
+  const float* data = value.data();
+  for (int64_t s = 0; s < entry.size; ++s) {
+    if (bits[s] != 0) AppendRaw(data + s, sizeof(float));
+  }
+  FEDDA_CHECK_EQ(static_cast<int64_t>(bytes_.size() - entry.values_offset),
+                 active * static_cast<int64_t>(sizeof(float)));
+  entries_.push_back(entry);
 }
 
 int64_t WirePayload::PayloadScalars() const {
   int64_t scalars = 0;
-  for (const WireGroup& entry : groups_) {
-    scalars += static_cast<int64_t>(entry.values.size());
-  }
+  for (const Entry& entry : entries_) scalars += entry.values;
   return scalars;
 }
 
 int64_t WirePayload::CoveredScalars() const {
   int64_t scalars = 0;
-  for (const WireGroup& entry : groups_) scalars += entry.size;
+  for (const Entry& entry : entries_) scalars += entry.size;
   return scalars;
-}
-
-int64_t WirePayload::EncodedBytes() const {
-  int64_t bytes = kHeaderBytes;
-  for (const WireGroup& entry : groups_) bytes += entry.EncodedBytes();
-  return bytes;
-}
-
-std::vector<uint8_t> WirePayload::Serialize() const {
-  core::ByteWriter writer;
-  writer.WriteU32(kWireMagic);
-  writer.WriteU32(kWireVersion);
-  writer.WriteU32(static_cast<uint32_t>(kind_));
-  writer.WriteU32(static_cast<uint32_t>(client_));
-  writer.WriteU32(static_cast<uint32_t>(round_));
-  writer.WriteU32(static_cast<uint32_t>(total_groups_));
-  writer.WriteU32(static_cast<uint32_t>(groups_.size()));
-  for (const WireGroup& entry : groups_) {
-    writer.WriteU32(static_cast<uint32_t>(entry.group));
-    writer.WriteU8(entry.mask.empty() ? kEncodingDense : kEncodingMasked);
-    writer.WriteI64(entry.size);
-    writer.WriteBytes(entry.mask);
-    writer.WriteFloats(entry.values);
-  }
-  FEDDA_CHECK_EQ(writer.size(), EncodedBytes());
-  return writer.Release();
 }
 
 core::Status WirePayload::Deserialize(const std::vector<uint8_t>& bytes) {
@@ -128,11 +167,11 @@ core::Status WirePayload::Deserialize(const std::vector<uint8_t>& bytes) {
         "implausible group counts (corrupt payload?)");
   }
 
-  std::vector<WireGroup> entries;
+  std::vector<Entry> entries;
   entries.reserve(entry_count);
   int previous_group = -1;
   for (uint32_t e = 0; e < entry_count; ++e) {
-    WireGroup entry;
+    Entry entry;
     entry.group = static_cast<int>(reader.ReadU32());
     const uint8_t encoding = reader.ReadU8();
     entry.size = reader.ReadI64();
@@ -146,32 +185,38 @@ core::Status WirePayload::Deserialize(const std::vector<uint8_t>& bytes) {
     if (entry.size < 0) {
       return core::Status::InvalidArgument("negative group size");
     }
-    // Validate-before-allocate, and before arithmetic: a size near
-    // INT64_MAX would overflow MaskBytes' `size + 7` (UB) before the
-    // block reads could reject it. Even a bit-packed mask needs size/8
-    // bytes still in the payload, so this cap is sound for both encodings.
+    // Validate-before-arithmetic: a size near INT64_MAX would overflow
+    // MaskBytes' `size + 7` (UB) before the block checks could reject it.
+    // Even a bit-packed mask needs size/8 bytes still in the payload, so
+    // this cap is sound for both encodings.
     if (static_cast<uint64_t>(entry.size) > 8ull * reader.remaining()) {
       return core::Status::InvalidArgument("group size exceeds payload");
     }
     if (encoding == kEncodingMasked) {
-      entry.mask = reader.ReadBytes(static_cast<size_t>(MaskBytes(entry.size)));
+      entry.masked = true;
+      entry.mask_offset = reader.position();
+      const int64_t mask_bytes = MaskBytes(entry.size);
+      reader.Skip(static_cast<size_t>(mask_bytes));
       if (!reader.status().ok()) return reader.status();
       // Canonical encoding: padding bits beyond `size` must be zero, so a
       // payload has exactly one byte representation.
-      for (int64_t bit = entry.size; bit < MaskBytes(entry.size) * 8; ++bit) {
-        if (entry.mask[static_cast<size_t>(bit / 8)] & (1u << (bit % 8))) {
+      const uint8_t* mask = bytes.data() + entry.mask_offset;
+      for (int64_t bit = entry.size; bit < mask_bytes * 8; ++bit) {
+        if (mask[bit / 8] & (1u << (bit % 8))) {
           return core::Status::InvalidArgument("nonzero mask padding bits");
         }
       }
-      entry.values = reader.ReadFloats(
-          static_cast<size_t>(CountSetBits(entry.mask, entry.size)));
+      entry.values = CountSetBits(mask, entry.size);
     } else if (encoding == kEncodingDense) {
-      entry.values = reader.ReadFloats(static_cast<size_t>(entry.size));
+      entry.values = entry.size;
     } else {
       return core::Status::InvalidArgument("invalid entry encoding");
     }
+    entry.values_offset = reader.position();
+    // `values` <= size <= 8 * remaining, so the product cannot overflow.
+    reader.Skip(static_cast<size_t>(entry.values) * sizeof(float));
     if (!reader.status().ok()) return reader.status();
-    entries.push_back(std::move(entry));
+    entries.push_back(entry);
   }
   if (!reader.AtEnd()) {
     return core::Status::InvalidArgument("trailing bytes after payload");
@@ -181,7 +226,8 @@ core::Status WirePayload::Deserialize(const std::vector<uint8_t>& bytes) {
   client_ = static_cast<int>(client);
   round_ = static_cast<int>(round);
   total_groups_ = static_cast<int>(total_groups);
-  groups_ = std::move(entries);
+  entries_ = std::move(entries);
+  bytes_ = bytes;  // a no-op when `bytes` is this payload's own buffer
   return core::Status::OK();
 }
 
@@ -192,7 +238,7 @@ core::Status WirePayload::CheckLayout(
         "payload built for " + std::to_string(total_groups_) +
         " groups, store has " + std::to_string(store.num_groups()));
   }
-  for (const WireGroup& entry : groups_) {
+  for (const Entry& entry : entries_) {
     if (entry.group < 0 || entry.group >= store.num_groups()) {
       return core::Status::InvalidArgument("group id out of range");
     }
@@ -206,113 +252,123 @@ core::Status WirePayload::CheckLayout(
 
 core::Status WirePayload::ApplyTo(tensor::ParameterStore* store) const {
   FEDDA_RETURN_IF_ERROR(CheckLayout(*store));
-  for (const WireGroup& entry : groups_) {
-    tensor::Tensor& target = store->value(entry.group);
-    if (entry.mask.empty()) {
-      FEDDA_CHECK_EQ(static_cast<int64_t>(entry.values.size()), entry.size);
-      std::copy(entry.values.begin(), entry.values.end(), target.data());
+  for (const Entry& entry : entries_) {
+    float* target = store->value(entry.group).data();
+    const uint8_t* values = bytes_.data() + entry.values_offset;
+    if (!entry.masked) {
+      FEDDA_CHECK_EQ(entry.values, entry.size);
+      if (entry.size > 0) {
+        std::memcpy(target, values,
+                    static_cast<size_t>(entry.size) * sizeof(float));
+      }
       continue;
     }
-    size_t next_value = 0;
+    const uint8_t* mask = bytes_.data() + entry.mask_offset;
+    int64_t next_value = 0;
     for (int64_t s = 0; s < entry.size; ++s) {
-      if (entry.mask[static_cast<size_t>(s / 8)] & (1u << (s % 8))) {
-        FEDDA_CHECK_LT(next_value, entry.values.size());
-        target.data()[s] = entry.values[next_value++];
+      if (mask[s / 8] & (1u << (s % 8))) {
+        FEDDA_CHECK_LT(next_value, entry.values);
+        std::memcpy(target + s, values + next_value * sizeof(float),
+                    sizeof(float));
+        ++next_value;
       }
     }
-    FEDDA_CHECK_EQ(next_value, entry.values.size());
+    FEDDA_CHECK_EQ(next_value, entry.values);
   }
   return core::Status::OK();
 }
-
-namespace {
-
-/// Dense entry carrying the whole of `params`' group `gid`.
-WireGroup DenseEntry(const tensor::ParameterStore& params, int gid) {
-  const tensor::Tensor& value = params.value(gid);
-  WireGroup entry;
-  entry.group = gid;
-  entry.size = value.size();
-  entry.values.assign(value.data(), value.data() + value.size());
-  return entry;
-}
-
-}  // namespace
 
 WirePayload BuildUplinkPayload(const ActivationState& state, int client,
                                int round,
                                const tensor::ParameterStore& params) {
   const bool scalar_gran =
       state.options().granularity == ActivationGranularity::kScalar;
-  WirePayload payload;
-  payload.kind_ = WireKind::kUplink;
-  payload.client_ = client;
-  payload.round_ = round;
-  payload.total_groups_ = params.num_groups();
+  const std::vector<uint8_t>& mask = state.ClientMask(client);
+  // First pass: which groups ship and how many values each carries, so the
+  // buffer is reserved to its exact size before anything is written.
+  // `active[gid]` is -1 for an omitted group, the group size for a dense
+  // entry, and the set-bit count for a masked one.
+  std::vector<int64_t> active(static_cast<size_t>(params.num_groups()), -1);
+  size_t entry_count = 0;
+  int64_t encoded_bytes = kHeaderBytes;
   for (int gid = 0; gid < params.num_groups(); ++gid) {
     const int64_t first_unit = state.GroupFirstUnit(gid);
+    const int64_t size = params.value(gid).size();
     if (first_unit < 0 || !scalar_gran) {
       // Non-disentangled groups are always uploaded whole; at tensor
       // granularity an active disentangled group is too (a masked one is
       // simply absent — its "mask" is the missing entry).
       if (first_unit >= 0 && !state.UnitActive(client, first_unit)) continue;
-      payload.groups_.push_back(DenseEntry(params, gid));
+      active[static_cast<size_t>(gid)] = size;
+      ++entry_count;
+      encoded_bytes += DenseEntryBytes(size);
       continue;
     }
     // Scalar granularity: bit-packed per-scalar mask + active scalars.
-    const int64_t units = state.GroupUnitCount(gid);
-    std::vector<uint8_t> bits(static_cast<size_t>(units), 0);
-    bool any_active = false;
-    for (int64_t u = 0; u < units; ++u) {
-      if (state.UnitActive(client, first_unit + u)) {
-        bits[static_cast<size_t>(u)] = 1;
-        any_active = true;
-      }
+    FEDDA_CHECK_EQ(state.GroupUnitCount(gid), size);
+    int64_t set = 0;
+    for (int64_t u = 0; u < size; ++u) {
+      if (mask[static_cast<size_t>(first_unit + u)] != 0) ++set;
     }
-    if (!any_active) continue;  // fully masked: the group is not transmitted
-    WireGroup entry;
-    entry.group = gid;
-    entry.size = units;
-    entry.mask = PackBits(bits);
-    const tensor::Tensor& value = params.value(gid);
-    FEDDA_CHECK_EQ(value.size(), units);
-    for (int64_t u = 0; u < units; ++u) {
-      if (bits[static_cast<size_t>(u)]) {
-        entry.values.push_back(value.data()[u]);
-      }
-    }
-    payload.groups_.push_back(std::move(entry));
+    if (set == 0) continue;  // fully masked: the group is not transmitted
+    active[static_cast<size_t>(gid)] = set;
+    ++entry_count;
+    encoded_bytes += kEntryHeaderBytes + MaskBytes(size) +
+                     set * static_cast<int64_t>(sizeof(float));
   }
+
+  WirePayload payload(WireKind::kUplink, client, round, params.num_groups(),
+                      entry_count, encoded_bytes);
+  for (int gid = 0; gid < params.num_groups(); ++gid) {
+    const int64_t set = active[static_cast<size_t>(gid)];
+    if (set < 0) continue;
+    const int64_t first_unit = state.GroupFirstUnit(gid);
+    if (first_unit < 0 || !scalar_gran) {
+      payload.AppendDense(gid, params.value(gid));
+    } else {
+      payload.AppendMasked(gid, mask.data() + first_unit, set,
+                           params.value(gid));
+    }
+  }
+  FEDDA_CHECK_EQ(payload.EncodedBytes(), encoded_bytes);
   return payload;
 }
+
+namespace {
+
+/// Header plus one dense entry per group of `groups`, which must be valid
+/// ids of `params`.
+int64_t DenseEncodedBytes(const std::vector<int>& groups,
+                          const tensor::ParameterStore& params) {
+  int64_t bytes = kHeaderBytes;
+  for (const int gid : groups) {
+    FEDDA_CHECK(gid >= 0 && gid < params.num_groups());
+    bytes += DenseEntryBytes(params.value(gid).size());
+  }
+  return bytes;
+}
+
+}  // namespace
 
 WirePayload BuildDenseUplinkPayload(const std::vector<int>& groups,
                                     int client, int round,
                                     const tensor::ParameterStore& params) {
-  WirePayload payload;
-  payload.kind_ = WireKind::kUplink;
-  payload.client_ = client;
-  payload.round_ = round;
-  payload.total_groups_ = params.num_groups();
-  for (int gid : groups) {
-    FEDDA_CHECK(gid >= 0 && gid < params.num_groups());
-    payload.groups_.push_back(DenseEntry(params, gid));
-  }
+  const int64_t encoded_bytes = DenseEncodedBytes(groups, params);
+  WirePayload payload(WireKind::kUplink, client, round, params.num_groups(),
+                      groups.size(), encoded_bytes);
+  for (const int gid : groups) payload.AppendDense(gid, params.value(gid));
+  FEDDA_CHECK_EQ(payload.EncodedBytes(), encoded_bytes);
   return payload;
 }
 
 WirePayload BuildDownlinkPayload(const std::vector<int>& groups, int client,
                                  int round,
                                  const tensor::ParameterStore& global) {
-  WirePayload payload;
-  payload.kind_ = WireKind::kDownlink;
-  payload.client_ = client;
-  payload.round_ = round;
-  payload.total_groups_ = global.num_groups();
-  for (int gid : groups) {
-    FEDDA_CHECK(gid >= 0 && gid < global.num_groups());
-    payload.groups_.push_back(DenseEntry(global, gid));
-  }
+  const int64_t encoded_bytes = DenseEncodedBytes(groups, global);
+  WirePayload payload(WireKind::kDownlink, client, round, global.num_groups(),
+                      groups.size(), encoded_bytes);
+  for (const int gid : groups) payload.AppendDense(gid, global.value(gid));
+  FEDDA_CHECK_EQ(payload.EncodedBytes(), encoded_bytes);
   return payload;
 }
 

@@ -1,7 +1,9 @@
 #ifndef FEDDA_FL_WIRE_H_
 #define FEDDA_FL_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/mutex.h"
@@ -12,18 +14,13 @@
 
 namespace fedda::fl {
 
-/// Wire format for federated round payloads.
-///
-/// Until this layer existed, communication volume was *estimated* from
-/// scalar counts and every round was charged a full-model downlink. A
-/// WirePayload is the real serialized artifact a deployment would put on
-/// the network: an uplink payload carries a participant's weights sparsely
-/// under its activation mask (bit-packed unit mask + only the active
-/// scalars; whole groups for non-disentangled or tensor-granularity
-/// units), and a downlink payload carries only the groups a client
-/// requests. `EncodedBytes()` is the exact serialized size, so the
-/// runner's accounting — including mask overhead — is measured, not
-/// modeled. See DESIGN.md §8 for the byte layout.
+/// Wire format for federated round payloads. An uplink payload carries a
+/// participant's weights sparsely under its activation mask (bit-packed
+/// unit mask + only the active scalars; whole groups for non-disentangled
+/// or tensor-granularity units), and a downlink payload carries only the
+/// groups a client requests. `EncodedBytes()` is the exact serialized
+/// size, so the runner's accounting — including mask overhead — is
+/// measured, not modeled. See DESIGN.md §8 for the byte layout.
 
 /// Packs `count` bits (each byte 0 or 1) LSB-first into ceil(count/8)
 /// bytes. Shared by the wire payloads and ActivationState's checkpoint
@@ -42,28 +39,15 @@ enum class WireKind : uint32_t {
   kDownlink = 2,
 };
 
-/// One parameter group on the wire. Dense entries (empty `mask`) carry all
-/// `size` scalars of the group; masked entries carry a bit-packed scalar
-/// mask plus only the active scalars, in group order.
-struct WireGroup {
-  int group = 0;
-  /// Full scalar count of the group in the model (also the mask bit count).
-  int64_t size = 0;
-  /// Bit-packed per-scalar mask (ceil(size/8) bytes), empty for dense.
-  std::vector<uint8_t> mask;
-  /// Dense: `size` values. Masked: one value per set mask bit.
-  std::vector<float> values;
-
-  /// Exact serialized size of this entry in bytes.
-  int64_t EncodedBytes() const;
-};
-
-/// A serialized round message in either direction. Payloads are built by
-/// the factory functions below (or reconstructed by Deserialize) and are
-/// immutable afterwards.
+/// A serialized round message in either direction. A payload holds its
+/// encoded bytes plus a small index of its entries, so building one writes
+/// each value once, Serialize() hands the buffer out, and ApplyTo() copies
+/// values straight out of it. Payloads are built by the factory functions
+/// below (or reconstructed by Deserialize) and are immutable afterwards. A
+/// default-constructed payload is a valid header-only uplink.
 class WirePayload {
  public:
-  WirePayload() = default;
+  WirePayload();
 
   WireKind kind() const { return kind_; }
   int client() const { return client_; }
@@ -71,24 +55,28 @@ class WirePayload {
   /// Total group count of the model the payload was built against (layout
   /// check on ApplyTo).
   int total_groups() const { return total_groups_; }
-  const std::vector<WireGroup>& groups() const { return groups_; }
+  /// Number of groups the payload carries.
+  int num_entries() const { return static_cast<int>(entries_.size()); }
 
   /// Scalars carried by the payload (active values only for masked
   /// entries).
   int64_t PayloadScalars() const;
-  /// Full-group scalar coverage: sum of `size` over entries (what the
+  /// Full-group scalar coverage: sum of group sizes over entries (what the
   /// receiver ends up holding current values for).
   int64_t CoveredScalars() const;
 
-  /// Exact byte size of Serialize()'s result, computed without
-  /// serializing.
-  int64_t EncodedBytes() const;
+  /// Exact byte size of Serialize()'s result.
+  int64_t EncodedBytes() const { return static_cast<int64_t>(bytes_.size()); }
 
-  /// Encodes the payload into the little-endian wire form.
-  std::vector<uint8_t> Serialize() const;
+  /// The little-endian wire form. Returns the payload's own buffer without
+  /// copying it; on a temporary the buffer is moved out.
+  const std::vector<uint8_t>& Serialize() const& { return bytes_; }
+  std::vector<uint8_t> Serialize() && { return std::move(bytes_); }
 
-  /// Parses `bytes` into this payload. Truncated or corrupt input returns
-  /// a non-OK Status and leaves the payload unchanged; it never crashes.
+  /// Parses `bytes` into this payload, validating it in place and keeping
+  /// one copy. Truncated or corrupt input returns a non-OK Status and
+  /// leaves the payload unchanged; it never crashes. `bytes` may be this
+  /// payload's own Serialize() result.
   [[nodiscard]] core::Status Deserialize(const std::vector<uint8_t>& bytes);
 
   /// OK when the payload fits `store`'s layout: the same group count, and
@@ -117,11 +105,43 @@ class WirePayload {
       const std::vector<int>& groups, int client, int round,
       const tensor::ParameterStore& global);
 
+  /// Where one entry sits in `bytes_`. Dense entries carry all `size`
+  /// scalars of the group; masked entries carry a bit-packed scalar mask
+  /// plus one value per set bit, in group order. Values are not 4-byte
+  /// aligned, so they are only ever read and written with memcpy.
+  struct Entry {
+    int group = 0;
+    /// Full scalar count of the group in the model (also the mask bit
+    /// count).
+    int64_t size = 0;
+    bool masked = false;
+    /// Offset of the mask in `bytes_` (masked entries only).
+    size_t mask_offset = 0;
+    /// Offset of the first value in `bytes_`.
+    size_t values_offset = 0;
+    /// Values carried: `size` when dense, the mask's set bits when masked.
+    int64_t values = 0;
+  };
+
+  /// Writes the header of a payload with `entry_count` entries into a
+  /// buffer reserved to `encoded_bytes`; the factories then append each
+  /// entry.
+  WirePayload(WireKind kind, int client, int round, int total_groups,
+              size_t entry_count, int64_t encoded_bytes);
+  /// Group id, encoding tag and size: the 13 bytes before an entry's body.
+  void AppendEntryHeader(const Entry& entry);
+  void AppendDense(int group, const tensor::Tensor& value);
+  /// `bits` holds one 0/1 byte per scalar of `value`, `active` of them set.
+  void AppendMasked(int group, const uint8_t* bits, int64_t active,
+                    const tensor::Tensor& value);
+  void AppendRaw(const void* data, size_t size);
+
   WireKind kind_ = WireKind::kUplink;
   int client_ = 0;
   int round_ = 0;
   int total_groups_ = 0;
-  std::vector<WireGroup> groups_;
+  std::vector<Entry> entries_;
+  std::vector<uint8_t> bytes_;
 };
 
 /// FedDA uplink: client `client`'s post-training weights under its current

@@ -52,7 +52,7 @@ std::vector<uint8_t> EncodeRoundStart(const fl::TransportTask& task) {
       writer.WriteU32(static_cast<uint32_t>(gid));
     }
   }
-  const std::vector<uint8_t> sync = task.sync.Serialize();
+  const std::vector<uint8_t>& sync = task.sync.Serialize();
   writer.WriteU64(static_cast<uint64_t>(sync.size()));
   writer.WriteBytes(sync);
   return writer.Release();
@@ -109,7 +109,7 @@ std::vector<uint8_t> EncodeRoundReply(const RoundReplyMessage& message) {
   writer.WriteU32(static_cast<uint32_t>(message.client));
   writer.WriteU32(static_cast<uint32_t>(message.round));
   writer.WriteDouble(message.loss);
-  const std::vector<uint8_t> uplink = message.uplink.Serialize();
+  const std::vector<uint8_t>& uplink = message.uplink.Serialize();
   writer.WriteU64(static_cast<uint64_t>(uplink.size()));
   writer.WriteBytes(uplink);
   return writer.Release();

@@ -4,13 +4,31 @@
 
 namespace fedda::tensor {
 
+namespace {
+constexpr char kNoGradSlots[] =
+    "store has no gradient slots (it is a copy); call ZeroGrads() first";
+}  // namespace
+
+ParameterStore::ParameterStore(const ParameterStore& other)
+    : values_(other.values_), infos_(other.infos_),
+      offsets_(other.offsets_), num_scalars_(other.num_scalars_) {}
+
+ParameterStore& ParameterStore::operator=(const ParameterStore& other) {
+  values_ = other.values_;
+  grads_.clear();
+  infos_ = other.infos_;
+  offsets_ = other.offsets_;
+  num_scalars_ = other.num_scalars_;
+  return *this;
+}
+
 int ParameterStore::Register(const std::string& name, Tensor init,
                              bool disentangled, int edge_type) {
   FEDDA_CHECK_EQ(FindByName(name), -1) << "duplicate parameter:" << name;
   const int id = num_groups();
   offsets_.push_back(num_scalars_);
   num_scalars_ += init.size();
-  grads_.push_back(Tensor::Zeros(init.rows(), init.cols()));
+  if (has_grads()) grads_.push_back(Tensor::Zeros(init.rows(), init.cols()));
   values_.push_back(std::move(init));
   infos_.push_back(ParamInfo{name, disentangled, edge_type});
   return id;
@@ -36,11 +54,13 @@ const Tensor& ParameterStore::value(int id) const {
 
 Tensor& ParameterStore::grad(int id) {
   FEDDA_CHECK(id >= 0 && id < num_groups());
+  FEDDA_CHECK(has_grads()) << kNoGradSlots;
   return grads_[static_cast<size_t>(id)];
 }
 
 const Tensor& ParameterStore::grad(int id) const {
   FEDDA_CHECK(id >= 0 && id < num_groups());
+  FEDDA_CHECK(has_grads()) << kNoGradSlots;
   return grads_[static_cast<size_t>(id)];
 }
 
@@ -70,6 +90,13 @@ std::vector<int> ParameterStore::DisentangledGroups() const {
 }
 
 void ParameterStore::ZeroGrads() {
+  if (!has_grads()) {
+    grads_.reserve(values_.size());
+    for (const Tensor& v : values_) {
+      grads_.push_back(Tensor::Zeros(v.rows(), v.cols()));
+    }
+    return;
+  }
   for (auto& g : grads_) g.Zero();
 }
 

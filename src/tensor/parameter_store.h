@@ -19,22 +19,32 @@ struct ParamInfo {
   int edge_type = -1;
 };
 
-/// Ordered collection of named parameter tensors with paired gradient slots.
+/// Ordered collection of named parameter tensors, with gradient slots for
+/// the stores that train.
 ///
 /// This is the unit of federation: clients and server each hold a store with
 /// identical structure, broadcast/aggregate by group id, and FedDA's
 /// activation masks index into either the group space [0, num_groups) or the
 /// flat scalar space [0, num_scalars) (see fl/activation.h).
+///
+/// A store built by Register() has one zero gradient slot per group. A copy
+/// carries values and layout but no gradient slots: the server copies whole
+/// models to rebuild and aggregate updates and never reads a gradient, so
+/// the slots would be copied for nothing. ZeroGrads() creates the slots on
+/// a store without them; every training path calls it before its first
+/// backward pass. A move keeps the slots.
 class ParameterStore {
  public:
   ParameterStore() = default;
-  ParameterStore(const ParameterStore&) = default;
-  ParameterStore& operator=(const ParameterStore&) = default;
+  ParameterStore(const ParameterStore& other);
+  /// Drops this store's gradient slots.
+  ParameterStore& operator=(const ParameterStore& other);
   ParameterStore(ParameterStore&&) = default;
   ParameterStore& operator=(ParameterStore&&) = default;
 
   /// Registers a group; names must be unique. Returns the group id
-  /// (sequential from 0).
+  /// (sequential from 0). A store with gradient slots gets a zero slot for
+  /// the new group.
   int Register(const std::string& name, Tensor init, bool disentangled = false,
                int edge_type = -1);
 
@@ -46,6 +56,8 @@ class ParameterStore {
 
   Tensor& value(int id);
   const Tensor& value(int id) const;
+  /// Gradient slot of group `id`; the store must have slots (see the class
+  /// comment).
   Tensor& grad(int id);
   const Tensor& grad(int id) const;
   const ParamInfo& info(int id) const;
@@ -59,6 +71,8 @@ class ParameterStore {
   /// Group ids in [N_d].
   std::vector<int> DisentangledGroups() const;
 
+  /// Zeroes every gradient slot, creating the slots (shaped like the
+  /// values) on a store that has none.
   void ZeroGrads();
 
   /// Whether `other` has identical group names and shapes.
@@ -73,7 +87,12 @@ class ParameterStore {
   void SetFromFlat(const std::vector<float>& flat);
 
  private:
+  /// Whether the store has gradient slots. An empty store counts as having
+  /// them, so Register() gives a fresh store its slots.
+  bool has_grads() const { return grads_.size() == values_.size(); }
+
   std::vector<Tensor> values_;
+  /// One slot per group, or empty on a store without slots.
   std::vector<Tensor> grads_;
   std::vector<ParamInfo> infos_;
   std::vector<int64_t> offsets_;

@@ -1,4 +1,5 @@
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "fl/wire.h"
@@ -28,12 +29,18 @@ fedda::tensor::ParameterStore* ApplyStore() {
 
 /// fl::wire uplink/downlink payloads: Deserialize is reached from both
 /// transport codecs (nested) and directly when payload bytes are stored or
-/// relayed. On a successful parse the payload is applied to a store with a
-/// different layout — exercising the ApplyTo validation path too.
+/// relayed. A successful parse must be canonical — Serialize() gives back
+/// exactly the input and EncodedBytes() its length — and the payload is
+/// then applied to a store with a different layout, exercising the ApplyTo
+/// validation path too.
 FEDDA_FUZZ_TARGET(WirePayload) {
   const std::vector<uint8_t> bytes(data, data + size);
   fedda::fl::WirePayload payload;
   if (payload.Deserialize(bytes).ok()) {
+    if (payload.Serialize() != bytes ||
+        payload.EncodedBytes() != static_cast<int64_t>(bytes.size())) {
+      std::abort();
+    }
     (void)payload.ApplyTo(ApplyStore());
   }
 }
