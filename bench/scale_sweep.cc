@@ -88,7 +88,7 @@ struct SweepResult {
   int64_t clients = 0;
   int rounds = 0;
   int participants_per_round = 0;
-  int64_t model_scalars = 0;
+  int64_t num_scalars = 0;
   double wall_sec = 0.0;
   double rounds_per_sec = 0.0;
   int64_t vm_rss_kb = -1;
@@ -137,7 +137,7 @@ SweepResult RunOneScale(int64_t num_clients, int rounds, int participants,
   result.clients = num_clients;
   result.rounds = rounds;
   result.participants_per_round = participants;
-  result.model_scalars = global.num_scalars();
+  result.num_scalars = global.num_scalars();
   result.wall_sec = timer.ElapsedSeconds();
   result.rounds_per_sec =
       result.wall_sec > 0 ? static_cast<double>(rounds) / result.wall_sec : 0;
@@ -229,7 +229,7 @@ int Main(int argc, char** argv) {
     const SweepResult& r = results[i];
     json << "  {\"clients\": " << r.clients << ", \"rounds\": " << r.rounds
          << ", \"participants_per_round\": " << r.participants_per_round
-         << ", \"model_scalars\": " << r.model_scalars
+         << ", \"num_scalars\": " << r.num_scalars
          << ", \"wall_sec\": " << core::StrFormat("%.6f", r.wall_sec)
          << ", \"rounds_per_sec\": "
          << core::StrFormat("%.4f", r.rounds_per_sec)

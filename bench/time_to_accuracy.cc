@@ -38,7 +38,6 @@ int Main(int argc, char** argv) {
 
   const fl::SystemConfig config = MakeSystemConfig(flags, num_clients);
   const fl::FederatedSystem system = fl::FederatedSystem::Build(config);
-  tensor::ParameterStore reference = system.MakeInitialStore(1);
 
   fl::NetworkModel network;
   network.uplink_bytes_per_sec = uplink_kbps * 1000.0;
@@ -82,8 +81,7 @@ int Main(int argc, char** argv) {
     Row row;
     row.name = name;
     row.run = RunFederated(system, options, 42);
-    row.timing = SimulateTiming(row.run, network, reference.num_scalars(),
-                                flags.local_epochs);
+    row.timing = SimulateTiming(row.run, network, flags.local_epochs);
     row.phases = SummarizePhases(tracer);
     WriteTraceIfRequested(tracer, flags, name);
     rows.push_back(std::move(row));

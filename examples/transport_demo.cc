@@ -366,16 +366,9 @@ Status RunDriver(DemoFlags flags) {
   if (bench) {
     // What the post-hoc estimator would have predicted for this history,
     // next to what the wire actually moved and how long it really took.
-    int64_t model_scalars = 0;
-    const fedda::tensor::ParameterStore probe =
-        system.MakeInitialStore(static_cast<uint64_t>(flags.run_seed));
-    for (int g = 0; g < probe.num_groups(); ++g) {
-      model_scalars += probe.value(g).size();
-    }
     const fedda::fl::NetworkModel model;
     const std::vector<fedda::fl::RoundTiming> timing =
-        fedda::fl::SimulateTiming(result, model, model_scalars,
-                                  options.local.local_epochs);
+        fedda::fl::SimulateTiming(result, model, options.local.local_epochs);
     const double estimate_sec =
         timing.empty() ? 0.0 : timing.back().cumulative_sec;
 

@@ -17,26 +17,4 @@
 #define FEDDA_NO_SANITIZE_UNSIGNED_WRAP
 #endif
 
-/// AddressSanitizer manual-poisoning hooks. The arena allocator
-/// (core/arena.h) poisons recycled regions on Reset() so a stale pointer
-/// into a previous round's scratch trips ASan instead of silently reading
-/// reused memory. Outside ASan builds the macros compile to nothing.
-#if defined(__SANITIZE_ADDRESS__)
-#define FEDDA_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define FEDDA_ASAN 1
-#endif
-#endif
-
-#if defined(FEDDA_ASAN)
-#include <sanitizer/asan_interface.h>
-#define FEDDA_ASAN_POISON(addr, size) ASAN_POISON_MEMORY_REGION(addr, size)
-#define FEDDA_ASAN_UNPOISON(addr, size) \
-  ASAN_UNPOISON_MEMORY_REGION(addr, size)
-#else
-#define FEDDA_ASAN_POISON(addr, size) ((void)(addr), (void)(size))
-#define FEDDA_ASAN_UNPOISON(addr, size) ((void)(addr), (void)(size))
-#endif
-
 #endif  // FEDDA_CORE_SANITIZE_H_

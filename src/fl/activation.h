@@ -123,9 +123,8 @@ class ActivationState {
   /// a FedDA run after a crash: pair with a ParameterStore checkpoint.
   [[nodiscard]] core::Status Save(const std::string& path) const;
   /// Restores state saved by Save(); the layout (client count, granularity,
-  /// unit count) and — for v2 files — the deactivation options (alpha,
-  /// threshold rule, percentile) must match this instance's construction.
-  /// Legacy v1 files (unpacked masks, no options) still load.
+  /// unit count) and the deactivation options (alpha, threshold rule,
+  /// percentile) must match this instance's construction.
   [[nodiscard]] core::Status Load(const std::string& path);
 
   // -- Layout helpers shared with the runner --------------------------------

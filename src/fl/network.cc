@@ -6,9 +6,7 @@ namespace fedda::fl {
 
 std::vector<RoundTiming> SimulateTiming(const FlRunResult& result,
                                         const NetworkModel& model,
-                                        int64_t model_scalars,
                                         int local_epochs) {
-  FEDDA_CHECK_GT(model_scalars, 0);
   FEDDA_CHECK_GT(local_epochs, 0);
   FEDDA_CHECK_GT(model.uplink_bytes_per_sec, 0.0);
   FEDDA_CHECK_GT(model.downlink_bytes_per_sec, 0.0);
@@ -23,42 +21,18 @@ std::vector<RoundTiming> SimulateTiming(const FlRunResult& result,
   std::vector<RoundTiming> timings;
   timings.reserve(result.history.size());
   double cumulative = 0.0;
-  const double model_bytes =
-      static_cast<double>(model_scalars) * model.bytes_per_scalar;
   for (const RoundRecord& record : result.history) {
     double round_sec = model.round_latency_sec;
-    if (record.participants == 0) {
-      // Genuine all-failed (or never-populated) round: nothing was trained
-      // or transmitted, so only the fixed latency accrues. Keying this off
-      // participants — never off zero byte fields — is what keeps an
-      // all-failed round distinguishable from a legacy pre-wire record,
-      // which also carries zero bytes but has participants > 0.
-      cumulative += round_sec;
-      timings.push_back(RoundTiming{round_sec, cumulative});
-      continue;
-    }
-    round_sec += static_cast<double>(local_epochs) *
-                 model.compute_sec_per_epoch;
-    if (record.max_uplink_bytes > 0) {
-      // Measured wire-format record: charge the straggler's real bytes in
-      // each direction. A zero downlink is genuine (every participant's
-      // cache was current), not missing data.
+    if (record.participants > 0) {
+      // Charge the straggler's measured wire bytes in each direction. A
+      // zero downlink is genuine (every participant's cache was current),
+      // not missing data. A round nobody took part in (all failed, or never
+      // populated) trained and transmitted nothing: latency only.
+      round_sec += static_cast<double>(local_epochs) *
+                   model.compute_sec_per_epoch;
       round_sec += static_cast<double>(record.max_downlink_bytes) /
                    model.downlink_bytes_per_sec;
       round_sec += static_cast<double>(record.max_uplink_bytes) /
-                   model.uplink_bytes_per_sec;
-    } else {
-      // Legacy history from before the wire format (participants > 0 but no
-      // measured bytes): full-model downlink plus straggler-scalar uplink;
-      // histories without even max_uplink_scalars fall back to the
-      // (understated) per-participant mean.
-      const double straggler_scalars =
-          record.max_uplink_scalars > 0
-              ? static_cast<double>(record.max_uplink_scalars)
-              : static_cast<double>(record.uplink_scalars) /
-                    static_cast<double>(record.participants);
-      round_sec += model_bytes / model.downlink_bytes_per_sec;
-      round_sec += straggler_scalars * model.bytes_per_scalar /
                    model.uplink_bytes_per_sec;
     }
     cumulative += round_sec;

@@ -24,16 +24,11 @@ struct RoundTiming {
 /// duration = latency + downlink(straggler) + compute(E epochs) +
 /// uplink(straggler). A synchronous round ends when its *slowest*
 /// participant finishes, so both transfer phases are charged with the
-/// round's straggler: records carrying measured wire bytes
-/// (RoundRecord::max_uplink_bytes > 0) are charged their real
-/// max_downlink_bytes / max_uplink_bytes — masks, headers, and the
-/// version-tracked downlink included — instead of a flat full-model
-/// broadcast. Legacy fallbacks mirror the uplink-scalars one: histories
-/// without wire bytes are charged `model_scalars` of downlink per round and
-/// max_uplink_scalars (or, before that field existed, the per-participant
-/// mean) of uplink. Rounds with no participants cost only the latency.
-/// `model_scalars` is the full model size N in scalars (used only by the
-/// legacy path); `local_epochs` the E used in the run.
+/// round's straggler's measured wire bytes (RoundRecord::max_downlink_bytes
+/// / max_uplink_bytes) — masks, headers, and the version-tracked downlink
+/// included — instead of a flat full-model broadcast. Rounds with no
+/// participants cost only the latency. `local_epochs` is the E used in the
+/// run.
 ///
 /// Synchronous histories only: a semi-async run already measures its
 /// network time in virtual_time_sec with these same constants, so
@@ -41,7 +36,6 @@ struct RoundTiming {
 /// kSemiAsync result is a CHECK failure.
 std::vector<RoundTiming> SimulateTiming(const FlRunResult& result,
                                         const NetworkModel& model,
-                                        int64_t model_scalars,
                                         int local_epochs);
 
 /// First cumulative time (seconds) at which the run's evaluated AUC reaches

@@ -8,8 +8,6 @@ namespace fedda::fl {
 /// event-time source (fl/runner.h SemiAsyncOptions): both must charge the
 /// same model so "simulated seconds" mean the same thing everywhere.
 struct NetworkModel {
-  /// float32 payloads.
-  double bytes_per_scalar = 4.0;
   /// Client uplink bandwidth (the FL bottleneck in practice).
   double uplink_bytes_per_sec = 1.0e6;
   /// Client downlink bandwidth (requested-group broadcast).

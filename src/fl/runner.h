@@ -165,10 +165,10 @@ struct RoundRecord {
   /// participant requests and does not already hold current — the server
   /// never re-ships unchanged groups — so `downlink_scalars` (full-group
   /// coverage shipped down) is at most participants * model scalars and
-  /// usually far less. A record with `participants > 0` but zero bytes
-  /// predates the wire format (SimulateTiming falls back to its legacy
-  /// scalar model); `participants == 0` is a genuinely all-failed round,
-  /// which moves no bytes at all and is charged latency only.
+  /// usually far less. Every aggregated update carries a payload of at
+  /// least a header, so a record with `participants > 0` always has bytes;
+  /// `participants == 0` is an all-failed round, which moves no bytes at
+  /// all and SimulateTiming charges latency only.
   int64_t uplink_bytes = 0;
   int64_t max_uplink_bytes = 0;
   int64_t downlink_scalars = 0;

@@ -167,8 +167,11 @@ core::Status WirePayload::Deserialize(const std::vector<uint8_t>& bytes) {
         "implausible group counts (corrupt payload?)");
   }
 
+  // An entry takes at least 13 bytes (u32 group, u8 encoding, i64 size), so
+  // the bytes left bound how many can follow: a bare header cannot reserve
+  // 2^24 entries.
   std::vector<Entry> entries;
-  entries.reserve(entry_count);
+  entries.reserve(std::min<size_t>(entry_count, reader.remaining() / 13));
   int previous_group = -1;
   for (uint32_t e = 0; e < entry_count; ++e) {
     Entry entry;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/arena.h"
 #include "hgn/ego_sampling.h"
 #include "metrics/metrics.h"
 #include "tensor/ops.h"
@@ -51,11 +50,6 @@ double LinkPredictionTask::TrainRound(ParameterStore* store,
 
   double total_loss = 0.0;
   int64_t num_batches = 0;
-  // One arena for the whole round: per-batch scratch (dropout masks, row
-  // norms) bump-allocates here and Reset() recycles the blocks, so steady
-  // state does zero scratch heap traffic. Reset only after the tape that
-  // borrowed the arena is done (backward closures hold pointers into it).
-  core::Arena arena;
   for (int epoch = 0; epoch < options.local_epochs; ++epoch) {
     for (const auto& batch :
          graph::MakeBatches(target_edges_, options.batch_size, rng)) {
@@ -88,7 +82,6 @@ double LinkPredictionTask::TrainRound(ParameterStore* store,
       tensor::Graph g(/*training=*/true);
       g.set_pool(options.pool);
       g.set_tracer(options.tracer);
-      g.set_arena(&arena);
       Var embeddings;
       if (options.ego_hops > 0) {
         // Ego-graph path: encode only the sampled neighborhoods of the
@@ -121,7 +114,6 @@ double LinkPredictionTask::TrainRound(ParameterStore* store,
 
       total_loss += g.value(loss).at(0, 0);
       ++num_batches;
-      arena.Reset();
     }
   }
   return num_batches == 0 ? 0.0 : total_loss / static_cast<double>(num_batches);

@@ -8,7 +8,6 @@
 #include "tensor/tensor.h"
 
 namespace fedda::core {
-class Arena;
 class ThreadPool;
 }  // namespace fedda::core
 
@@ -88,13 +87,6 @@ class Graph {
   void set_pool(core::ThreadPool* pool) { pool_ = pool; }
   core::ThreadPool* pool() const { return pool_; }
 
-  /// Optional bump arena for tape-lifetime scratch (dropout masks, row
-  /// norms). Null falls back to heap allocations. Borrowed, not owned; the
-  /// arena must outlive the graph and must not be Reset() while the graph
-  /// is alive (backward closures hold raw pointers into it).
-  void set_arena(core::Arena* arena) { arena_ = arena; }
-  core::Arena* arena() const { return arena_; }
-
   /// Optional span sink consulted by the op kernels for per-kernel timing
   /// (matmul, gather-rows, scatter-add-rows, segment-softmax) and by
   /// Backward() for the whole reverse pass. Null disables at the cost of
@@ -125,7 +117,6 @@ class Graph {
   bool training_;
   bool backward_done_ = false;
   core::ThreadPool* pool_ = nullptr;
-  core::Arena* arena_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 };
 

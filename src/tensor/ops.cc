@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/arena.h"
 #include "core/thread_pool.h"
 #include "obs/trace.h"
 #include "tensor/kernels/kernels.h"
@@ -616,19 +615,10 @@ Var RowL2Normalize(Graph* g, Var a, float eps) {
   const Tensor& av = g->value(a);
   const int64_t rows = av.rows(), cols = av.cols();
   Tensor out(rows, cols);
-  // Per-row norms are tape-lifetime scratch: borrow from the graph's arena
-  // when one is attached (recycled across batches via Arena::Reset), heap
-  // otherwise. `norms_keep` owns the heap fallback; the raw pointer is what
-  // both closures use, so the two storage modes compute identical bits.
-  float* norms = nullptr;
-  std::shared_ptr<std::vector<float>> norms_keep;
-  if (g->arena() != nullptr) {
-    norms = g->arena()->AllocateFloats(static_cast<size_t>(rows));
-  } else {
-    norms_keep =
-        std::make_shared<std::vector<float>>(static_cast<size_t>(rows), 0.0f);
-    norms = norms_keep->data();
-  }
+  // Per-row norms live as long as the backward closure that reads them.
+  auto norms_keep =
+      std::make_shared<std::vector<float>>(static_cast<size_t>(rows), 0.0f);
+  float* norms = norms_keep->data();
   // The sqrt and divide keep this loop scalar on every path; raw row
   // pointers only drop the per-element index checks (out is av-shaped).
   const float* x = av.data();
@@ -807,18 +797,12 @@ Var Dropout(Graph* g, Var a, float p, core::Rng* rng) {
   FEDDA_CHECK(rng != nullptr);
   const Tensor& av = g->value(a);
   const float keep = 1.0f - p;
-  // The mask is tape-lifetime scratch: arena-backed when available (see
-  // RowL2Normalize). The mask draw stays a single sequential loop so the
-  // rng consumption order is independent of storage mode and threading.
-  float* mask = nullptr;
-  std::shared_ptr<std::vector<float>> mask_keep;
-  if (g->arena() != nullptr) {
-    mask = g->arena()->AllocateFloats(static_cast<size_t>(av.size()));
-  } else {
-    mask_keep = std::make_shared<std::vector<float>>(
-        static_cast<size_t>(av.size()), 0.0f);
-    mask = mask_keep->data();
-  }
+  // The mask lives as long as the backward closure that reads it. Its draw
+  // stays a single sequential loop so the rng consumption order is
+  // independent of threading.
+  auto mask_keep = std::make_shared<std::vector<float>>(
+      static_cast<size_t>(av.size()), 0.0f);
+  float* mask = mask_keep->data();
   Tensor out(av.rows(), av.cols());
   for (int64_t i = 0; i < av.size(); ++i) {
     const float m = rng->Bernoulli(keep) ? 1.0f / keep : 0.0f;

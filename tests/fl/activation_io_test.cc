@@ -78,9 +78,10 @@ TEST_F(ActivationIoTest, LoadRejectsLayoutMismatch) {
   EXPECT_FALSE(wrong_gran.Load(path_).ok());
 }
 
-TEST_F(ActivationIoTest, LoadsLegacyV1Format) {
+TEST_F(ActivationIoTest, RejectsLegacyV1Format) {
   // Hand-written v1 file: magic 0xF3DDAAC7, no version field, no options,
-  // and one u32 per activity/mask bit (the pre-bit-packing encoding).
+  // and one u32 per activity/mask bit. Save writes only the v2 format, so
+  // the old magic is not an activation-state file.
   {
     core::BinaryWriter writer;
     ASSERT_TRUE(writer.Open(path_).ok());
@@ -88,29 +89,15 @@ TEST_F(ActivationIoTest, LoadsLegacyV1Format) {
     writer.WriteU32(3);  // clients
     writer.WriteU32(0);  // tensor granularity
     writer.WriteI64(2);  // units
-    // client 0: active, masks {1, 0}
-    writer.WriteU32(1);
-    writer.WriteU32(1);
-    writer.WriteU32(0);
-    // client 1: inactive, masks {0, 0}
-    writer.WriteU32(0);
-    writer.WriteU32(0);
-    writer.WriteU32(0);
-    // client 2: active, masks {1, 1}
-    writer.WriteU32(1);
-    writer.WriteU32(1);
-    writer.WriteU32(1);
+    for (int c = 0; c < 3; ++c) {
+      for (int bit = 0; bit < 3; ++bit) writer.WriteU32(c == 1 ? 0 : 1);
+    }
     ASSERT_TRUE(writer.Close().ok());
   }
   ParameterStore ref = MakeReference();
   ActivationState state(3, ref, ActivationOptions{});
-  ASSERT_TRUE(state.Load(path_).ok());
-  EXPECT_TRUE(state.client_active(0));
-  EXPECT_FALSE(state.client_active(1));
-  EXPECT_TRUE(state.client_active(2));
-  EXPECT_TRUE(state.UnitActive(0, 0));
-  EXPECT_FALSE(state.UnitActive(0, 1));
-  EXPECT_TRUE(state.UnitActive(2, 1));
+  EXPECT_EQ(state.Load(path_).code(), core::StatusCode::kInvalidArgument);
+  EXPECT_EQ(state.num_active_clients(), 3);
 }
 
 TEST_F(ActivationIoTest, LoadRejectsOptionMismatches) {

@@ -10,12 +10,15 @@ namespace {
 FlRunResult MakeRun() {
   FlRunResult result;
   // Round 0: 4 participants, 4000 scalars total uplink, slowest sent 1000
-  // (uniform masks: max == mean).
+  // (uniform masks: max == mean). At 4 B per scalar the straggler moved
+  // 4000 B up and the full 2000-scalar model, 8000 B, down.
   RoundRecord r0;
   r0.round = 0;
   r0.participants = 4;
   r0.uplink_scalars = 4000;
   r0.max_uplink_scalars = 1000;
+  r0.max_uplink_bytes = 4000;
+  r0.max_downlink_bytes = 8000;
   r0.auc = 0.6;
   result.history.push_back(r0);
   // Round 1: everyone failed.
@@ -26,12 +29,14 @@ FlRunResult MakeRun() {
   r1.auc = 0.6;
   result.history.push_back(r1);
   // Round 2: 2 participants, 1000 scalars total; FedDA masking is skewed —
-  // the straggler carried 800 of them.
+  // the straggler carried 800 of them (3200 B up, 8000 B down).
   RoundRecord r2;
   r2.round = 2;
   r2.participants = 2;
   r2.uplink_scalars = 1000;
   r2.max_uplink_scalars = 800;
+  r2.max_uplink_bytes = 3200;
+  r2.max_downlink_bytes = 8000;
   r2.auc = 0.75;
   result.history.push_back(r2);
   return result;
@@ -39,9 +44,8 @@ FlRunResult MakeRun() {
 
 NetworkModel SimpleModel() {
   NetworkModel model;
-  model.bytes_per_scalar = 4.0;
-  model.uplink_bytes_per_sec = 4000.0;    // 1000 scalars/sec
-  model.downlink_bytes_per_sec = 8000.0;  // 2000 scalars/sec
+  model.uplink_bytes_per_sec = 4000.0;
+  model.downlink_bytes_per_sec = 8000.0;
   model.round_latency_sec = 1.0;
   model.compute_sec_per_epoch = 2.0;
   return model;
@@ -49,15 +53,14 @@ NetworkModel SimpleModel() {
 
 TEST(NetworkTest, PerRoundTimingMatchesHandComputation) {
   const FlRunResult run = MakeRun();
-  const auto timing = SimulateTiming(run, SimpleModel(), /*model_scalars=*/
-                                     2000, /*local_epochs=*/1);
+  const auto timing = SimulateTiming(run, SimpleModel(), /*local_epochs=*/1);
   ASSERT_EQ(timing.size(), 3u);
-  // Round 0: 1 (latency) + 2000/2000 (down) + 2 (compute) + 1000/1000
+  // Round 0: 1 (latency) + 8000/8000 (down) + 2 (compute) + 4000/4000
   // (straggler uplink).
   EXPECT_DOUBLE_EQ(timing[0].round_sec, 1.0 + 1.0 + 2.0 + 1.0);
   // Round 1: all failed -> latency only.
   EXPECT_DOUBLE_EQ(timing[1].round_sec, 1.0);
-  // Round 2: 1 + 1 + 2 + 800/1000 — the straggler's 800 scalars, not the
+  // Round 2: 1 + 1 + 2 + 3200/4000 — the straggler's 800 scalars, not the
   // 500-scalar mean.
   EXPECT_DOUBLE_EQ(timing[2].round_sec, 4.8);
   EXPECT_DOUBLE_EQ(timing[2].cumulative_sec, 5.0 + 1.0 + 4.8);
@@ -67,10 +70,11 @@ TEST(NetworkTest, StragglerDominatesSkewedRounds) {
   // Same total uplink, different skew: the straggler-heavy run is slower.
   FlRunResult uniform = MakeRun();
   uniform.history[2].max_uplink_scalars = 500;  // perfectly balanced
+  uniform.history[2].max_uplink_bytes = 2000;
   FlRunResult skewed = MakeRun();               // straggler sent 800
   const NetworkModel model = SimpleModel();
-  const auto t_uniform = SimulateTiming(uniform, model, 2000, 1);
-  const auto t_skewed = SimulateTiming(skewed, model, 2000, 1);
+  const auto t_uniform = SimulateTiming(uniform, model, 1);
+  const auto t_skewed = SimulateTiming(skewed, model, 1);
   EXPECT_EQ(uniform.history[2].uplink_scalars,
             skewed.history[2].uplink_scalars);
   EXPECT_LT(t_uniform[2].round_sec, t_skewed[2].round_sec);
@@ -78,44 +82,17 @@ TEST(NetworkTest, StragglerDominatesSkewedRounds) {
   EXPECT_DOUBLE_EQ(t_uniform[2].round_sec, 4.5);
 }
 
-TEST(NetworkTest, LegacyRecordsFallBackToMeanUplink) {
-  // Histories recorded before max_uplink_scalars existed carry max == 0;
-  // the model then charges the per-participant mean instead of nothing.
-  FlRunResult legacy = MakeRun();
-  legacy.history[0].max_uplink_scalars = 0;
-  legacy.history[2].max_uplink_scalars = 0;
-  const auto timing = SimulateTiming(legacy, SimpleModel(), 2000, 1);
-  EXPECT_DOUBLE_EQ(timing[0].round_sec, 5.0);  // mean = 1000 scalars
-  EXPECT_DOUBLE_EQ(timing[2].round_sec, 4.5);  // mean = 500 scalars
-}
-
 TEST(NetworkTest, MeasuredRecordsChargePerDirectionWireBytes) {
-  // Records with measured wire bytes charge those directly — model_scalars
-  // and the scalar-count fallback are ignored entirely.
+  // The straggler's measured wire bytes are charged directly; the scalar
+  // counts do not enter the estimate.
   FlRunResult run = MakeRun();
   run.history[0].max_uplink_bytes = 2000;    // 0.5 s at 4000 B/s
   run.history[0].uplink_bytes = 6000;
   run.history[0].max_downlink_bytes = 4000;  // 0.5 s at 8000 B/s
   run.history[0].downlink_bytes = 12000;
-  const auto timing = SimulateTiming(run, SimpleModel(), 2000, 1);
+  const auto timing = SimulateTiming(run, SimpleModel(), 1);
   // 1 (latency) + 0.5 (down) + 2 (compute) + 0.5 (straggler up).
   EXPECT_DOUBLE_EQ(timing[0].round_sec, 4.0);
-  // Round 2 carries no measured bytes -> legacy straggler-scalar fallback
-  // still applies within the same history (1 + 1 + 2 + 0.8).
-  EXPECT_DOUBLE_EQ(timing[2].round_sec, 4.8);
-}
-
-TEST(NetworkTest, MeasuredDownlinkCanBeCheaperThanFullBroadcast) {
-  // The honest downlink model: a round that re-ships only a few stale
-  // groups beats the legacy full-model broadcast charge.
-  FlRunResult sparse = MakeRun();
-  sparse.history[0].max_uplink_bytes = 4000;
-  sparse.history[0].max_downlink_bytes = 800;  // 0.1 s vs 1 s full model
-  FlRunResult legacy = MakeRun();  // charged model_bytes = 8000 downlink
-  const auto t_sparse = SimulateTiming(sparse, SimpleModel(), 2000, 1);
-  const auto t_legacy = SimulateTiming(legacy, SimpleModel(), 2000, 1);
-  EXPECT_DOUBLE_EQ(t_sparse[0].round_sec, 1.0 + 0.1 + 2.0 + 1.0);
-  EXPECT_LT(t_sparse[0].round_sec, t_legacy[0].round_sec);
 }
 
 TEST(NetworkTest, FewerTransmittedScalarsMeansFasterRounds) {
@@ -123,15 +100,16 @@ TEST(NetworkTest, FewerTransmittedScalarsMeansFasterRounds) {
   FlRunResult fedda = MakeRun();
   fedda.history[0].uplink_scalars = 2000;  // half the uplink
   fedda.history[0].max_uplink_scalars = 500;
+  fedda.history[0].max_uplink_bytes = 2000;
   const NetworkModel model = SimpleModel();
-  const auto t_avg = SimulateTiming(fedavg, model, 2000, 1);
-  const auto t_da = SimulateTiming(fedda, model, 2000, 1);
+  const auto t_avg = SimulateTiming(fedavg, model, 1);
+  const auto t_da = SimulateTiming(fedda, model, 1);
   EXPECT_LT(t_da[0].round_sec, t_avg[0].round_sec);
 }
 
 TEST(NetworkTest, TimeToAccuracyFindsFirstCrossing) {
   const FlRunResult run = MakeRun();
-  const auto timing = SimulateTiming(run, SimpleModel(), 2000, 1);
+  const auto timing = SimulateTiming(run, SimpleModel(), 1);
   EXPECT_DOUBLE_EQ(TimeToAccuracy(run, timing, 0.6),
                    timing[0].cumulative_sec);
   EXPECT_DOUBLE_EQ(TimeToAccuracy(run, timing, 0.7),
@@ -142,23 +120,9 @@ TEST(NetworkTest, TimeToAccuracyFindsFirstCrossing) {
 TEST(NetworkTest, MoreEpochsCostMoreCompute) {
   const FlRunResult run = MakeRun();
   const NetworkModel model = SimpleModel();
-  const auto one = SimulateTiming(run, model, 2000, 1);
-  const auto five = SimulateTiming(run, model, 2000, 5);
+  const auto one = SimulateTiming(run, model, 1);
+  const auto five = SimulateTiming(run, model, 5);
   EXPECT_DOUBLE_EQ(five[0].round_sec - one[0].round_sec, 4 * 2.0);
-}
-
-TEST(NetworkTest, AllFailedWireEraRoundIsChargedLatencyOnly) {
-  // Regression: an all-failed round in a wire-era history carries zero byte
-  // fields, which used to look exactly like a pre-wire legacy record. The
-  // all-failed case must key off participants == 0, not the byte fields —
-  // a failed round moves no bytes and must never be charged the legacy
-  // full-model broadcast.
-  FlRunResult run = MakeRun();
-  run.history[0].max_uplink_bytes = 2000;
-  run.history[0].max_downlink_bytes = 4000;
-  // history[1] is the all-failed round: participants == 0, all bytes zero.
-  const auto timing = SimulateTiming(run, SimpleModel(), 2000, 1);
-  EXPECT_DOUBLE_EQ(timing[1].round_sec, 1.0);  // latency only
 }
 
 TEST(NetworkTest, AllFailedRoundIgnoresStrayByteFields) {
@@ -168,7 +132,7 @@ TEST(NetworkTest, AllFailedRoundIgnoresStrayByteFields) {
   run.history[1].uplink_bytes = 9999;
   run.history[1].max_uplink_bytes = 9999;
   run.history[1].max_downlink_bytes = 9999;
-  const auto timing = SimulateTiming(run, SimpleModel(), 2000, 1);
+  const auto timing = SimulateTiming(run, SimpleModel(), 1);
   EXPECT_DOUBLE_EQ(timing[1].round_sec, 1.0);
 }
 
@@ -200,8 +164,7 @@ TEST(NetworkTest, EveryClientFailedRunChargesLatencyOnly) {
     EXPECT_EQ(record.downlink_bytes, 0);
   }
   const NetworkModel model = SimpleModel();
-  const int64_t scalars = system.MakeInitialStore(1).num_scalars();
-  const auto timing = SimulateTiming(result, model, scalars, 1);
+  const auto timing = SimulateTiming(result, model, 1);
   for (const RoundTiming& t : timing) {
     EXPECT_DOUBLE_EQ(t.round_sec, model.round_latency_sec);
   }
@@ -210,10 +173,9 @@ TEST(NetworkTest, EveryClientFailedRunChargesLatencyOnly) {
 TEST(NetworkDeathTest, InvalidInputsAbort) {
   const FlRunResult run = MakeRun();
   NetworkModel model = SimpleModel();
-  EXPECT_DEATH(SimulateTiming(run, model, 0, 1), "");
   model.uplink_bytes_per_sec = 0.0;
-  EXPECT_DEATH(SimulateTiming(run, model, 100, 1), "");
-  const auto timing = SimulateTiming(run, SimpleModel(), 2000, 1);
+  EXPECT_DEATH(SimulateTiming(run, model, 1), "");
+  const auto timing = SimulateTiming(run, SimpleModel(), 1);
   FlRunResult short_run = run;
   short_run.history.pop_back();
   EXPECT_DEATH(TimeToAccuracy(short_run, timing, 0.5), "");
@@ -228,14 +190,14 @@ TEST(NetworkDeathTest, SemiAsyncResultsAreRejectedNotDoubleCounted) {
   FlRunResult run = MakeRun();
   run.aggregation_mode = AggregationMode::kSemiAsync;
   run.history[0].virtual_time_sec = 3.5;
-  EXPECT_DEATH(SimulateTiming(run, SimpleModel(), 2000, 1),
+  EXPECT_DEATH(SimulateTiming(run, SimpleModel(), 1),
                "double-counts network time");
 }
 
 TEST(NetworkTest, SynchronousResultsStillSimulateAfterTheGuard) {
   FlRunResult run = MakeRun();
   ASSERT_EQ(run.aggregation_mode, AggregationMode::kSynchronous);
-  const auto timing = SimulateTiming(run, SimpleModel(), 2000, 1);
+  const auto timing = SimulateTiming(run, SimpleModel(), 1);
   EXPECT_EQ(timing.size(), run.history.size());
 }
 

@@ -1,7 +1,12 @@
 #include "fl/wire.h"
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iterator>
 #include <limits>
 #include <string>
@@ -371,6 +376,59 @@ TEST(WirePayloadTest, EntrySizeOverflowIsRejectedBeforeArithmetic) {
   EXPECT_NE(status.message().find("group size exceeds payload"),
             std::string::npos)
       << status.ToString();
+}
+
+// ASan and TSan reserve terabytes of shadow address space, so no
+// RLIMIT_AS cap can tell a large reservation from their own mappings.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define FEDDA_SHADOW_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define FEDDA_SHADOW_SANITIZER 1
+#endif
+#endif
+
+#if !defined(FEDDA_SHADOW_SANITIZER)
+/// Caps this process's address space `headroom` bytes above what it maps
+/// now (the first field of /proc/self/statm, in pages).
+bool CapAddressSpace(size_t headroom) {
+  size_t pages = 0;
+  std::ifstream("/proc/self/statm") >> pages;
+  if (pages == 0) return false;
+  const rlim_t cap =
+      pages * static_cast<size_t>(sysconf(_SC_PAGESIZE)) + headroom;
+  const rlimit limit{cap, cap};
+  return setrlimit(RLIMIT_AS, &limit) == 0;
+}
+#endif
+
+// A bare 28-byte header claiming 2^24 entries (the header's cap): reserving
+// the entry index before any entry is read asked for 2^24 * 48 B = 768 MiB,
+// so one short uplink could abort the server with std::bad_alloc. The child
+// caps its address space 256 MiB above what it already maps; an unbounded
+// reservation then aborts it, a bounded one fails the decode and exits 0.
+TEST(WirePayloadDeathTest, HeaderAloneCannotReserveAnEntryIndex) {
+#if defined(FEDDA_SHADOW_SANITIZER)
+  GTEST_SKIP() << "shadow memory exceeds any address-space cap";
+#else
+  core::ByteWriter writer;
+  writer.WriteU32(0xF3DDA13E);  // magic
+  writer.WriteU32(1);           // version
+  writer.WriteU32(1);           // kind: uplink
+  writer.WriteU32(0);           // client
+  writer.WriteU32(0);           // round
+  writer.WriteU32(1u << 24);    // total_groups
+  writer.WriteU32(1u << 24);    // entry count
+  const std::vector<uint8_t> header = writer.Release();
+  ASSERT_EQ(header.size(), 28u);
+  EXPECT_EXIT(
+      {
+        if (!CapAddressSpace(size_t{256} << 20)) std::_Exit(2);
+        WirePayload decoded;
+        std::_Exit(decoded.Deserialize(header).ok() ? 1 : 0);
+      },
+      ::testing::ExitedWithCode(0), "");
+#endif
 }
 
 TEST(WirePayloadTest, NonCanonicalMaskPaddingIsRejected) {

@@ -76,15 +76,9 @@ Status/Result-returning function taking `const std::vector<uint8_t>&` —
 a fallible byte consumer that is walk-seeded by the analyzer but not
 itself required to have a fuzz target, e.g. RemoteClient::ServeRound).
 
---ast-supersedes drops det-unordered-iter findings with a notice: the CI
-static-analyze job passes it because fedda_analyze.py's az-unordered-iter
-AST check supersedes the brittle regex there (the regex stays as the
-fallback everywhere libclang is absent).
-
 Exit code 0 when clean, 1 with one line per violation otherwise.
 
 Usage: tools/lint_fedda.py [repo_root] [--emit-surface PATH|-]
-                           [--ast-supersedes]
 """
 
 from __future__ import annotations
@@ -604,12 +598,8 @@ def apply_allowlist(root: Path, allowlist: Path,
     return kept
 
 
-def run(root: Path, allowlist: Path | None = None,
-        ast_supersedes: bool = False) -> list[str]:
-    """Runs every rule over `root`; returns rendered violations. With
-    `ast_supersedes`, det-unordered-iter findings are dropped after
-    allowlist accounting (the AST analyzer's az-unordered-iter check is
-    the authority in that configuration)."""
+def run(root: Path, allowlist: Path | None = None) -> list[str]:
+    """Runs every rule over `root`; returns rendered violations."""
     errors: list[Violation] = []
     check_exception_free(root, errors)
     check_headers(root, errors)
@@ -621,8 +611,6 @@ def run(root: Path, allowlist: Path | None = None,
     if allowlist is None:
         allowlist = root / ALLOWLIST_NAME
     errors = apply_allowlist(root, allowlist, errors)
-    if ast_supersedes:
-        errors = [v for v in errors if v.rule != "det-unordered-iter"]
     errors.sort(key=lambda v: (v.path, v.line, v.rule))
     return [v.render() for v in errors]
 
@@ -638,11 +626,6 @@ def main() -> int:
         "--emit-surface", metavar="PATH",
         help="write the untrusted-bytes entry-point inventory as JSON to "
              "PATH ('-' for stdout) and exit without linting")
-    parser.add_argument(
-        "--ast-supersedes", action="store_true",
-        help="drop det-unordered-iter findings: fedda_analyze.py's "
-             "az-unordered-iter AST check is running and supersedes the "
-             "regex")
     args = parser.parse_args()
     root = Path(args.root)
     if args.emit_surface:
@@ -652,12 +635,9 @@ def main() -> int:
         else:
             Path(args.emit_surface).write_text(payload)
         return 0
-    errors = run(root, ast_supersedes=args.ast_supersedes)
+    errors = run(root)
     for err in errors:
         print(err)
-    if args.ast_supersedes:
-        print("lint_fedda: det-unordered-iter superseded by "
-              "az-unordered-iter (AST)")
     if errors:
         print(f"lint_fedda: {len(errors)} violation(s)", file=sys.stderr)
         return 1

@@ -388,8 +388,8 @@ class SurfaceInventory(unittest.TestCase):
 class AnalyzerNamespaceSharing(unittest.TestCase):
     """az-* rows in the shared allowlist belong to fedda_analyze; the lint
     must neither report them unused nor choke on them — except that
-    az-unordered-iter doubles as a suppression for the regex rule it
-    supersedes."""
+    az-unordered-iter doubles as a suppression for the regex rule that
+    checks the same loops."""
 
     def test_az_entry_not_flagged_unused(self):
         files = {
@@ -407,17 +407,6 @@ class AnalyzerNamespaceSharing(unittest.TestCase):
                 "proven sorted upstream\n",
         }
         self.assertEqual(lint(files), [])
-
-    def test_ast_supersedes_drops_regex_findings(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = Path(tmp)
-            bad = root / "src" / "fl" / "bad.cc"
-            bad.parent.mkdir(parents=True)
-            bad.write_text(UnorderedIterationRule.FL_LOOP)
-            with_regex = lint_fedda.run(root)
-            superseded = lint_fedda.run(root, ast_supersedes=True)
-        self.assertEqual(rules_of(with_regex), {"det-unordered-iter"})
-        self.assertEqual(superseded, [])
 
 
 if __name__ == "__main__":
