@@ -35,7 +35,10 @@ double BestMillis(int reps, const std::function<void()>& fn) {
 }
 
 int Main(int argc, char** argv) {
+  // The bench-default system (Amazon 0.03, hidden 16, M=4) used by the
+  // micro_hgn suite, so numbers are comparable; --dataset overrides it.
   CommonFlags flags;
+  flags.dataset = "amazon";
   flags.threads = 4;
   int reps = 5;
   core::FlagParser parser;
@@ -49,12 +52,8 @@ int Main(int argc, char** argv) {
 
   core::ThreadPool pool(flags.threads);
 
-  // The bench-default system (Amazon 0.03, hidden 16, M=4) used by the
-  // micro_hgn suite, so numbers are comparable.
-  CommonFlags system_flags = flags;
-  system_flags.dataset = "amazon";
   const fl::FederatedSystem system =
-      fl::FederatedSystem::Build(MakeSystemConfig(system_flags, 4));
+      fl::FederatedSystem::Build(MakeSystemConfig(flags, 4));
   tensor::ParameterStore store = system.MakeInitialStore(1);
   const hgn::MpStructure mp = system.model().BuildStructure(system.global());
 
@@ -75,26 +74,31 @@ int Main(int argc, char** argv) {
                      FEDDA_CHECK_EQ(c.rows(), 2048);
                    }});
 
-  // Segment softmax over many small segments: the attention normalizer.
-  constexpr int64_t kLogits = 200000;
-  constexpr int kSegments = 50000;
-  core::Rng seg_rng(12);
-  const tensor::Tensor seg_logits = tensor::Tensor::RandomUniform(
-      kLogits, 1, &seg_rng, -2.0f, 2.0f);
-  std::vector<int32_t> seg_ids(kLogits);
-  for (int64_t i = 0; i < kLogits; ++i) {
-    seg_ids[static_cast<size_t>(i)] =
-        static_cast<int32_t>(seg_rng.UniformInt(uint64_t{kSegments}));
+  // Edge softmax over many small destination segments: the attention
+  // logits and their normalizer.
+  constexpr int64_t kEdges = 200000;
+  constexpr int kNodes = 50000;
+  core::Rng attn_rng(12);
+  const tensor::Tensor s_src =
+      tensor::Tensor::RandomUniform(kNodes, 1, &attn_rng, -2.0f, 2.0f);
+  const tensor::Tensor s_dst =
+      tensor::Tensor::RandomUniform(kNodes, 1, &attn_rng, -2.0f, 2.0f);
+  std::vector<int32_t> src_ids(kEdges), dst_ids(kEdges);
+  for (int64_t e = 0; e < kEdges; ++e) {
+    src_ids[static_cast<size_t>(e)] =
+        static_cast<int32_t>(attn_rng.UniformInt(uint64_t{kNodes}));
+    dst_ids[static_cast<size_t>(e)] =
+        static_cast<int32_t>(attn_rng.UniformInt(uint64_t{kNodes}));
   }
-  auto segments = tensor::MakeIndices(seg_ids);
-  cases.push_back({"segment softmax 200k/50k", [&](core::ThreadPool* p) {
+  auto srcs = tensor::MakeIndices(src_ids);
+  auto dsts = tensor::MakeIndices(dst_ids);
+  cases.push_back({"edge softmax 200k/50k", [&](core::ThreadPool* p) {
                      tensor::Graph g(false);
                      g.set_pool(p);
-                     tensor::Var logits = g.Constant(seg_logits);
-                     tensor::Var alpha =
-                         tensor::SegmentSoftmax(&g, logits, segments,
-                                                kSegments);
-                     FEDDA_CHECK_EQ(g.value(alpha).rows(), kLogits);
+                     tensor::Var alpha = tensor::EdgeSoftmax(
+                         &g, g.Constant(s_src), g.Constant(s_dst),
+                         tensor::Var{}, srcs, dsts, nullptr, 0.2f, kNodes);
+                     FEDDA_CHECK_EQ(g.value(alpha).rows(), kEdges);
                    }});
 
   // Full Simple-HGN encoder forward on the global graph.
@@ -106,7 +110,7 @@ int Main(int argc, char** argv) {
 
   // One complete federated round: broadcast + M local updates + aggregation.
   cases.push_back({"federated round (M=4)", [&](core::ThreadPool* p) {
-                     fl::FlOptions options = MakeFlOptions(system_flags);
+                     fl::FlOptions options = MakeFlOptions(flags);
                      options.algorithm = fl::FlAlgorithm::kFedDaExplore;
                      options.rounds = 1;
                      options.eval_every_round = false;

@@ -5,6 +5,7 @@
 // (override with --kernel_json=PATH; CI uploads the file as an artifact so
 // scalar-vs-SIMD speedups are tracked per commit).
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -56,24 +57,34 @@ void BM_GatherRows(benchmark::State& state) {
 }
 BENCHMARK(BM_GatherRows)->Arg(1024)->Arg(8192);
 
-void BM_SegmentSoftmax(benchmark::State& state) {
+void BM_EdgeSoftmax(benchmark::State& state) {
   const int64_t edges = state.range(0);
   const int64_t nodes = edges / 8;
+  constexpr int64_t kTypes = 6;
   core::Rng rng(3);
-  Tensor logits = Tensor::RandomNormal(edges, 1, &rng);
-  std::vector<int32_t> seg(static_cast<size_t>(edges));
-  for (auto& s : seg) {
-    s = static_cast<int32_t>(rng.UniformInt(static_cast<uint64_t>(nodes)));
+  const Tensor s_src = Tensor::RandomNormal(nodes, 1, &rng);
+  const Tensor s_dst = Tensor::RandomNormal(nodes, 1, &rng);
+  const Tensor s_edge = Tensor::RandomNormal(kTypes, 1, &rng);
+  std::vector<int32_t> src(static_cast<size_t>(edges));
+  std::vector<int32_t> dst(static_cast<size_t>(edges));
+  std::vector<int32_t> etype(static_cast<size_t>(edges));
+  for (size_t e = 0; e < src.size(); ++e) {
+    src[e] = static_cast<int32_t>(rng.UniformInt(static_cast<uint64_t>(nodes)));
+    dst[e] = static_cast<int32_t>(rng.UniformInt(static_cast<uint64_t>(nodes)));
+    etype[e] = static_cast<int32_t>(rng.UniformInt(uint64_t{kTypes}));
   }
-  auto segments = MakeIndices(std::move(seg));
+  auto srcs = MakeIndices(std::move(src));
+  auto dsts = MakeIndices(std::move(dst));
+  auto etypes = MakeIndices(std::move(etype));
   for (auto _ : state) {
     Graph g(false);
-    Var v = g.Constant(logits);
-    benchmark::DoNotOptimize(SegmentSoftmax(&g, v, segments, nodes));
+    benchmark::DoNotOptimize(EdgeSoftmax(
+        &g, g.Constant(s_src), g.Constant(s_dst), g.Constant(s_edge), srcs,
+        dsts, etypes, 0.2f, nodes));
   }
   state.SetItemsProcessed(state.iterations() * edges);
 }
-BENCHMARK(BM_SegmentSoftmax)->Arg(4096)->Arg(32768);
+BENCHMARK(BM_EdgeSoftmax)->Arg(4096)->Arg(32768);
 
 void BM_ForwardBackwardMlp(benchmark::State& state) {
   // Two-layer MLP forward+backward through the tape: measures the autograd
@@ -276,25 +287,84 @@ void KernelGather(benchmark::State& state, k::DispatchMode mode,
   state.SetItemsProcessed(state.iterations() * n_idx * cols);
 }
 
-void KernelSegmentSoftmax(benchmark::State& state, k::DispatchMode mode,
-                          int threads) {
+// EdgeSoftmax at the same client head's shape, over the 6 edge types of
+// the DBLP schema (5 relations plus the self loop).
+constexpr int64_t kAttnTypes = 6;
+
+/// The EdgeSoftmax forward: the attention logits, then their per-
+/// destination softmax.
+void KernelEdgeSoftmax(benchmark::State& state, k::DispatchMode mode,
+                       int threads) {
   ScopedDispatch dispatch(mode);
   std::unique_ptr<core::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<core::ThreadPool>(threads);
-  const int64_t edges = 32768, nodes = edges / 8;
   core::Rng rng(13);
-  const Tensor logits = Tensor::RandomNormal(edges, 1, &rng);
-  std::vector<int32_t> seg(static_cast<size_t>(edges));
-  for (auto& s : seg) {
-    s = static_cast<int32_t>(rng.UniformInt(static_cast<uint64_t>(nodes)));
+  const Tensor s_src = Tensor::RandomNormal(kAggRows, 1, &rng);
+  const Tensor s_dst = Tensor::RandomNormal(kAggRows, 1, &rng);
+  const Tensor s_edge = Tensor::RandomNormal(kAttnTypes, 1, &rng);
+  const std::vector<int32_t> src = AggEndpoints(&rng);
+  const std::vector<int32_t> dst = AggEndpoints(&rng);
+  std::vector<int32_t> etype(static_cast<size_t>(kAggEdges));
+  for (auto& t : etype) {
+    t = static_cast<int32_t>(rng.UniformInt(uint64_t{kAttnTypes}));
   }
-  const k::Csr csr = k::BuildCsr(seg, nodes);
-  Tensor out(edges, 1);
+  const k::Csr by_dst = k::BuildCsr(dst, kAggRows);
+  std::vector<float> pre(static_cast<size_t>(kAggEdges));
+  std::vector<float> logits(static_cast<size_t>(kAggEdges));
+  Tensor alpha(kAggEdges, 1);
   for (auto _ : state) {
-    k::SegmentSoftmax(logits.data(), csr, out.data(), pool.get());
-    benchmark::DoNotOptimize(out.data());
+    k::EdgeAttentionLogits(s_src.data(), s_dst.data(), s_edge.data(),
+                           src.data(), dst.data(), etype.data(), 0.2f,
+                           pre.data(), logits.data(), kAggEdges, pool.get());
+    k::SegmentSoftmax(logits.data(), by_dst, alpha.data(), pool.get());
+    benchmark::DoNotOptimize(pre.data());
+    benchmark::DoNotOptimize(alpha.data());
   }
-  state.SetItemsProcessed(state.iterations() * edges);
+  state.SetItemsProcessed(state.iterations() * kAggEdges);
+}
+
+/// The EdgeSoftmax backward: the softmax gradient, the LeakyReLU
+/// derivative (an elementwise loop in the op), and one scatter into each
+/// score column.
+void KernelEdgeSoftmaxGrad(benchmark::State& state, k::DispatchMode mode,
+                           int threads) {
+  ScopedDispatch dispatch(mode);
+  std::unique_ptr<core::ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<core::ThreadPool>(threads);
+  core::Rng rng(18);
+  const Tensor pre = Tensor::RandomNormal(kAggEdges, 1, &rng);
+  const Tensor dy = Tensor::RandomNormal(kAggEdges, 1, &rng);
+  const std::vector<int32_t> src = AggEndpoints(&rng);
+  const std::vector<int32_t> dst = AggEndpoints(&rng);
+  std::vector<int32_t> etype(static_cast<size_t>(kAggEdges));
+  for (auto& t : etype) {
+    t = static_cast<int32_t>(rng.UniformInt(uint64_t{kAttnTypes}));
+  }
+  const k::Csr by_src = k::BuildCsr(src, kAggRows);
+  const k::Csr by_dst = k::BuildCsr(dst, kAggRows);
+  const k::Csr by_type = k::BuildCsr(etype, kAttnTypes);
+  Tensor alpha(kAggEdges, 1);
+  k::SegmentSoftmax(pre.data(), by_dst, alpha.data(), nullptr);
+  std::vector<float> dl(static_cast<size_t>(kAggEdges));
+  Tensor ds_src(kAggRows, 1), ds_dst(kAggRows, 1), ds_edge(kAttnTypes, 1);
+  for (auto _ : state) {
+    std::fill(dl.begin(), dl.end(), 0.0f);
+    ds_src.Fill(0.0f);
+    ds_dst.Fill(0.0f);
+    ds_edge.Fill(0.0f);
+    k::SegmentSoftmaxGrad(alpha.data(), dy.data(), by_dst, dl.data(),
+                          pool.get());
+    for (int64_t e = 0; e < kAggEdges; ++e) {
+      dl[e] *= pre.data()[e] > 0.0f ? 1.0f : 0.2f;
+    }
+    k::ScatterAddRows(dl.data(), by_type, 1, ds_edge.data(), pool.get());
+    k::ScatterAddRows(dl.data(), by_dst, 1, ds_dst.data(), pool.get());
+    k::ScatterAddRows(dl.data(), by_src, 1, ds_src.data(), pool.get());
+    benchmark::DoNotOptimize(ds_src.data());
+    benchmark::DoNotOptimize(ds_dst.data());
+    benchmark::DoNotOptimize(ds_edge.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kAggEdges);
 }
 
 void RegisterKernelGrid() {
@@ -306,8 +376,9 @@ void RegisterKernelGrid() {
                  {"matmul_a_bt", KernelMatMulABt},
                  {"edge_aggregate", KernelEdgeAggregate},
                  {"edge_aggregate_grad", KernelEdgeAggregateGrad},
-                 {"gather", KernelGather},
-                 {"segment_softmax", KernelSegmentSoftmax}};
+                 {"edge_softmax", KernelEdgeSoftmax},
+                 {"edge_softmax_grad", KernelEdgeSoftmaxGrad},
+                 {"gather", KernelGather}};
   const struct {
     const char* name;
     k::DispatchMode mode;

@@ -239,19 +239,16 @@ Var SimpleHgn::EncodeBlocks(Graph* g,
       if (config_.use_attention) {
         // Attention logits: a_src^T Wh_u + a_dst^T Wh_v (+ a_edge^T W_r r
         // when edge-type attention is on). Node- and type-level scores are
-        // computed once and gathered per edge.
+        // computed once; EdgeSoftmax reads them per edge.
         Var s_src = tensor::MatMul(g, wh, param(ids.a_src));
         Var s_dst = tensor::MatMul(g, wh, param(ids.a_dst));
-        Var logits = tensor::Add(g, tensor::GatherRows(g, s_src, mp.src),
-                                 tensor::GatherRows(g, s_dst, mp.dst));
+        Var s_edge;
         if (config_.use_edge_type_attention) {
           Var re = tensor::MatMul(g, edge_emb, param(ids.w_r));
-          Var s_edge = tensor::MatMul(g, re, param(ids.a_edge));
-          logits = tensor::Add(g, logits,
-                               tensor::GatherRows(g, s_edge, mp.etype));
+          s_edge = tensor::MatMul(g, re, param(ids.a_edge));
         }
-        logits = tensor::LeakyRelu(g, logits, config_.negative_slope);
-        alpha = tensor::SegmentSoftmax(g, logits, mp.dst, n);
+        alpha = tensor::EdgeSoftmax(g, s_src, s_dst, s_edge, mp.src, mp.dst,
+                                    mp.etype, config_.negative_slope, n);
         if (config_.attn_dropout > 0.0f) {
           alpha = tensor::Dropout(g, alpha, config_.attn_dropout,
                                   dropout_rng);

@@ -347,27 +347,6 @@ void Scale(float* dst, float alpha, int64_t begin, int64_t end) {
   for (; i < end; ++i) dst[i] *= alpha;
 }
 
-// a > 0 ? a : slope * a, lane-wise. The compare-and-blend reproduces the
-// scalar ternary exactly: +0/-0 compare as not-greater (take slope * a, and
-// slope * ±0 matches scalar), NaN compares false (take slope * NaN = NaN,
-// same quieted multiply as scalar).
-void LeakyRelu(const float* a, float* out, float slope, int64_t begin,
-               int64_t end) {
-  const __m256 vslope = _mm256_set1_ps(slope);
-  const __m256 vzero = _mm256_setzero_ps();
-  int64_t i = begin;
-  for (; i + 8 <= end; i += 8) {
-    const __m256 v = _mm256_loadu_ps(a + i);
-    const __m256 neg = _mm256_mul_ps(vslope, v);
-    const __m256 gt = _mm256_cmp_ps(v, vzero, _CMP_GT_OQ);
-    _mm256_storeu_ps(out + i, _mm256_blendv_ps(neg, v, gt));
-  }
-  for (; i < end; ++i) {
-    const float x = a[i];
-    out[i] = x > 0.0f ? x : slope * x;
-  }
-}
-
 void BiasAddRows(const float* x, const float* bias, float* out,
                  int64_t row_begin, int64_t row_end, int64_t cols) {
   for (int64_t r = row_begin; r < row_end; ++r) {
@@ -529,6 +508,39 @@ void IndexedRowDotRange(const float* x, const int32_t* x_idx, const float* y,
   scalar::IndexedRowDotRange(x, x_idx, y, y_idx, dst, i, i_end, cols);
 }
 
+void EdgeAttentionLogitsRange(const float* s_src, const float* s_dst,
+                              const float* s_edge, const int32_t* src,
+                              const int32_t* dst, const int32_t* etype,
+                              float slope, float* pre, float* logits,
+                              int64_t e_begin, int64_t e_end) {
+  // Lanes are 8 edges. Gathers only load, and each lane adds its source
+  // and destination scores, then its edge-type score, as the scalar body
+  // does. The LeakyReLU is a compare and blend that mirrors the scalar
+  // ternary: +0, -0 and NaN are not greater than 0 and take slope * x.
+  const __m256 vslope = _mm256_set1_ps(slope);
+  const __m256 vzero = _mm256_setzero_ps();
+  int64_t e = e_begin;
+  for (; e + 8 <= e_end; e += 8) {
+    const __m256i vsrc =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + e));
+    const __m256i vdst =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + e));
+    __m256 x = _mm256_add_ps(_mm256_i32gather_ps(s_src, vsrc, 4),
+                             _mm256_i32gather_ps(s_dst, vdst, 4));
+    if (s_edge != nullptr) {
+      const __m256i vtype =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(etype + e));
+      x = _mm256_add_ps(x, _mm256_i32gather_ps(s_edge, vtype, 4));
+    }
+    _mm256_storeu_ps(pre + e, x);
+    const __m256 gt = _mm256_cmp_ps(x, vzero, _CMP_GT_OQ);
+    _mm256_storeu_ps(logits + e,
+                     _mm256_blendv_ps(_mm256_mul_ps(vslope, x), x, gt));
+  }
+  scalar::EdgeAttentionLogitsRange(s_src, s_dst, s_edge, src, dst, etype,
+                                   slope, pre, logits, e, e_end);
+}
+
 #else  // !defined(__AVX2__): toolchain without -mavx2; forward to scalar.
 
 void MatMulRows(const float* a, const float* b, float* out, int64_t row_begin,
@@ -570,10 +582,6 @@ void AccumulateMul(float* dst, const float* a, const float* b, int64_t begin,
 void Scale(float* dst, float alpha, int64_t begin, int64_t end) {
   scalar::Scale(dst, alpha, begin, end);
 }
-void LeakyRelu(const float* a, float* out, float slope, int64_t begin,
-               int64_t end) {
-  scalar::LeakyRelu(a, out, slope, begin, end);
-}
 void BiasAddRows(const float* x, const float* bias, float* out,
                  int64_t row_begin, int64_t row_end, int64_t cols) {
   scalar::BiasAddRows(x, bias, out, row_begin, row_end, cols);
@@ -600,6 +608,14 @@ void IndexedRowDotRange(const float* x, const int32_t* x_idx, const float* y,
                         const int32_t* y_idx, float* dst, int64_t i_begin,
                         int64_t i_end, int64_t cols) {
   scalar::IndexedRowDotRange(x, x_idx, y, y_idx, dst, i_begin, i_end, cols);
+}
+void EdgeAttentionLogitsRange(const float* s_src, const float* s_dst,
+                              const float* s_edge, const int32_t* src,
+                              const int32_t* dst, const int32_t* etype,
+                              float slope, float* pre, float* logits,
+                              int64_t e_begin, int64_t e_end) {
+  scalar::EdgeAttentionLogitsRange(s_src, s_dst, s_edge, src, dst, etype,
+                                   slope, pre, logits, e_begin, e_end);
 }
 
 #endif  // defined(__AVX2__)

@@ -288,16 +288,6 @@ void ScaleInPlace(float* dst, float alpha, int64_t n,
                          });
 }
 
-void LeakyRelu(const float* a, float* out, int64_t n, float slope,
-               core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  core::ParallelForRange(pool, n, kElementGrain,
-                         [=](int64_t begin, int64_t end) {
-                           FEDDA_DISPATCH_PATH(path, LeakyRelu, a, out, slope,
-                                               begin, end)
-                         });
-}
-
 void BiasAdd(const float* x, const float* bias, float* out, int64_t rows,
              int64_t cols, core::ThreadPool* pool) {
   const Path path = ActivePath();
@@ -374,6 +364,21 @@ void IndexedRowDot(const float* x, const int32_t* x_idx, const float* y,
       pool, n, RowGrain(cols), [=](int64_t i_begin, int64_t i_end) {
         FEDDA_DISPATCH_PATH(path, IndexedRowDotRange, x, x_idx, y, y_idx, dst,
                             i_begin, i_end, cols)
+      });
+}
+
+// Edges are independent lanes, partitioned like the elementwise kernels.
+void EdgeAttentionLogits(const float* s_src, const float* s_dst,
+                         const float* s_edge, const int32_t* src,
+                         const int32_t* dst, const int32_t* etype,
+                         float slope, float* pre, float* logits, int64_t n,
+                         core::ThreadPool* pool) {
+  const Path path = ActivePath();
+  core::ParallelForRange(
+      pool, n, kElementGrain, [=](int64_t e_begin, int64_t e_end) {
+        FEDDA_DISPATCH_PATH(path, EdgeAttentionLogitsRange, s_src, s_dst,
+                            s_edge, src, dst, etype, slope, pre, logits,
+                            e_begin, e_end)
       });
 }
 

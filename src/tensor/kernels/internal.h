@@ -39,8 +39,6 @@ void AccumulateAxpy(float* dst, float alpha, const float* src, int64_t begin,
 void AccumulateMul(float* dst, const float* a, const float* b, int64_t begin,
                    int64_t end);
 void Scale(float* dst, float alpha, int64_t begin, int64_t end);
-void LeakyRelu(const float* a, float* out, float slope, int64_t begin,
-               int64_t end);
 void BiasAddRows(const float* x, const float* bias, float* out,
                  int64_t row_begin, int64_t row_end, int64_t cols);
 void RowScaleAccumulateRows(const float* s, const float* x, float* dst,
@@ -57,6 +55,11 @@ void WeightedGatherSumRows(const float* x, const int32_t* idx,
 void IndexedRowDotRange(const float* x, const int32_t* x_idx, const float* y,
                         const int32_t* y_idx, float* dst, int64_t i_begin,
                         int64_t i_end, int64_t cols);
+void EdgeAttentionLogitsRange(const float* s_src, const float* s_dst,
+                              const float* s_edge, const int32_t* src,
+                              const int32_t* dst, const int32_t* etype,
+                              float slope, float* pre, float* logits,
+                              int64_t e_begin, int64_t e_end);
 void SegmentSoftmaxRows(const float* logits, const Csr& csr, float* out,
                         int64_t seg_begin, int64_t seg_end);
 void SegmentSoftmaxGradRows(const float* y, const float* dy, const Csr& csr,
@@ -89,8 +92,6 @@ void AccumulateAxpy(float* dst, float alpha, const float* src, int64_t begin,
 void AccumulateMul(float* dst, const float* a, const float* b, int64_t begin,
                    int64_t end);
 void Scale(float* dst, float alpha, int64_t begin, int64_t end);
-void LeakyRelu(const float* a, float* out, float slope, int64_t begin,
-               int64_t end);
 void BiasAddRows(const float* x, const float* bias, float* out,
                  int64_t row_begin, int64_t row_end, int64_t cols);
 void RowScaleAccumulateRows(const float* s, const float* x, float* dst,
@@ -105,6 +106,11 @@ void WeightedGatherSumRows(const float* x, const int32_t* idx,
 void IndexedRowDotRange(const float* x, const int32_t* x_idx, const float* y,
                         const int32_t* y_idx, float* dst, int64_t i_begin,
                         int64_t i_end, int64_t cols);
+void EdgeAttentionLogitsRange(const float* s_src, const float* s_dst,
+                              const float* s_edge, const int32_t* src,
+                              const int32_t* dst, const int32_t* etype,
+                              float slope, float* pre, float* logits,
+                              int64_t e_begin, int64_t e_end);
 
 }  // namespace fedda::tensor::kernels::avx2
 

@@ -91,8 +91,8 @@ int64_t CsrCacheMisses();
 // ---------------------------------------------------------------------------
 // Buffer contracts: `out`/`dst` may alias an input only where the kernel is
 // purely elementwise (lane i reads only index i), which holds for every
-// Ew*/Accumulate*/ScaleInPlace/LeakyRelu kernel. Matmul, bias, gather,
-// scatter and segment kernels require non-overlapping buffers.
+// Ew*/Accumulate*/ScaleInPlace kernel. Matmul, bias, gather, scatter, edge
+// and segment kernels require non-overlapping buffers.
 // All kernels tolerate pool == nullptr (inline execution) and n == 0.
 
 /// out (m x n) += a (m x k) * b (k x n); `out` must be zero-initialized by
@@ -141,10 +141,6 @@ void AccumulateMul(float* dst, const float* a, const float* b, int64_t n,
 /// dst[i] *= alpha.
 void ScaleInPlace(float* dst, float alpha, int64_t n,
                   core::ThreadPool* pool);
-/// out[i] = a[i] > 0 ? a[i] : slope * a[i] (compare+blend, mirroring the
-/// scalar ternary bit for bit, including negative zero).
-void LeakyRelu(const float* a, float* out, int64_t n, float slope,
-               core::ThreadPool* pool);
 
 /// out[r,c] = x[r,c] + bias[c]; x is (rows x cols), bias is (1 x cols).
 void BiasAdd(const float* x, const float* bias, float* out, int64_t rows,
@@ -193,6 +189,18 @@ void WeightedGatherSum(const float* x, const int32_t* idx, const float* w,
 void IndexedRowDot(const float* x, const int32_t* x_idx, const float* y,
                    const int32_t* y_idx, float* dst, int64_t n, int64_t cols,
                    core::ThreadPool* pool);
+
+/// The Simple-HGN attention logits of n edges, before their softmax:
+/// pre[e] = (s_src[src[e]] + s_dst[dst[e]]) + s_edge[etype[e]], each sum
+/// rounded before the next add, and logits[e] = pre[e] > 0 ? pre[e] :
+/// slope * pre[e]. With s_edge null the edge-type term is left out and
+/// etype is not read. The EdgeSoftmax forward up to SegmentSoftmax; pre
+/// keeps the pre-activations for its LeakyReLU derivative.
+void EdgeAttentionLogits(const float* s_src, const float* s_dst,
+                         const float* s_edge, const int32_t* src,
+                         const int32_t* dst, const int32_t* etype,
+                         float slope, float* pre, float* logits, int64_t n,
+                         core::ThreadPool* pool);
 
 /// Per-segment max-shifted softmax over a column of logits; out must not
 /// alias logits. Scalar on every path (exp).

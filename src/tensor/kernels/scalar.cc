@@ -95,14 +95,6 @@ void Scale(float* dst, float alpha, int64_t begin, int64_t end) {
   for (int64_t i = begin; i < end; ++i) dst[i] *= alpha;
 }
 
-void LeakyRelu(const float* a, float* out, float slope, int64_t begin,
-               int64_t end) {
-  for (int64_t i = begin; i < end; ++i) {
-    const float x = a[i];
-    out[i] = x > 0.0f ? x : slope * x;
-  }
-}
-
 void BiasAddRows(const float* x, const float* bias, float* out,
                  int64_t row_begin, int64_t row_end, int64_t cols) {
   for (int64_t r = row_begin; r < row_end; ++r) {
@@ -180,6 +172,22 @@ void IndexedRowDotRange(const float* x, const int32_t* x_idx, const float* y,
     float dot = 0.0f;
     for (int64_t c = 0; c < cols; ++c) dot += xrow[c] * yrow[c];
     dst[i] += dot;
+  }
+}
+
+void EdgeAttentionLogitsRange(const float* s_src, const float* s_dst,
+                              const float* s_edge, const int32_t* src,
+                              const int32_t* dst, const int32_t* etype,
+                              float slope, float* pre, float* logits,
+                              int64_t e_begin, int64_t e_end) {
+  // The attention chain's gathers, adds and LeakyReLU, edge by edge: the
+  // source and destination scores are summed first, then the edge-type
+  // score is added to that rounded sum.
+  for (int64_t e = e_begin; e < e_end; ++e) {
+    float x = s_src[src[e]] + s_dst[dst[e]];
+    if (s_edge != nullptr) x += s_edge[etype[e]];
+    pre[e] = x;
+    logits[e] = x > 0.0f ? x : slope * x;
   }
 }
 

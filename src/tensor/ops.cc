@@ -210,30 +210,6 @@ Var AddBias(Graph* g, Var a, Var bias) {
       rg);
 }
 
-Var LeakyRelu(Graph* g, Var a, float slope) {
-  const Tensor& av = g->value(a);
-  Tensor out(av.rows(), av.cols());
-  kernels::LeakyRelu(av.data(), out.data(), av.size(), slope, g->pool());
-  const bool rg = g->requires_grad(a);
-  return g->AddNode(
-      std::move(out), {a},
-      [a, slope](Graph* bg, Var self) {
-        if (!bg->requires_grad(a)) return;
-        const Tensor& dy = bg->grad(self);
-        const Tensor& a_in = bg->value(a);
-        Tensor& da = bg->mutable_grad(a);
-        ParallelChunks(bg, dy.size(), kElementGrain,
-                       [&da, &dy, &a_in, slope](int64_t begin, int64_t end) {
-                         for (int64_t i = begin; i < end; ++i) {
-                           da.data()[i] +=
-                               dy.data()[i] *
-                               (a_in.data()[i] > 0.0f ? 1.0f : slope);
-                         }
-                       });
-      },
-      rg);
-}
-
 Var Elu(Graph* g, Var a, float alpha) {
   const Tensor& av = g->value(a);
   Tensor out(av.rows(), av.cols());
@@ -498,35 +474,101 @@ Var EdgeAggregate(Graph* g, Var x, Var w,
       rg);
 }
 
-Var SegmentSoftmax(Graph* g, Var logits,
-                   std::shared_ptr<const std::vector<int32_t>> segment_ids,
-                   int64_t num_segments) {
+Var EdgeSoftmax(Graph* g, Var s_src, Var s_dst, Var s_edge,
+                std::shared_ptr<const std::vector<int32_t>> src,
+                std::shared_ptr<const std::vector<int32_t>> dst,
+                std::shared_ptr<const std::vector<int32_t>> etype,
+                float slope, int64_t num_nodes) {
+  // Recorded as the softmax it ends in, with the gathers, adds and
+  // LeakyReLU folded into its loads; perfbench's span table maps this name
+  // to a row.
   obs::ScopedSpan span(g->tracer(), "segment-softmax");
-  const Tensor& lv = g->value(logits);
-  FEDDA_CHECK_EQ(lv.cols(), 1);
-  FEDDA_CHECK_EQ(lv.rows(), static_cast<int64_t>(segment_ids->size()));
-
-  for (int32_t s : *segment_ids) {
-    FEDDA_CHECK(s >= 0 && s < num_segments) << "segment id out of range";
+  const bool has_edge = s_edge.valid();
+  const Tensor& sv = g->value(s_src);
+  const Tensor& dv = g->value(s_dst);
+  const int64_t num_edges = static_cast<int64_t>(src->size());
+  FEDDA_CHECK_EQ(sv.cols(), 1);
+  FEDDA_CHECK_EQ(dv.cols(), 1);
+  FEDDA_CHECK_EQ(static_cast<int64_t>(dst->size()), num_edges);
+  for (int32_t r : *src) {
+    FEDDA_CHECK(r >= 0 && r < sv.rows()) << "edge source out of range";
   }
-  Tensor out(lv.rows(), 1);
-  // CSR-native: each segment's max/sum accumulate over members in
-  // increasing position order, exactly as the historical sequential loop,
-  // and the grouping itself is cached across batches for static graphs.
-  const auto csr = kernels::GetCsr(segment_ids, num_segments);
-  kernels::SegmentSoftmax(lv.data(), *csr, out.data(), g->pool());
+  for (int32_t r : *dst) {
+    FEDDA_CHECK(r >= 0 && r < dv.rows()) << "edge destination out of range";
+    FEDDA_CHECK(r < num_nodes) << "segment id out of range";
+  }
+  const float* edge_scores = nullptr;
+  if (has_edge) {
+    const Tensor& ev = g->value(s_edge);
+    FEDDA_CHECK_EQ(ev.cols(), 1);
+    FEDDA_CHECK(etype != nullptr);
+    FEDDA_CHECK_EQ(static_cast<int64_t>(etype->size()), num_edges);
+    for (int32_t t : *etype) {
+      FEDDA_CHECK(t >= 0 && t < ev.rows()) << "edge type out of range";
+    }
+    edge_scores = ev.data();
+  }
+  // The pre-activations live as long as the backward closure that reads
+  // their signs; the logits only until the softmax has read them.
+  auto pre = std::make_shared<std::vector<float>>(
+      static_cast<size_t>(num_edges));
+  std::vector<float> logits(static_cast<size_t>(num_edges));
+  kernels::EdgeAttentionLogits(sv.data(), dv.data(), edge_scores, src->data(),
+                               dst->data(),
+                               has_edge ? etype->data() : nullptr, slope,
+                               pre->data(), logits.data(), num_edges,
+                               g->pool());
+  Tensor out(num_edges, 1);
+  // Each destination's max and sum run over its edges in increasing e,
+  // exactly as the historical sequential loop.
+  const auto by_dst = kernels::GetCsr(dst, num_nodes);
+  kernels::SegmentSoftmax(logits.data(), *by_dst, out.data(), g->pool());
 
-  const bool rg = g->requires_grad(logits);
+  std::vector<Var> inputs = {s_src, s_dst};
+  if (has_edge) inputs.push_back(s_edge);
+  const bool rg = AnyRequiresGrad(*g, {s_src, s_dst}) ||
+                  (has_edge && g->requires_grad(s_edge));
   return g->AddNode(
-      std::move(out), {logits},
-      [logits, segment_ids, num_segments](Graph* bg, Var self) {
-        if (!bg->requires_grad(logits)) return;
+      std::move(out), std::move(inputs),
+      [s_src, s_dst, s_edge, src, dst, etype, slope, num_nodes,
+       pre](Graph* bg, Var self) {
         const Tensor& dy = bg->grad(self);
         const Tensor& yv = bg->value(self);
-        Tensor& dl = bg->mutable_grad(logits);
-        const auto seg_csr = kernels::GetCsr(segment_ids, num_segments);
+        const int64_t n_edges = yv.rows();
+        FEDDA_CHECK(dy.SameShape(yv) &&
+                    static_cast<int64_t>(pre->size()) == n_edges);
+        std::vector<float> dl(static_cast<size_t>(n_edges), 0.0f);
+        const auto seg_csr = kernels::GetCsr(dst, num_nodes);
         kernels::SegmentSoftmaxGrad(yv.data(), dy.data(), *seg_csr, dl.data(),
                                     bg->pool());
+        // LeakyReLU's derivative from the pre-activation's sign. The chain
+        // added this product into zeroed gradients (0 + x), which only
+        // turns a -0 into +0; every score gradient it reaches is a sum
+        // that starts at +0, where adding either zero gives the same bits.
+        const float* pre_p = pre->data();
+        float* dl_p = dl.data();
+        ParallelChunks(bg, n_edges, kElementGrain,
+                       [pre_p, dl_p, slope](int64_t begin, int64_t end) {
+                         for (int64_t i = begin; i < end; ++i) {
+                           dl_p[i] *= pre_p[i] > 0.0f ? 1.0f : slope;
+                         }
+                       });
+        // Scatter into the scores in the chain's reverse tape order: edge
+        // type, source, destination (the chain's Add evaluated its
+        // destination gather first). A score column that serves as both
+        // s_src and s_dst then adds its terms in the chain's order.
+        auto scatter = [bg, dl_p](
+                           Var score,
+                           const std::shared_ptr<const std::vector<int32_t>>&
+                               ids) {
+          if (!bg->requires_grad(score)) return;
+          Tensor& ds = bg->mutable_grad(score);
+          const auto csr = kernels::GetCsr(ids, ds.rows());
+          kernels::ScatterAddRows(dl_p, *csr, 1, ds.data(), bg->pool());
+        };
+        if (s_edge.valid()) scatter(s_edge, etype);
+        scatter(s_src, src);
+        scatter(s_dst, dst);
       },
       rg);
 }

@@ -31,8 +31,6 @@ Var MatMul(Graph* g, Var a, Var b);
 /// Broadcast-add a (1 x d) bias row to every row of a (n x d) input.
 Var AddBias(Graph* g, Var a, Var bias);
 
-/// y = max(x, slope * x). Default slope matches common GAT attention (0.2).
-Var LeakyRelu(Graph* g, Var a, float slope = 0.2f);
 /// ELU: y = x for x > 0 else alpha * (exp(x) - 1).
 Var Elu(Graph* g, Var a, float alpha = 1.0f);
 /// Logistic sigmoid.
@@ -63,12 +61,18 @@ Var EdgeAggregate(Graph* g, Var x, Var w,
                   std::shared_ptr<const std::vector<int32_t>> dst,
                   int64_t num_rows);
 
-/// Softmax over groups of rows of a (m x 1) logit column: entries sharing
-/// segment_ids[i] are normalized together (numerically stable, max-shifted).
-/// This is exactly the per-destination-node attention normalization of GAT.
-Var SegmentSoftmax(Graph* g, Var logits,
-                   std::shared_ptr<const std::vector<int32_t>> segment_ids,
-                   int64_t num_segments);
+/// GAT-style edge attention over the edges e = (src[e] -> dst[e]): an
+/// (E x 1) column alpha with alpha[e] = softmax over {e' : dst[e'] ==
+/// dst[e]} of LeakyReLU(s_src[src[e]] + s_dst[dst[e]] + s_edge[etype[e]])
+/// (numerically stable, max-shifted). The scores are (rows x 1) columns;
+/// pass an invalid `s_edge` (Var{}) to drop the edge-type term, and etype
+/// is then not read. Bit for bit the gather -> add -> LeakyReLU -> segment
+/// softmax chain, without its (E x 1) intermediates, forward or backward.
+Var EdgeSoftmax(Graph* g, Var s_src, Var s_dst, Var s_edge,
+                std::shared_ptr<const std::vector<int32_t>> src,
+                std::shared_ptr<const std::vector<int32_t>> dst,
+                std::shared_ptr<const std::vector<int32_t>> etype,
+                float slope, int64_t num_nodes);
 
 /// Horizontal concatenation of tensors with equal row counts.
 Var ConcatCols(Graph* g, const std::vector<Var>& parts);

@@ -98,19 +98,6 @@ TEST_P(OpsGradCheck, AddBias) {
   });
 }
 
-TEST_P(OpsGradCheck, LeakyReluAwayFromKink) {
-  core::Rng rng = MakeRng();
-  // Keep every input at least 4*eps from the x=0 kink, where the numeric
-  // derivative straddles two linear pieces and no tolerance is fair.
-  Tensor a = Tensor::RandomUniform(4, 4, &rng, 0.1f, 1.0f);
-  for (int64_t i = 0; i < a.size(); ++i) {
-    if (i % 2 == 1) a.data()[i] = -a.data()[i];
-  }
-  Check({a}, [](Graph* g, const std::vector<Var>& v) {
-    return Sum(g, Tanh(g, LeakyRelu(g, v[0], 0.2f)));
-  });
-}
-
 TEST_P(OpsGradCheck, EluAwayFromKink) {
   core::Rng rng = MakeRng();
   Tensor a = Tensor::RandomUniform(4, 4, &rng, 0.1f, 1.0f);
@@ -188,29 +175,73 @@ TEST_P(OpsGradCheck, EdgeAggregateAllIntoOneRow) {
   });
 }
 
-TEST_P(OpsGradCheck, SegmentSoftmaxWithEmptySegments) {
-  core::Rng rng = MakeRng();
-  const Tensor logits = Tensor::RandomUniform(5, 1, &rng, -1.0f, 1.0f);
-  const Tensor weights = Tensor::RandomUniform(5, 1, &rng, 0.5f, 1.5f);
-  // Segments 1 and 4 of 5 are empty; segment 0 and 2 have two members each.
-  auto segments = MakeIndices({0, 0, 2, 2, 3});
-  Check({logits, weights}, [segments](Graph* g, const std::vector<Var>& v) {
-    Var sm = SegmentSoftmax(g, v[0], segments, 5);
-    return Sum(g, Mul(g, sm, v[1]));
-  });
+/// Source scores of magnitude 0.3 to 1.0 with alternating signs. Beside
+/// destination and edge-type scores drawn from [-0.1, 0.1] they keep every
+/// EdgeSoftmax pre-activation at least 0.1 from the LeakyReLU kink at 0,
+/// where the numeric derivative straddles two linear pieces and no
+/// tolerance is fair.
+Tensor SourceScoresAwayFromKink(int64_t rows, core::Rng* rng) {
+  Tensor s = Tensor::RandomUniform(rows, 1, rng, 0.3f, 1.0f);
+  for (int64_t i = 0; i < rows; i += 2) s.data()[i] = -s.data()[i];
+  return s;
 }
 
-TEST_P(OpsGradCheck, SegmentSoftmaxSingletonSegments) {
+Tensor SmallScores(int64_t rows, core::Rng* rng) {
+  return Tensor::RandomUniform(rows, 1, rng, -0.1f, 0.1f);
+}
+
+TEST_P(OpsGradCheck, EdgeSoftmaxAwayFromKink) {
   core::Rng rng = MakeRng();
-  const Tensor logits = Tensor::RandomUniform(3, 1, &rng, -1.0f, 1.0f);
+  const Tensor s_src = SourceScoresAwayFromKink(4, &rng);
+  const Tensor s_dst = SmallScores(3, &rng);
+  const Tensor s_edge = SmallScores(2, &rng);
+  // Node 1 takes four edges, among them the self loop and the (3 -> 1)
+  // pair twice; node 2 takes two. A negative slope flips the negative
+  // pre-activations.
+  auto src = MakeIndices({0, 1, 3, 3, 2, 0});
+  auto dst = MakeIndices({1, 1, 1, 1, 2, 2});
+  auto etype = MakeIndices({0, 1, 0, 1, 1, 0});
+  Check({s_src, s_dst, s_edge},
+        [src, dst, etype](Graph* g, const std::vector<Var>& v) {
+          Var alpha =
+              EdgeSoftmax(g, v[0], v[1], v[2], src, dst, etype, -0.5f, 3);
+          return Sum(g, Tanh(g, Scale(g, alpha, 3.0f)));
+        });
+}
+
+TEST_P(OpsGradCheck, EdgeSoftmaxWithEmptyDestinations) {
+  core::Rng rng = MakeRng();
+  const Tensor s_src = SourceScoresAwayFromKink(5, &rng);
+  const Tensor s_dst = SmallScores(5, &rng);
+  const Tensor s_edge = SmallScores(2, &rng);
+  const Tensor weights = Tensor::RandomUniform(5, 1, &rng, 0.5f, 1.5f);
+  // Nodes 1 and 4 of 5 receive no edge; nodes 0 and 2 two edges each.
+  auto src = MakeIndices({1, 3, 0, 4, 2});
+  auto dst = MakeIndices({0, 0, 2, 2, 3});
+  auto etype = MakeIndices({0, 1, 1, 0, 1});
+  Check({s_src, s_dst, s_edge, weights},
+        [src, dst, etype](Graph* g, const std::vector<Var>& v) {
+          Var alpha =
+              EdgeSoftmax(g, v[0], v[1], v[2], src, dst, etype, 0.2f, 5);
+          return Sum(g, Mul(g, alpha, v[3]));
+        });
+}
+
+TEST_P(OpsGradCheck, EdgeSoftmaxSingletonDestinations) {
+  core::Rng rng = MakeRng();
+  const Tensor s_src = SourceScoresAwayFromKink(3, &rng);
+  const Tensor s_dst = SmallScores(3, &rng);
   const Tensor weights = Tensor::RandomUniform(3, 1, &rng, -1.0f, 1.0f);
-  // Every segment has exactly one member: softmax saturates at 1.0 and the
-  // gradient w.r.t. the logits must be exactly zero.
-  auto segments = MakeIndices({0, 1, 2});
-  Check({logits, weights}, [segments](Graph* g, const std::vector<Var>& v) {
-    Var sm = SegmentSoftmax(g, v[0], segments, 3);
-    return Sum(g, Mul(g, sm, v[1]));
-  });
+  // Every destination has exactly one edge: its softmax saturates at 1.0
+  // and the gradient w.r.t. every score must be exactly zero.
+  auto src = MakeIndices({2, 0, 1});
+  auto dst = MakeIndices({0, 1, 2});
+  Check({s_src, s_dst, weights},
+        [src, dst](Graph* g, const std::vector<Var>& v) {
+          Var alpha =
+              EdgeSoftmax(g, v[0], v[1], Var{}, src, dst, nullptr, 0.2f, 3);
+          return Sum(g, Mul(g, alpha, v[2]));
+        });
 }
 
 TEST_P(OpsGradCheck, ConcatColsAndRows) {

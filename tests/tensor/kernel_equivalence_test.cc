@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -424,11 +425,6 @@ TEST_P(KernelEquivalenceTest, ElementwiseAndAccumulate) {
       k::ScaleInPlace(dst.data(), 1.7f, n, p);
       return dst;
     });
-    RunCase("leaky-relu" + tag, [&](core::ThreadPool* p) {
-      std::vector<float> out(a.size());
-      k::LeakyRelu(a.data(), out.data(), n, 0.2f, p);
-      return out;
-    });
   }
 }
 
@@ -455,30 +451,50 @@ TEST_P(KernelEquivalenceTest, ElementwiseAliasedOutput) {
       k::EwSub(b.data(), buf.data(), buf.data(), n, p);
       return buf;
     });
-    RunCase("leaky-relu" + tag, [&](core::ThreadPool* p) {
-      std::vector<float> buf = a;
-      k::LeakyRelu(buf.data(), buf.data(), n, 0.01f, p);
-      return buf;
-    });
   }
 }
 
-TEST_P(KernelEquivalenceTest, LeakyReluNegativeZeroAndNan) {
+/// EdgeAttentionLogits' two outputs, pre-activations then logits, in one
+/// vector for RunCase.
+std::vector<float> EdgeLogits(const std::vector<float>& s_src,
+                              const std::vector<float>& s_dst,
+                              const float* s_edge,
+                              const std::vector<int32_t>& src,
+                              const std::vector<int32_t>& dst,
+                              const std::vector<int32_t>& etype, float slope,
+                              core::ThreadPool* pool) {
+  const int64_t n = static_cast<int64_t>(src.size());
+  std::vector<float> out(2 * src.size());
+  k::EdgeAttentionLogits(s_src.data(), s_dst.data(), s_edge, src.data(),
+                         dst.data(), etype.data(), slope, out.data(),
+                         out.data() + n, n, pool);
+  return out;
+}
+
+TEST_P(KernelEquivalenceTest, EdgeAttentionLogitsSpecialValues) {
   // The compare+blend vector body must agree with the scalar ternary on
-  // the awkward inputs: -0.0 (not > 0, takes the slope branch and keeps
-  // its sign bit through the multiply) and NaN (not > 0, slope branch).
+  // the awkward pre-activations: -0.0 (not > 0, takes the slope branch and
+  // keeps its sign bit through the multiply) and NaN (not > 0, slope
+  // branch). Edge e reads source score e and a -0 destination score, so
+  // its pre-activation is exactly a[e]; nine edges fill one vector and
+  // leave a scalar tail.
   const std::vector<float> a = {
       0.0f, -0.0f, std::numeric_limits<float>::quiet_NaN(),
       std::numeric_limits<float>::infinity(),
       -std::numeric_limits<float>::infinity(),
       1.0f, -1.0f, std::numeric_limits<float>::denorm_min(),
       -std::numeric_limits<float>::denorm_min()};
-  RunCase("leaky-relu special values", [&](core::ThreadPool* p) {
-    std::vector<float> out(a.size());
-    k::LeakyRelu(a.data(), out.data(), static_cast<int64_t>(a.size()), 0.25f,
-                 p);
-    return out;
-  });
+  const std::vector<float> minus_zero = {-0.0f};
+  std::vector<int32_t> src(a.size()), dst(a.size(), 0);
+  for (size_t e = 0; e < a.size(); ++e) src[e] = static_cast<int32_t>(e);
+  for (float slope : {0.25f, 0.0f, -0.5f}) {
+    RunCase("edge-attention-logits special values slope=" +
+                std::to_string(slope),
+            [&](core::ThreadPool* p) {
+              return EdgeLogits(a, minus_zero, nullptr, src, dst, {}, slope,
+                                p);
+            });
+  }
 }
 
 TEST_P(KernelEquivalenceTest, BiasKernels) {
@@ -602,6 +618,40 @@ TEST_P(KernelEquivalenceTest, EdgeAggregateKernels) {
                          dw.data(), n_edges, cols, p);
         return dw;
       });
+    }
+  }
+}
+
+TEST_P(KernelEquivalenceTest, EdgeAttentionLogits) {
+  // Edge counts hit every tail of the 8-edge lanes and, at 5000, more than
+  // one thread chunk. Index draws duplicate heavily and the scores carry
+  // NaN, +-0 and +-inf; with and without the edge-type term, at the
+  // model's slope, at 0 and at a negative slope.
+  core::Rng rng(67);
+  constexpr int64_t kEdgeTypes = 6;
+  std::vector<int64_t> edge_counts(std::begin(kTailSizes),
+                                   std::end(kTailSizes));
+  edge_counts.push_back(5000);
+  for (int64_t n_edges : edge_counts) {
+    const int64_t num_rows = 2 + n_edges / 4;  // RandomIndices needs 2
+    const std::vector<float> s_src = RandomDataWithSpecials(num_rows, &rng);
+    const std::vector<float> s_dst = RandomDataWithSpecials(num_rows, &rng);
+    const std::vector<float> s_edge = RandomDataWithSpecials(kEdgeTypes, &rng);
+    const std::vector<int32_t> src = RandomIndices(n_edges, num_rows, &rng);
+    const std::vector<int32_t> dst = RandomIndices(n_edges, num_rows, &rng);
+    const std::vector<int32_t> etype =
+        RandomIndices(n_edges, kEdgeTypes, &rng);
+    for (float slope : {0.2f, 0.0f, -0.5f}) {
+      const std::string tag = " edges=" + std::to_string(n_edges) +
+                              " slope=" + std::to_string(slope);
+      RunCase("edge-attention-logits" + tag, [&](core::ThreadPool* p) {
+        return EdgeLogits(s_src, s_dst, nullptr, src, dst, etype, slope, p);
+      });
+      RunCase("edge-attention-logits with edge term" + tag,
+              [&](core::ThreadPool* p) {
+                return EdgeLogits(s_src, s_dst, s_edge.data(), src, dst,
+                                  etype, slope, p);
+              });
     }
   }
 }

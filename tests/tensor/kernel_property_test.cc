@@ -119,11 +119,6 @@ TEST_F(KernelPropertyTest, RandomizedElementwise) {
       k::AccumulateAxpy(dst.data(), alpha, a.data(), n, p);
       return dst;
     });
-    CheckAllPaths("leaky-relu " + tag, [&](core::ThreadPool* p) {
-      std::vector<float> out(a.size());
-      k::LeakyRelu(a.data(), out.data(), n, alpha, p);
-      return out;
-    });
   }
 }
 
@@ -231,6 +226,44 @@ TEST_F(KernelPropertyTest, RandomizedEdgeAggregate) {
                        n_edges, cols, p);
       return dw;
     });
+  }
+}
+
+TEST_F(KernelPropertyTest, RandomizedEdgeAttentionLogits) {
+  // Random edge lists over few rows, edge counts cycling every tail
+  // residue, scores carrying NaN, +-0 and +-inf, a random slope (negative
+  // ones included), and the edge-type term on every other iteration: both
+  // outputs, pre-activations then logits.
+  core::Rng rng(4343);
+  for (int iter = 0; iter < 16; ++iter) {
+    const int64_t rows = 1 + static_cast<int64_t>(rng.UniformInt(uint64_t{9}));
+    const int64_t types = 1 + static_cast<int64_t>(rng.UniformInt(uint64_t{6}));
+    const int64_t n_edges =
+        8 * static_cast<int64_t>(rng.UniformInt(uint64_t{12})) + (iter % 8);
+    std::vector<int32_t> src(static_cast<size_t>(n_edges));
+    std::vector<int32_t> dst(static_cast<size_t>(n_edges));
+    std::vector<int32_t> etype(static_cast<size_t>(n_edges));
+    const auto row_count = static_cast<uint64_t>(rows);
+    for (size_t e = 0; e < src.size(); ++e) {
+      src[e] = static_cast<int32_t>(rng.UniformInt(row_count));
+      dst[e] = static_cast<int32_t>(rng.UniformInt(row_count));
+      etype[e] =
+          static_cast<int32_t>(rng.UniformInt(static_cast<uint64_t>(types)));
+    }
+    const std::vector<float> s_src = RandomDataWithSpecials(rows, &rng);
+    const std::vector<float> s_dst = RandomDataWithSpecials(rows, &rng);
+    const std::vector<float> s_edge = RandomDataWithSpecials(types, &rng);
+    const float slope = static_cast<float>(rng.Uniform(-1.0, 1.0));
+    const float* edge_scores = iter % 2 == 1 ? s_edge.data() : nullptr;
+    CheckAllPaths("edge-attention-logits iter " + std::to_string(iter),
+                  [&](core::ThreadPool* p) {
+                    std::vector<float> out(2 * src.size());
+                    k::EdgeAttentionLogits(
+                        s_src.data(), s_dst.data(), edge_scores, src.data(),
+                        dst.data(), etype.data(), slope, out.data(),
+                        out.data() + n_edges, n_edges, p);
+                    return out;
+                  });
   }
 }
 

@@ -41,9 +41,6 @@ TEST(OpsForwardTest, ScaleAndAddScalar) {
 TEST(OpsForwardTest, ActivationValues) {
   Graph g(false);
   Var a = g.Constant(Tensor::FromVector(1, 3, {-2.0f, 0.0f, 2.0f}));
-  const Tensor& lrelu = g.value(LeakyRelu(&g, a, 0.1f));
-  EXPECT_FLOAT_EQ(lrelu.at(0, 0), -0.2f);
-  EXPECT_FLOAT_EQ(lrelu.at(0, 2), 2.0f);
   const Tensor& elu = g.value(Elu(&g, a));
   EXPECT_NEAR(elu.at(0, 0), std::exp(-2.0f) - 1.0f, 1e-6);
   EXPECT_FLOAT_EQ(elu.at(0, 2), 2.0f);
@@ -74,34 +71,61 @@ TEST(OpsForwardTest, GatherRowsAndEdgeAggregate) {
   EXPECT_EQ(aggregated.at(3, 0), 0.0f);
 }
 
-TEST(OpsForwardTest, SegmentSoftmaxNormalizesPerSegment) {
+/// EdgeSoftmax without the edge-type term over edges e -> dst[e] whose
+/// pre-activation is logits[e]: edge e reads source score e and a zero
+/// destination score.
+Var EdgeSoftmaxOfLogits(Graph* g, const std::vector<float>& logits,
+                        std::vector<int32_t> dst, int64_t num_nodes,
+                        float slope) {
+  std::vector<int32_t> src(logits.size());
+  for (size_t e = 0; e < src.size(); ++e) src[e] = static_cast<int32_t>(e);
+  Var s_src = g->Constant(Tensor::ColVector(logits));
+  Var s_dst = g->Constant(Tensor::Zeros(num_nodes, 1));
+  return EdgeSoftmax(g, s_src, s_dst, Var{}, MakeIndices(std::move(src)),
+                     MakeIndices(std::move(dst)), nullptr, slope, num_nodes);
+}
+
+TEST(OpsForwardTest, EdgeSoftmaxNormalizesPerDestination) {
   Graph g(false);
-  Var logits = g.Constant(Tensor::ColVector({1.0f, 2.0f, 3.0f, -1.0f}));
-  auto seg = MakeIndices({0, 0, 1, 1});
-  const Tensor& alpha = g.value(SegmentSoftmax(&g, logits, seg, 2));
+  const Tensor& alpha = g.value(
+      EdgeSoftmaxOfLogits(&g, {1.0f, 2.0f, 3.0f, -1.0f}, {0, 0, 1, 1}, 2,
+                          0.2f));
   EXPECT_NEAR(alpha.at(0, 0) + alpha.at(1, 0), 1.0, 1e-6);
   EXPECT_NEAR(alpha.at(2, 0) + alpha.at(3, 0), 1.0, 1e-6);
   EXPECT_GT(alpha.at(1, 0), alpha.at(0, 0));
   EXPECT_GT(alpha.at(2, 0), alpha.at(3, 0));
 }
 
-TEST(OpsForwardTest, SegmentSoftmaxSingletonSegmentsAreOne) {
+TEST(OpsForwardTest, EdgeSoftmaxSingletonDestinationsAreOne) {
   Graph g(false);
-  Var logits = g.Constant(Tensor::ColVector({-50.0f, 80.0f}));
-  auto seg = MakeIndices({0, 1});
-  const Tensor& alpha = g.value(SegmentSoftmax(&g, logits, seg, 2));
+  const Tensor& alpha =
+      g.value(EdgeSoftmaxOfLogits(&g, {-50.0f, 80.0f}, {0, 1}, 2, 0.2f));
   EXPECT_NEAR(alpha.at(0, 0), 1.0, 1e-6);
   EXPECT_NEAR(alpha.at(1, 0), 1.0, 1e-6);
 }
 
-TEST(OpsForwardTest, SegmentSoftmaxNumericallyStableForLargeLogits) {
+TEST(OpsForwardTest, EdgeSoftmaxNumericallyStableForLargeLogits) {
   Graph g(false);
-  Var logits = g.Constant(Tensor::ColVector({1000.0f, 1001.0f}));
-  auto seg = MakeIndices({0, 0});
-  const Tensor& alpha = g.value(SegmentSoftmax(&g, logits, seg, 1));
+  const Tensor& alpha =
+      g.value(EdgeSoftmaxOfLogits(&g, {1000.0f, 1001.0f}, {0, 0}, 1, 0.2f));
   EXPECT_FALSE(std::isnan(alpha.at(0, 0)));
   EXPECT_NEAR(alpha.at(0, 0) + alpha.at(1, 0), 1.0, 1e-6);
   EXPECT_GT(alpha.at(1, 0), alpha.at(0, 0));
+}
+
+TEST(OpsForwardTest, EdgeSoftmaxAddsEdgeTermAndAppliesSlope) {
+  // Two edges into node 0. Edge 0: -1 + 0.5 - 1.5 = -2, which the 0.1
+  // slope makes -0.2; edge 1: 0.5 + 0.5 + 0 = 1, kept.
+  Graph g(false);
+  Var s_src = g.Constant(Tensor::ColVector({-1.0f, 0.5f}));
+  Var s_dst = g.Constant(Tensor::ColVector({0.5f}));
+  Var s_edge = g.Constant(Tensor::ColVector({-1.5f, 0.0f}));
+  const Tensor& alpha = g.value(
+      EdgeSoftmax(&g, s_src, s_dst, s_edge, MakeIndices({0, 1}),
+                  MakeIndices({0, 0}), MakeIndices({0, 1}), 0.1f, 1));
+  const double e0 = std::exp(-0.2), e1 = std::exp(1.0);
+  EXPECT_NEAR(alpha.at(0, 0), e0 / (e0 + e1), 1e-6);
+  EXPECT_NEAR(alpha.at(1, 0), e1 / (e0 + e1), 1e-6);
 }
 
 TEST(OpsForwardTest, ConcatColsAndRows) {
@@ -255,14 +279,6 @@ TEST(OpsGradTest, AddBias) {
                  });
 }
 
-TEST(OpsGradTest, LeakyRelu) {
-  // Keep inputs away from the kink at 0 (finite differences break there).
-  Tensor x = Tensor::FromVector(1, 4, {-1.2f, -0.4f, 0.5f, 1.3f});
-  CheckGradients({x}, [](Graph* g, const std::vector<Var>& v) {
-    return Sum(g, LeakyRelu(g, v[0], 0.2f));
-  });
-}
-
 TEST(OpsGradTest, Elu) {
   Tensor x = Tensor::FromVector(1, 4, {-1.5f, -0.5f, 0.5f, 1.5f});
   CheckGradients({x}, [](Graph* g, const std::vector<Var>& v) {
@@ -318,14 +334,37 @@ TEST(OpsGradTest, EdgeAggregate) {
                  });
 }
 
-TEST(OpsGradTest, SegmentSoftmax) {
-  auto seg = MakeIndices({0, 0, 0, 1, 1});
+TEST(OpsGradTest, EdgeSoftmax) {
+  // Edges 0 -> 0, 2 -> 0, 1 -> 0, 2 -> 1, 0 -> 1 of types 0, 1, 1, 0, 1.
+  // Every pre-activation (-1.1, 1.75, -0.15, 1.3, -0.45) stays far from
+  // the LeakyReLU kink at 0, where finite differences break.
+  auto src = MakeIndices({0, 2, 1, 2, 0});
+  auto dst = MakeIndices({0, 0, 0, 1, 1});
+  auto etype = MakeIndices({0, 1, 1, 0, 1});
   // Weighted sum of attention makes the gradient non-trivial.
   Tensor weights = Tensor::ColVector({1.0f, -2.0f, 0.5f, 3.0f, -1.0f});
   CheckGradients(
-      {RandomTensor(5, 1, 21)},
-      [seg, weights](Graph* g, const std::vector<Var>& v) {
-        Var alpha = SegmentSoftmax(g, v[0], seg, 2);
+      {Tensor::ColVector({-0.8f, -0.4f, 1.5f}),
+       Tensor::ColVector({0.2f, 0.3f}), Tensor::ColVector({-0.5f, 0.05f})},
+      [src, dst, etype, weights](Graph* g, const std::vector<Var>& v) {
+        Var alpha = EdgeSoftmax(g, v[0], v[1], v[2], src, dst, etype, 0.2f, 2);
+        return Sum(g, Mul(g, alpha, g->Constant(weights)));
+      },
+      /*eps=*/5e-3f);
+}
+
+TEST(OpsGradTest, EdgeSoftmaxWithoutEdgeTermNegativeSlope) {
+  // The GAT variant: no edge-type term. Pre-activations -1.3, 0.9, -0.6,
+  // 1.5 stay far from the kink; the negative slope flips the negative ones.
+  auto src = MakeIndices({0, 1, 0, 2});
+  auto dst = MakeIndices({1, 1, 0, 0});
+  Tensor weights = Tensor::ColVector({2.0f, -1.0f, 0.5f, 1.5f});
+  CheckGradients(
+      {Tensor::ColVector({-0.9f, 1.3f, 1.2f}),
+       Tensor::ColVector({0.3f, -0.4f})},
+      [src, dst, weights](Graph* g, const std::vector<Var>& v) {
+        Var alpha =
+            EdgeSoftmax(g, v[0], v[1], Var{}, src, dst, nullptr, -0.5f, 2);
         return Sum(g, Mul(g, alpha, g->Constant(weights)));
       },
       /*eps=*/5e-3f);
@@ -375,8 +414,8 @@ TEST(OpsGradTest, BceWithLogits) {
 
 TEST(OpsGradTest, CompositeAttentionLikeExpression) {
   // A miniature one-head attention: exercises the exact op chain used by
-  // the Simple-HGN layer (matmul -> gather -> segment softmax -> edge
-  // aggregate -> normalize).
+  // the Simple-HGN layer (matmul -> edge softmax -> edge aggregate ->
+  // normalize).
   auto src = MakeIndices({0, 1, 2, 0});
   auto dst = MakeIndices({1, 2, 1, 2});
   CheckGradients(
@@ -384,9 +423,8 @@ TEST(OpsGradTest, CompositeAttentionLikeExpression) {
        RandomTensor(2, 1, 33)},
       [src, dst](Graph* g, const std::vector<Var>& v) {
         Var wh = MatMul(g, v[0], v[1]);
-        Var logits = Add(g, GatherRows(g, MatMul(g, wh, v[2]), src),
-                         GatherRows(g, MatMul(g, wh, v[2]), dst));
-        Var alpha = SegmentSoftmax(g, LeakyRelu(g, logits, 0.2f), dst, 3);
+        Var alpha = EdgeSoftmax(g, MatMul(g, wh, v[2]), MatMul(g, wh, v[2]),
+                                Var{}, src, dst, nullptr, 0.2f, 3);
         Var agg = EdgeAggregate(g, wh, alpha, src, dst, 3);
         Var out = RowL2Normalize(g, Elu(g, agg));
         return Sum(g, Mul(g, out, out));
@@ -404,8 +442,8 @@ struct ForwardBackwardResult {
 
 // Runs the attention-like expression forward + backward with `pool` attached
 // to the graph. Sizes are chosen to cross every kernel's chunking grain:
-// elementwise (4096 scalars), matmul rows, gather and edge-aggregate rows,
-// and segment softmax (>16 segments), so the parallel code paths actually
+// elementwise (4096 scalars), matmul rows, edge-aggregate rows, and edge
+// softmax (>4096 edges, >16 segments), so the parallel code paths actually
 // execute.
 ForwardBackwardResult RunAttentionExpression(core::ThreadPool* pool) {
   constexpr int kNodes = 200;
@@ -436,9 +474,8 @@ ForwardBackwardResult RunAttentionExpression(core::ThreadPool* pool) {
   Var va = g.Leaf(attn, &result.grads[2]);
   Var wh = MatMul(&g, vh, vw);
   Var scores = MatMul(&g, wh, va);
-  Var logits = Add(&g, GatherRows(&g, scores, src),
-                   GatherRows(&g, scores, dst));
-  Var alpha = SegmentSoftmax(&g, LeakyRelu(&g, logits, 0.2f), dst, kNodes);
+  Var alpha =
+      EdgeSoftmax(&g, scores, scores, Var{}, src, dst, nullptr, 0.2f, kNodes);
   Var agg = EdgeAggregate(&g, wh, alpha, src, dst, kNodes);
   Var out = RowL2Normalize(&g, Elu(&g, agg));
   Var loss = Sum(&g, Mul(&g, out, out));

@@ -81,34 +81,40 @@ INSTANTIATE_TEST_SUITE_P(Sizes, GatherScatterAdjointTest,
                          ::testing::Values(1, 2, 5, 16, 64));
 
 // ---------------------------------------------------------------------------
-// SegmentSoftmax invariants across segment layouts.
+// EdgeSoftmax invariants across destination layouts.
 
 struct SegmentCase {
   int num_segments;
   int entries_per_segment;
 };
 
-class SegmentSoftmaxPropertyTest
-    : public ::testing::TestWithParam<SegmentCase> {};
+class EdgeSoftmaxPropertyTest : public ::testing::TestWithParam<SegmentCase> {
+};
 
-TEST_P(SegmentSoftmaxPropertyTest, SumsToOneAndShiftInvariant) {
+TEST_P(EdgeSoftmaxPropertyTest, SumsToOneAndShiftInvariant) {
   const SegmentCase c = GetParam();
   const int total = c.num_segments * c.entries_per_segment;
   core::Rng rng(static_cast<uint64_t>(total));
-  Tensor logits = Tensor::RandomNormal(total, 1, &rng, 0.0f, 3.0f);
-  std::vector<int32_t> seg(static_cast<size_t>(total));
+  const Tensor s_src = Tensor::RandomNormal(total, 1, &rng, 0.0f, 3.0f);
+  const Tensor s_dst = Tensor::RandomNormal(c.num_segments, 1, &rng);
+  std::vector<int32_t> src(static_cast<size_t>(total));
+  std::vector<int32_t> dst(static_cast<size_t>(total));
   for (int i = 0; i < total; ++i) {
-    seg[static_cast<size_t>(i)] =
-        static_cast<int32_t>(i % c.num_segments);  // interleaved segments
+    src[static_cast<size_t>(i)] = i;
+    dst[static_cast<size_t>(i)] =
+        static_cast<int32_t>(i % c.num_segments);  // interleaved destinations
   }
-  auto segments = MakeIndices(std::move(seg));
+  auto srcs = MakeIndices(std::move(src));
+  auto dsts = MakeIndices(std::move(dst));
+  auto alpha_of = [&](Graph* g, const Tensor& dst_scores, float slope) {
+    return g->value(EdgeSoftmax(g, g->Constant(s_src), g->Constant(dst_scores),
+                                Var{}, srcs, dsts, nullptr, slope,
+                                c.num_segments));
+  };
 
   Graph g(false);
-  const Tensor alpha =
-      g.value(SegmentSoftmax(&g, g.Constant(logits), segments,
-                             c.num_segments));
-
-  // Per-segment sums are exactly one.
+  const Tensor alpha = alpha_of(&g, s_dst, 0.2f);
+  // Per-destination sums are exactly one.
   std::vector<double> sums(static_cast<size_t>(c.num_segments), 0.0);
   for (int i = 0; i < total; ++i) {
     ASSERT_GT(alpha.at(i, 0), 0.0f);
@@ -117,16 +123,18 @@ TEST_P(SegmentSoftmaxPropertyTest, SumsToOneAndShiftInvariant) {
   }
   for (double s : sums) EXPECT_NEAR(s, 1.0, 1e-5);
 
-  // Softmax is invariant to a constant shift per segment.
-  Tensor shifted = logits;
+  // With slope 1 the LeakyReLU is the identity, so shifting every
+  // destination score shifts each destination's logits by one constant,
+  // to which softmax is invariant.
+  Tensor shifted = s_dst;
   for (int64_t i = 0; i < shifted.size(); ++i) shifted.data()[i] += 7.5f;
-  const Tensor alpha2 = g.value(SegmentSoftmax(
-      &g, g.Constant(shifted), segments, c.num_segments));
-  EXPECT_TRUE(alpha.AllClose(alpha2, 1e-5f));
+  const Tensor alpha1 = alpha_of(&g, s_dst, 1.0f);
+  const Tensor alpha2 = alpha_of(&g, shifted, 1.0f);
+  EXPECT_TRUE(alpha1.AllClose(alpha2, 1e-5f));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Layouts, SegmentSoftmaxPropertyTest,
+    Layouts, EdgeSoftmaxPropertyTest,
     ::testing::Values(SegmentCase{1, 8}, SegmentCase{4, 1},
                       SegmentCase{3, 5}, SegmentCase{16, 4}));
 

@@ -4,14 +4,18 @@
 // earlier op bodies, kept as bounds-checked at() loops. EdgeAggregate is
 // held to the gather -> row-scale -> scatter-add chain it replaced in the
 // Simple-HGN layer, replayed op by op through its (E x cols) message
-// tensors. Each op's forward value and every input gradient must match its
+// tensors, and EdgeSoftmax to the gather -> add -> LeakyReLU -> segment
+// softmax chain of the attention logits, replayed through its (E x 1)
+// columns. Each op's forward value and every input gradient must match its
 // reference bit for bit (memcmp) on random shapes, including 1-column and
-// 0-row inputs, with and without a 4-thread pool, on every dispatch path.
+// 0-row inputs, inline and on 1- and 4-thread pools, on every dispatch
+// path.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -81,6 +85,104 @@ EdgeAggregateRef EdgeAggregateReference(const Tensor& xv, const Tensor& wv,
   // GatherRows backward: d x = scatter of d m by source.
   for (int64_t e = 0; e < edges; ++e) {
     for (int64_t c = 0; c < cols; ++c) ref.dx.at(at(src, e), c) += dm.at(e, c);
+  }
+  return ref;
+}
+
+struct EdgeSoftmaxRef {
+  Tensor y, ds_src, ds_dst, ds_edge;
+};
+
+/// The chain EdgeSoftmax replaced, each op as its at()-loop body: the
+/// gathers of s_src by src and s_dst by dst and their Add, then (with
+/// `ev`) the gather of s_edge by etype and a second Add, LeakyRelu, and
+/// SegmentSoftmax by dst; then their backward closures in reverse tape
+/// order into zeroed gradient slots. Each destination's max, sum and dot
+/// run over its edges in increasing e, as the CSR kernels did. With
+/// `shared` the two node scores are one column `sv` (dv unused). The
+/// chain's Add took the two gathers as arguments, which GCC evaluates
+/// right to left, so the destination gather came first on the tape and
+/// the shared gradient adds the by-source terms before the by-destination
+/// ones.
+EdgeSoftmaxRef EdgeSoftmaxReference(const Tensor& sv, const Tensor& dv,
+                                    const Tensor* ev,
+                                    const std::vector<int32_t>& src,
+                                    const std::vector<int32_t>& dst,
+                                    const std::vector<int32_t>& etype,
+                                    float slope, int64_t num_nodes,
+                                    bool shared, const Tensor& dy) {
+  const int64_t edges = static_cast<int64_t>(src.size());
+  auto at = [](const std::vector<int32_t>& v, int64_t e) {
+    return static_cast<int64_t>(v.at(static_cast<size_t>(e)));
+  };
+  const Tensor& dst_scores = shared ? sv : dv;
+  EdgeSoftmaxRef ref{Tensor(edges, 1), Tensor(sv.rows(), 1),
+                     Tensor(dst_scores.rows(), 1),
+                     Tensor(ev != nullptr ? ev->rows() : 0, 1)};
+  Tensor gs(edges, 1), gd(edges, 1), sum(edges, 1);
+  for (int64_t e = 0; e < edges; ++e) gs.at(e, 0) = sv.at(at(src, e), 0);
+  for (int64_t e = 0; e < edges; ++e) {
+    gd.at(e, 0) = dst_scores.at(at(dst, e), 0);
+  }
+  for (int64_t e = 0; e < edges; ++e) sum.at(e, 0) = gs.at(e, 0) + gd.at(e, 0);
+  Tensor pre = sum;
+  if (ev != nullptr) {
+    Tensor ge(edges, 1);
+    for (int64_t e = 0; e < edges; ++e) ge.at(e, 0) = ev->at(at(etype, e), 0);
+    for (int64_t e = 0; e < edges; ++e) {
+      pre.at(e, 0) = sum.at(e, 0) + ge.at(e, 0);
+    }
+  }
+  Tensor act(edges, 1);
+  for (int64_t e = 0; e < edges; ++e) {
+    const float x = pre.at(e, 0);
+    act.at(e, 0) = x > 0.0f ? x : slope * x;
+  }
+  const auto nodes = static_cast<size_t>(num_nodes);
+  std::vector<float> seg_max(nodes, -std::numeric_limits<float>::infinity());
+  std::vector<float> seg_sum(nodes, 0.0f), seg_dot(nodes, 0.0f);
+  auto seg = [&](int64_t e) { return static_cast<size_t>(at(dst, e)); };
+  for (int64_t e = 0; e < edges; ++e) {
+    seg_max[seg(e)] = std::max(seg_max[seg(e)], act.at(e, 0));
+  }
+  for (int64_t e = 0; e < edges; ++e) {
+    const float ex = std::exp(act.at(e, 0) - seg_max[seg(e)]);
+    ref.y.at(e, 0) = ex;
+    seg_sum[seg(e)] += ex;
+  }
+  for (int64_t e = 0; e < edges; ++e) ref.y.at(e, 0) /= seg_sum[seg(e)];
+  // SegmentSoftmax backward, then LeakyRelu's.
+  Tensor dact(edges, 1), dpre(edges, 1);
+  for (int64_t e = 0; e < edges; ++e) {
+    seg_dot[seg(e)] += ref.y.at(e, 0) * dy.at(e, 0);
+  }
+  for (int64_t e = 0; e < edges; ++e) {
+    dact.at(e, 0) += ref.y.at(e, 0) * (dy.at(e, 0) - seg_dot[seg(e)]);
+  }
+  for (int64_t e = 0; e < edges; ++e) {
+    dpre.at(e, 0) += dact.at(e, 0) * (pre.at(e, 0) > 0.0f ? 1.0f : slope);
+  }
+  // The second Add and the s_edge gather's scatter.
+  Tensor dsum = dpre;
+  if (ev != nullptr) {
+    Tensor dge(edges, 1);
+    dsum = Tensor(edges, 1);
+    for (int64_t e = 0; e < edges; ++e) dsum.at(e, 0) += dpre.at(e, 0);
+    for (int64_t e = 0; e < edges; ++e) dge.at(e, 0) += dpre.at(e, 0);
+    for (int64_t e = 0; e < edges; ++e) {
+      ref.ds_edge.at(at(etype, e), 0) += dge.at(e, 0);
+    }
+  }
+  // The first Add, then the s_src and s_dst gathers' scatters.
+  Tensor dgs(edges, 1), dgd(edges, 1);
+  for (int64_t e = 0; e < edges; ++e) dgs.at(e, 0) += dsum.at(e, 0);
+  for (int64_t e = 0; e < edges; ++e) dgd.at(e, 0) += dsum.at(e, 0);
+  for (int64_t e = 0; e < edges; ++e) {
+    ref.ds_src.at(at(src, e), 0) += dgs.at(e, 0);
+  }
+  Tensor& dst_grad = shared ? ref.ds_src : ref.ds_dst;
+  for (int64_t e = 0; e < edges; ++e) {
+    dst_grad.at(at(dst, e), 0) += dgd.at(e, 0);
   }
   return ref;
 }
@@ -199,6 +301,26 @@ Tensor RandomTensor(int64_t rows, int64_t cols, core::Rng* rng) {
   return t;
 }
 
+/// RandomTensor plus NaN and both infinities. The NaN is the one this
+/// machine's arithmetic makes (inf - inf), so no result depends on which
+/// NaN operand an add or multiply propagates.
+Tensor RandomTensorWithSpecials(int64_t rows, int64_t cols, core::Rng* rng) {
+  volatile float inf = std::numeric_limits<float>::infinity();
+  const float nan = inf - inf;
+  Tensor t = RandomTensor(rows, cols, rng);
+  for (int64_t i = 0; i < t.size(); ++i) {
+    const double roll = rng->Uniform();
+    if (roll < 0.03) {
+      t.data()[i] = nan;
+    } else if (roll < 0.045) {
+      t.data()[i] = inf;
+    } else if (roll < 0.06) {
+      t.data()[i] = -inf;
+    }
+  }
+  return t;
+}
+
 class RowOpsEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<k::Path, int>> {
  protected:
@@ -257,6 +379,8 @@ std::vector<EdgeCase> EdgeCases(core::Rng* rng) {
        4,
        {0, 2, 2, 3, 0, 2, 1},
        {0, 1, 1, 3, 0, 1, 1}},
+      // One edge into each of rows 0, 1, 2, 3 and 5; row 4 stays empty.
+      {"singleton destination rows", 5, 6, {4, 0, 2, 2, 1}, {3, 0, 5, 1, 2}},
   };
   // Random sources into even destinations only: the odd rows stay empty.
   EdgeCase sparse{"empty destination rows", 9, 10, {}, {}};
@@ -294,6 +418,71 @@ TEST_P(RowOpsEquivalenceTest, EdgeAggregate) {
       }
       ExpectSameBits("EdgeAggregate dx" + tag, ref.dx, g->grad(x));
       ExpectSameBits("EdgeAggregate dw" + tag, ref.dw, g->grad(w));
+    }
+  }
+}
+
+TEST_P(RowOpsEquivalenceTest, EdgeSoftmax) {
+  constexpr int64_t kEdgeTypes = 3;
+  core::Rng rng(12);
+  for (const EdgeCase& ec : EdgeCases(&rng)) {
+    const int64_t n_edges = static_cast<int64_t>(ec.src.size());
+    std::vector<int32_t> etype;
+    for (int64_t e = 0; e < n_edges; ++e) {
+      etype.push_back(static_cast<int32_t>(
+          rng.UniformInt(static_cast<uint64_t>(kEdgeTypes))));
+    }
+    for (bool specials : {false, true}) {
+      for (bool with_edge : {false, true}) {
+        for (float slope : {0.2f, 0.0f, -0.5f}) {
+          for (bool shared : {false, true}) {
+            auto draw = [&](int64_t rows) {
+              return specials ? RandomTensorWithSpecials(rows, 1, &rng)
+                              : RandomTensor(rows, 1, &rng);
+            };
+            // A shared column serves both endpoints' indices.
+            const Tensor sv =
+                draw(shared ? std::max(ec.x_rows, ec.num_rows) : ec.x_rows);
+            const Tensor dv = draw(ec.num_rows);
+            const Tensor ev = draw(kEdgeTypes);
+            const Tensor weights = draw(n_edges);
+            Tensor sink_s(sv.rows(), 1), sink_d(dv.rows(), 1),
+                sink_e(kEdgeTypes, 1);
+            auto g = NewGraph();
+            Var s_src = g->Leaf(sv, &sink_s);
+            Var s_dst = shared ? s_src : g->Leaf(dv, &sink_d);
+            Var s_edge = with_edge ? g->Leaf(ev, &sink_e) : Var{};
+            Var y = EdgeSoftmax(g.get(), s_src, s_dst, s_edge,
+                                MakeIndices(ec.src), MakeIndices(ec.dst),
+                                with_edge ? MakeIndices(etype) : nullptr,
+                                slope, ec.num_rows);
+            const Tensor dy = BackwardWith(g.get(), y, weights);
+            const EdgeSoftmaxRef ref = EdgeSoftmaxReference(
+                sv, dv, with_edge ? &ev : nullptr, ec.src, ec.dst, etype,
+                slope, ec.num_rows, shared, dy);
+            const std::string tag =
+                " " + ec.name + (specials ? " specials" : "") +
+                (with_edge ? " edge term" : "") + (shared ? " shared" : "") +
+                " slope=" + std::to_string(slope);
+            ExpectSameBits("EdgeSoftmax y" + tag, ref.y, g->value(y));
+            if (n_edges == 0) {  // the chain's empty columns sent nothing back
+              EXPECT_TRUE(g->grad(s_src).empty() && g->grad(s_dst).empty())
+                  << tag;
+              continue;
+            }
+            ExpectSameBits("EdgeSoftmax d s_src" + tag, ref.ds_src,
+                           g->grad(s_src));
+            if (!shared) {
+              ExpectSameBits("EdgeSoftmax d s_dst" + tag, ref.ds_dst,
+                             g->grad(s_dst));
+            }
+            if (with_edge) {
+              ExpectSameBits("EdgeSoftmax d s_edge" + tag, ref.ds_edge,
+                             g->grad(s_edge));
+            }
+          }
+        }
+      }
     }
   }
 }
@@ -386,7 +575,7 @@ TEST_P(RowOpsEquivalenceTest, BceWithLogits) {
 INSTANTIATE_TEST_SUITE_P(
     AllPathsAllThreads, RowOpsEquivalenceTest,
     ::testing::Combine(::testing::ValuesIn(k::SupportedPaths()),
-                       ::testing::Values(0, 4)),
+                       ::testing::Values(0, 1, 4)),
     [](const ::testing::TestParamInfo<std::tuple<k::Path, int>>& param) {
       return std::string(k::PathName(std::get<0>(param.param))) + "_threads" +
              std::to_string(std::get<1>(param.param));
