@@ -1,5 +1,6 @@
 #include "core/binary_io.h"
 
+#include <cstdio>
 #include <cstring>
 
 namespace fedda::core {
@@ -8,155 +9,37 @@ namespace {
 constexpr size_t kMaxStringLength = 1 << 20;
 }  // namespace
 
-Status BinaryWriter::Open(const std::string& path) {
-  out_.open(path, std::ios::out | std::ios::trunc | std::ios::binary);
-  if (!out_.is_open()) {
-    status_ = Status::IoError("cannot open for writing: " + path);
+Status ReadFile(const std::string& path, std::vector<uint8_t>* bytes) {
+  // C stdio, not iostreams: libstdc++'s filebuf throws when a read fails
+  // (a directory opens, then EISDIR), while ferror reports it.
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    return Status::IoError("cannot open for reading: " + path);
   }
-  return status_;
-}
-
-void BinaryWriter::WriteRaw(const void* data, size_t size) {
-  if (!status_.ok()) return;
-  out_.write(static_cast<const char*>(data),
-             static_cast<std::streamsize>(size));
-  if (!out_.good()) status_ = Status::IoError("write failed");
-}
-
-void BinaryWriter::WriteU32(uint32_t value) { WriteRaw(&value, sizeof(value)); }
-void BinaryWriter::WriteU64(uint64_t value) { WriteRaw(&value, sizeof(value)); }
-void BinaryWriter::WriteI64(int64_t value) { WriteRaw(&value, sizeof(value)); }
-void BinaryWriter::WriteFloat(float value) { WriteRaw(&value, sizeof(value)); }
-void BinaryWriter::WriteDouble(double value) {
-  WriteRaw(&value, sizeof(value));
-}
-
-void BinaryWriter::WriteString(const std::string& value) {
-  WriteU32(static_cast<uint32_t>(value.size()));
-  WriteRaw(value.data(), value.size());
-}
-
-void BinaryWriter::WriteFloats(const std::vector<float>& values) {
-  WriteRaw(values.data(), values.size() * sizeof(float));
-}
-
-void BinaryWriter::WriteBytes(const std::vector<uint8_t>& bytes) {
-  WriteRaw(bytes.data(), bytes.size());
-}
-
-Status BinaryWriter::Close() {
-  if (out_.is_open()) {
-    out_.flush();
-    if (!out_.good() && status_.ok()) {
-      status_ = Status::IoError("flush failed");
-    }
-    out_.close();
+  bytes->clear();
+  uint8_t chunk[1 << 16];
+  size_t got = 0;
+  while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
+    bytes->insert(bytes->end(), chunk, chunk + got);
   }
-  return status_;
+  const bool failed = std::ferror(file) != 0;
+  std::fclose(file);
+  if (failed) return Status::IoError("cannot read: " + path);
+  return Status::OK();
 }
 
-Status BinaryReader::Open(const std::string& path) {
-  in_.open(path, std::ios::in | std::ios::binary);
-  if (!in_.is_open()) {
-    status_ = Status::IoError("cannot open for reading: " + path);
-    return status_;
+Status WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) {
+    return Status::IoError("cannot open for writing: " + path);
   }
-  // The size is the budget every block read is validated against: a
-  // decoded count that implies more bytes than the file holds is rejected
-  // before any allocation.
-  in_.seekg(0, std::ios::end);
-  const std::streamoff size = in_.tellg();
-  in_.seekg(0, std::ios::beg);
-  if (size < 0 || !in_.good()) {
-    status_ = Status::IoError("cannot determine file size: " + path);
-    return status_;
+  const bool written =
+      bytes.empty() ||
+      std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
+  if (std::fclose(file) != 0 || !written) {
+    return Status::IoError("write failed: " + path);
   }
-  file_size_ = static_cast<size_t>(size);
-  return status_;
-}
-
-size_t BinaryReader::remaining() {
-  if (!status_.ok()) return 0;
-  const std::streamoff pos = in_.tellg();
-  if (pos < 0 || static_cast<size_t>(pos) > file_size_) return 0;
-  return file_size_ - static_cast<size_t>(pos);
-}
-
-void BinaryReader::ReadRaw(void* data, size_t size) {
-  if (!status_.ok()) return;
-  in_.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
-  if (in_.gcount() != static_cast<std::streamsize>(size)) {
-    status_ = Status::IoError("unexpected end of file");
-  }
-}
-
-uint32_t BinaryReader::ReadU32() {
-  uint32_t value = 0;
-  ReadRaw(&value, sizeof(value));
-  return value;
-}
-
-uint64_t BinaryReader::ReadU64() {
-  uint64_t value = 0;
-  ReadRaw(&value, sizeof(value));
-  return value;
-}
-
-int64_t BinaryReader::ReadI64() {
-  int64_t value = 0;
-  ReadRaw(&value, sizeof(value));
-  return value;
-}
-
-float BinaryReader::ReadFloat() {
-  float value = 0.0f;
-  ReadRaw(&value, sizeof(value));
-  return value;
-}
-
-double BinaryReader::ReadDouble() {
-  double value = 0.0;
-  ReadRaw(&value, sizeof(value));
-  return value;
-}
-
-std::string BinaryReader::ReadString() {
-  const uint32_t length = ReadU32();
-  if (!status_.ok()) return {};
-  if (length > kMaxStringLength || length > remaining()) {
-    status_ = Status::IoError("string length implausible (corrupt file?)");
-    return {};
-  }
-  std::string value(length, '\0');
-  ReadRaw(value.data(), length);
-  return value;
-}
-
-std::vector<float> BinaryReader::ReadFloats(size_t count) {
-  if (!status_.ok()) return {};
-  if (count > remaining() / sizeof(float)) {
-    status_ = Status::IoError("float block exceeds file");
-    return {};
-  }
-  std::vector<float> values(count, 0.0f);
-  ReadRaw(values.data(), count * sizeof(float));
-  return values;
-}
-
-std::vector<uint8_t> BinaryReader::ReadBytes(size_t count) {
-  if (!status_.ok()) return {};
-  if (count > remaining()) {
-    status_ = Status::IoError("byte block exceeds file");
-    return {};
-  }
-  std::vector<uint8_t> bytes(count, 0);
-  ReadRaw(bytes.data(), count);
-  return bytes;
-}
-
-bool BinaryReader::AtEof() {
-  if (!status_.ok()) return false;
-  return in_.peek() == std::char_traits<char>::eof();
+  return Status::OK();
 }
 
 void ByteWriter::WriteRaw(const void* data, size_t size) {

@@ -2,7 +2,6 @@
 #define FEDDA_CORE_BINARY_IO_H_
 
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -10,90 +9,19 @@
 
 namespace fedda::core {
 
-/// Little-endian binary writer for checkpoint files. All write methods are
-/// no-ops after the first failure; check `status()` (or the Close() result)
-/// once at the end rather than after every call.
-class BinaryWriter {
- public:
-  BinaryWriter() = default;
-  BinaryWriter(const BinaryWriter&) = delete;
-  BinaryWriter& operator=(const BinaryWriter&) = delete;
-  // A failure here is unreportable; callers that care call Close() directly.
-  ~BinaryWriter() { (void)Close(); }
+/// Reads the whole file at `path` into `bytes` (replacing its contents).
+/// Every failure, a missing path or a directory included, is an IoError.
+[[nodiscard]] Status ReadFile(const std::string& path,
+                              std::vector<uint8_t>* bytes);
 
-  /// Opens `path` for writing (truncates).
-  Status Open(const std::string& path);
+/// Writes `bytes` to `path`, truncating. Every failure is an IoError.
+[[nodiscard]] Status WriteFile(const std::string& path,
+                               const std::vector<uint8_t>& bytes);
 
-  void WriteU32(uint32_t value);
-  void WriteU64(uint64_t value);
-  void WriteI64(int64_t value);
-  void WriteFloat(float value);
-  void WriteDouble(double value);
-  /// Length-prefixed UTF-8 string.
-  void WriteString(const std::string& value);
-  /// Raw float block (no length prefix; callers write the count first).
-  void WriteFloats(const std::vector<float>& values);
-  /// Raw byte block (no length prefix; callers write the count first).
-  void WriteBytes(const std::vector<uint8_t>& bytes);
-
-  [[nodiscard]] const Status& status() const { return status_; }
-
-  /// Flushes and closes; returns the accumulated status.
-  Status Close();
-
- private:
-  void WriteRaw(const void* data, size_t size);
-
-  std::ofstream out_;
-  Status status_;
-};
-
-/// Little-endian binary reader matching BinaryWriter. Read methods return
-/// defaults after the first failure; check `status()` at the end.
-///
-/// Like ByteReader, block reads validate their count against the bytes
-/// actually left in the file *before* allocating — a corrupt or hostile
-/// length field surfaces as a clean IoError, never an unbounded
-/// allocation. Decoders should additionally bound counts they multiply
-/// (rows*cols, dim*count) against `remaining()` before calling ReadFloats
-/// so the product cannot overflow.
-class BinaryReader {
- public:
-  BinaryReader() = default;
-  BinaryReader(const BinaryReader&) = delete;
-  BinaryReader& operator=(const BinaryReader&) = delete;
-
-  Status Open(const std::string& path);
-
-  uint32_t ReadU32();
-  uint64_t ReadU64();
-  int64_t ReadI64();
-  float ReadFloat();
-  double ReadDouble();
-  std::string ReadString();
-  /// Reads exactly `count` floats.
-  std::vector<float> ReadFloats(size_t count);
-  /// Reads exactly `count` raw bytes.
-  std::vector<uint8_t> ReadBytes(size_t count);
-
-  [[nodiscard]] const Status& status() const { return status_; }
-  /// Bytes left before end-of-file (0 after a failure).
-  [[nodiscard]] size_t remaining();
-  /// True when the stream is positioned at end-of-file with no errors.
-  [[nodiscard]] bool AtEof();
-
- private:
-  void ReadRaw(void* data, size_t size);
-
-  std::ifstream in_;
-  size_t file_size_ = 0;
-  Status status_;
-};
-
-/// In-memory little-endian byte-buffer writer with the same encoding as
-/// BinaryWriter; this is the substrate of the round-payload wire format
-/// (fl/wire.h), where payloads are serialized to byte vectors rather than
-/// files. Writes never fail.
+/// In-memory little-endian byte-buffer writer: the one encoding of the
+/// wire messages (fl/wire.h, net/transport.h) and of the checkpoint,
+/// activation-state and graph files, which are encoded here and written
+/// once with WriteFile. Writes never fail.
 class ByteWriter {
  public:
   ByteWriter() = default;
@@ -125,8 +53,12 @@ class ByteWriter {
 /// Bounds-checked reader over a byte buffer, matching ByteWriter. The first
 /// out-of-bounds read latches an IoError status and every later read
 /// returns defaults — truncated or corrupt payloads surface as a clean
-/// Status, never as out-of-bounds access. The buffer is borrowed and must
-/// outlive the reader.
+/// Status, never as out-of-bounds access. Block reads validate their count
+/// against `remaining()` before allocating, so a hostile length field is
+/// rejected, never allocated; decoders additionally bound counts they
+/// multiply (rows*cols, dim*count) against `remaining()` so the product
+/// cannot overflow. The buffer is borrowed and must outlive the reader;
+/// file decoders read the whole file with ReadFile first.
 class ByteReader {
  public:
   explicit ByteReader(const std::vector<uint8_t>& bytes)

@@ -252,8 +252,7 @@ constexpr uint32_t kActivationVersion = 2;
 }  // namespace
 
 core::Status ActivationState::Save(const std::string& path) const {
-  core::BinaryWriter writer;
-  FEDDA_RETURN_IF_ERROR(writer.Open(path));
+  core::ByteWriter writer;
   writer.WriteU32(kActivationMagic);
   writer.WriteU32(kActivationVersion);
   writer.WriteU32(static_cast<uint32_t>(num_clients_));
@@ -272,12 +271,13 @@ core::Status ActivationState::Save(const std::string& path) const {
   for (int c = 0; c < num_clients_; ++c) {
     writer.WriteBytes(PackBits(masks_[static_cast<size_t>(c)]));
   }
-  return writer.Close();
+  return core::WriteFile(path, writer.bytes());
 }
 
 core::Status ActivationState::Load(const std::string& path) {
-  core::BinaryReader reader;
-  FEDDA_RETURN_IF_ERROR(reader.Open(path));
+  std::vector<uint8_t> bytes;
+  FEDDA_RETURN_IF_ERROR(core::ReadFile(path, &bytes));
+  core::ByteReader reader(bytes);
   if (reader.ReadU32() != kActivationMagic) {
     return core::Status::InvalidArgument("not an activation-state file: " +
                                          path);
@@ -326,7 +326,7 @@ core::Status ActivationState::Load(const std::string& path) {
         UnpackBits(packed_mask, static_cast<size_t>(num_units_));
   }
   if (!reader.status().ok()) return reader.status();
-  if (!reader.AtEof()) {
+  if (!reader.AtEnd()) {
     return core::Status::InvalidArgument("trailing bytes");
   }
   client_active_ = std::move(active);

@@ -1,160 +1,73 @@
 #include "core/binary_io.h"
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 namespace fedda::core {
 namespace {
 
-class BinaryIoTest : public ::testing::Test {
+class FileIoTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_ = ::testing::TempDir() + "/fedda_binary_io_test.bin";
 };
 
-TEST_F(BinaryIoTest, RoundTripAllTypes) {
-  {
-    BinaryWriter writer;
-    ASSERT_TRUE(writer.Open(path_).ok());
-    writer.WriteU32(0xDEADBEEF);
-    writer.WriteU64(0x1122334455667788ULL);
-    writer.WriteI64(-42);
-    writer.WriteFloat(3.5f);
-    writer.WriteString("hello fedda");
-    writer.WriteFloats({1.0f, -2.0f, 0.5f});
-    ASSERT_TRUE(writer.Close().ok());
-  }
-  BinaryReader reader;
-  ASSERT_TRUE(reader.Open(path_).ok());
+TEST_F(FileIoTest, WriteThenReadRoundTripsEveryType) {
+  ByteWriter writer;
+  writer.WriteU32(0xDEADBEEF);
+  writer.WriteU64(0x1122334455667788ULL);
+  writer.WriteI64(-42);
+  writer.WriteFloat(3.5f);
+  writer.WriteDouble(0.1234567890123456);
+  writer.WriteString("hello fedda");
+  writer.WriteFloats({1.0f, -2.0f, 0.5f});
+  writer.WriteBytes({0x00, 0xFF, 0x7A});
+  ASSERT_TRUE(WriteFile(path_, writer.bytes()).ok());
+
+  std::vector<uint8_t> bytes = {1, 2, 3};  // replaced, not appended to
+  ASSERT_TRUE(ReadFile(path_, &bytes).ok());
+  EXPECT_EQ(bytes, writer.bytes());
+  ByteReader reader(bytes);
   EXPECT_EQ(reader.ReadU32(), 0xDEADBEEF);
   EXPECT_EQ(reader.ReadU64(), 0x1122334455667788ULL);
   EXPECT_EQ(reader.ReadI64(), -42);
   EXPECT_EQ(reader.ReadFloat(), 3.5f);
+  EXPECT_EQ(reader.ReadDouble(), 0.1234567890123456);
   EXPECT_EQ(reader.ReadString(), "hello fedda");
   EXPECT_EQ(reader.ReadFloats(3), (std::vector<float>{1.0f, -2.0f, 0.5f}));
-  EXPECT_TRUE(reader.AtEof());
-  EXPECT_TRUE(reader.status().ok());
-}
-
-TEST_F(BinaryIoTest, EmptyString) {
-  {
-    BinaryWriter writer;
-    ASSERT_TRUE(writer.Open(path_).ok());
-    writer.WriteString("");
-    ASSERT_TRUE(writer.Close().ok());
-  }
-  BinaryReader reader;
-  ASSERT_TRUE(reader.Open(path_).ok());
-  EXPECT_EQ(reader.ReadString(), "");
-  EXPECT_TRUE(reader.AtEof());
-}
-
-TEST_F(BinaryIoTest, TruncatedReadReportsError) {
-  {
-    BinaryWriter writer;
-    ASSERT_TRUE(writer.Open(path_).ok());
-    writer.WriteU32(7);
-    ASSERT_TRUE(writer.Close().ok());
-  }
-  BinaryReader reader;
-  ASSERT_TRUE(reader.Open(path_).ok());
-  reader.ReadU64();  // asks for more bytes than exist
-  EXPECT_FALSE(reader.status().ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kIoError);
-  // Subsequent reads stay failed and return defaults.
-  EXPECT_EQ(reader.ReadU32(), 0u);
-  EXPECT_FALSE(reader.AtEof());
-}
-
-TEST_F(BinaryIoTest, ImplausibleStringLengthRejected) {
-  {
-    BinaryWriter writer;
-    ASSERT_TRUE(writer.Open(path_).ok());
-    writer.WriteU32(0x7FFFFFFF);  // bogus length prefix
-    ASSERT_TRUE(writer.Close().ok());
-  }
-  BinaryReader reader;
-  ASSERT_TRUE(reader.Open(path_).ok());
-  reader.ReadString();
-  EXPECT_FALSE(reader.status().ok());
-}
-
-// Counts decoded from file bytes must be validated against the bytes left
-// in the file *before* the vector/string is sized — a forged count used to
-// allocate first (up to the plausibility caps) and fail the read later.
-TEST_F(BinaryIoTest, OversizeCountsRejectedBeforeAllocating) {
-  {
-    BinaryWriter writer;
-    ASSERT_TRUE(writer.Open(path_).ok());
-    writer.WriteU32(64);  // a count; only 4 bytes follow
-    writer.WriteU32(0);
-    ASSERT_TRUE(writer.Close().ok());
-  }
-  {
-    BinaryReader reader;
-    ASSERT_TRUE(reader.Open(path_).ok());
-    EXPECT_TRUE(reader.ReadFloats(64).empty());
-    EXPECT_EQ(reader.status().code(), StatusCode::kIoError);
-    EXPECT_NE(reader.status().message().find("float block exceeds file"),
-              std::string::npos);
-  }
-  {
-    BinaryReader reader;
-    ASSERT_TRUE(reader.Open(path_).ok());
-    EXPECT_TRUE(reader.ReadBytes(64).empty());
-    EXPECT_EQ(reader.status().code(), StatusCode::kIoError);
-    EXPECT_NE(reader.status().message().find("byte block exceeds file"),
-              std::string::npos);
-  }
-  {
-    // String length 64 is far below the plausibility cap but still larger
-    // than the 4 bytes that follow the prefix.
-    BinaryReader reader;
-    ASSERT_TRUE(reader.Open(path_).ok());
-    EXPECT_TRUE(reader.ReadString().empty());
-    EXPECT_EQ(reader.status().code(), StatusCode::kIoError);
-  }
-}
-
-TEST_F(BinaryIoTest, RemainingTracksReadPosition) {
-  {
-    BinaryWriter writer;
-    ASSERT_TRUE(writer.Open(path_).ok());
-    writer.WriteU32(1);
-    writer.WriteU64(2);
-    ASSERT_TRUE(writer.Close().ok());
-  }
-  BinaryReader reader;
-  ASSERT_TRUE(reader.Open(path_).ok());
-  EXPECT_EQ(reader.remaining(), 12u);
-  reader.ReadU32();
-  EXPECT_EQ(reader.remaining(), 8u);
-  reader.ReadU64();
-  EXPECT_EQ(reader.remaining(), 0u);
-  EXPECT_TRUE(reader.AtEof());
-}
-
-TEST_F(BinaryIoTest, OpenMissingFileFails) {
-  BinaryReader reader;
-  EXPECT_FALSE(reader.Open("/nonexistent_dir_xyz/file.bin").ok());
-  BinaryWriter writer;
-  EXPECT_FALSE(writer.Open("/nonexistent_dir_xyz/file.bin").ok());
-}
-
-TEST_F(BinaryIoTest, FileDoubleAndBytesRoundTrip) {
-  {
-    BinaryWriter writer;
-    ASSERT_TRUE(writer.Open(path_).ok());
-    writer.WriteDouble(0.1234567890123456);
-    writer.WriteBytes({0x00, 0xFF, 0x7A});
-    ASSERT_TRUE(writer.Close().ok());
-  }
-  BinaryReader reader;
-  ASSERT_TRUE(reader.Open(path_).ok());
-  EXPECT_EQ(reader.ReadDouble(), 0.1234567890123456);
   EXPECT_EQ(reader.ReadBytes(3), (std::vector<uint8_t>{0x00, 0xFF, 0x7A}));
-  EXPECT_TRUE(reader.AtEof());
+  EXPECT_TRUE(reader.AtEnd());
+}
+
+TEST_F(FileIoTest, EmptyFileRoundTrips) {
+  ASSERT_TRUE(WriteFile(path_, {}).ok());
+  std::vector<uint8_t> bytes = {9};
+  ASSERT_TRUE(ReadFile(path_, &bytes).ok());
+  EXPECT_TRUE(bytes.empty());
+}
+
+TEST_F(FileIoTest, ReadMissingPathIsIoError) {
+  std::vector<uint8_t> bytes;
+  EXPECT_EQ(ReadFile("/nonexistent_dir_xyz/file.bin", &bytes).code(),
+            StatusCode::kIoError);
+}
+
+// A directory opens for reading and fails on the first read (EISDIR),
+// where libstdc++'s file streams throw. ReadFile must return a Status.
+TEST_F(FileIoTest, ReadDirectoryIsIoError) {
+  std::vector<uint8_t> bytes;
+  EXPECT_EQ(ReadFile(::testing::TempDir(), &bytes).code(),
+            StatusCode::kIoError);
+}
+
+TEST_F(FileIoTest, WriteUnwritablePathIsIoError) {
+  EXPECT_EQ(WriteFile("/nonexistent_dir_xyz/file.bin", {1}).code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(WriteFile(::testing::TempDir(), {1}).code(),
+            StatusCode::kIoError);
 }
 
 TEST(ByteIoTest, RoundTripAllTypes) {
@@ -203,6 +116,67 @@ TEST(ByteIoTest, OverrunSetsStickyError) {
   EXPECT_EQ(reader.ReadU32(), 0u);
   EXPECT_EQ(reader.ReadFloats(4), std::vector<float>{});
   EXPECT_FALSE(reader.AtEnd());
+}
+
+TEST(ByteIoTest, EmptyString) {
+  ByteWriter writer;
+  writer.WriteString("");
+  ByteReader reader(writer.bytes());
+  EXPECT_EQ(reader.ReadString(), "");
+  EXPECT_TRUE(reader.AtEnd());
+}
+
+TEST(ByteIoTest, ImplausibleStringLengthRejected) {
+  ByteWriter writer;
+  writer.WriteU32(0x7FFFFFFF);  // bogus length prefix
+  ByteReader reader(writer.bytes());
+  reader.ReadString();
+  EXPECT_EQ(reader.status().code(), StatusCode::kIoError);
+}
+
+// Counts decoded from input bytes must be validated against the bytes
+// left *before* the vector/string is sized, so a forged count is rejected
+// rather than allocated.
+TEST(ByteIoTest, OversizeCountsRejectedBeforeAllocating) {
+  ByteWriter writer;
+  writer.WriteU32(64);  // a count; only 4 bytes follow
+  writer.WriteU32(0);
+  {
+    ByteReader reader(writer.bytes());
+    reader.ReadU32();
+    EXPECT_TRUE(reader.ReadFloats(64).empty());
+    EXPECT_EQ(reader.status().code(), StatusCode::kIoError);
+    EXPECT_NE(reader.status().message().find("float block exceeds"),
+              std::string::npos);
+  }
+  {
+    ByteReader reader(writer.bytes());
+    reader.ReadU32();
+    EXPECT_TRUE(reader.ReadBytes(64).empty());
+    EXPECT_EQ(reader.status().code(), StatusCode::kIoError);
+    EXPECT_NE(reader.status().message().find("byte block exceeds"),
+              std::string::npos);
+  }
+  {
+    // String length 64 is far below the plausibility cap but still larger
+    // than the 4 bytes that follow the prefix.
+    ByteReader reader(writer.bytes());
+    EXPECT_TRUE(reader.ReadString().empty());
+    EXPECT_EQ(reader.status().code(), StatusCode::kIoError);
+  }
+}
+
+TEST(ByteIoTest, RemainingTracksReadPosition) {
+  ByteWriter writer;
+  writer.WriteU32(1);
+  writer.WriteU64(2);
+  ByteReader reader(writer.bytes());
+  EXPECT_EQ(reader.remaining(), 12u);
+  reader.ReadU32();
+  EXPECT_EQ(reader.remaining(), 8u);
+  reader.ReadU64();
+  EXPECT_EQ(reader.remaining(), 0u);
+  EXPECT_TRUE(reader.AtEnd());
 }
 
 TEST(ByteIoTest, GiantCountsRejectedWithoutAllocating) {

@@ -5,10 +5,11 @@
 #include "tensor/parameter_store.h"
 #include "tests/fuzz/fuzz_harness.h"
 
-/// Checkpoint files (core::BinaryReader surface): LoadCheckpoint
-/// reconstructs a store from scratch, RestoreCheckpointValues overwrites a
-/// fixed-layout store — both must reject corrupt shapes, counts, and
-/// truncation before allocating.
+/// Checkpoint files (read whole, then decoded by core::ByteReader):
+/// LoadCheckpoint reconstructs a store from scratch,
+/// RestoreCheckpointValues overwrites a fixed-layout store — both must
+/// reject corrupt shapes, counts, repeated names and truncation before
+/// allocating or registering.
 FEDDA_FUZZ_TARGET(Checkpoint) {
   static const std::string path = fedda::fuzz::ScratchPath("checkpoint");
   fedda::fuzz::WriteScratch(path, data, size);

@@ -4,7 +4,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+
+#include "core/binary_io.h"
 
 namespace fedda::fuzz {
 
@@ -15,18 +16,10 @@ std::string ScratchPath(const char* tag) {
 }
 
 void WriteScratch(const std::string& path, const uint8_t* data, size_t size) {
-  std::ofstream out(path, std::ios::out | std::ios::trunc | std::ios::binary);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "fuzz harness: cannot open scratch file %s\n",
-                 path.c_str());
-    std::abort();
-  }
-  out.write(reinterpret_cast<const char*>(data),
-            static_cast<std::streamsize>(size));
-  out.close();
-  if (!out.good()) {
-    std::fprintf(stderr, "fuzz harness: cannot write scratch file %s\n",
-                 path.c_str());
+  const core::Status written =
+      core::WriteFile(path, std::vector<uint8_t>(data, data + size));
+  if (!written.ok()) {
+    std::fprintf(stderr, "fuzz harness: %s\n", written.ToString().c_str());
     std::abort();
   }
 }
@@ -60,7 +53,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
 #include <algorithm>
 #include <filesystem>
-#include <iterator>
 #include <vector>
 
 namespace {
@@ -69,13 +61,12 @@ namespace {
 /// driver (that is the point: the ctest target goes red), so reaching the
 /// next line means the entry passed.
 bool ReplayFile(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::in | std::ios::binary);
-  if (!in.is_open()) {
-    std::fprintf(stderr, "replay: cannot open %s\n", path.c_str());
+  std::vector<uint8_t> bytes;
+  const fedda::core::Status read = fedda::core::ReadFile(path, &bytes);
+  if (!read.ok()) {
+    std::fprintf(stderr, "replay: %s\n", read.ToString().c_str());
     return false;
   }
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
   FeddaFuzzOne(bytes.data(), bytes.size());
   return true;
 }

@@ -1,5 +1,5 @@
 // must-flag az-tb-alloc: a block read on a reader type that does NOT
-// self-validate counts (only core::ByteReader/BinaryReader do); the size
+// self-validate counts (only core::ByteReader does); the size
 // argument comes straight from the wire.
 // fedda-analyze-entry: DecodeRaw decoder
 #include "support.h"

@@ -23,9 +23,8 @@ tools/lint_allowlist.txt can tell analyzer entries from lint entries):
   az-tb-alloc        An allocation (resize/reserve/new[]/reader block read)
                      in a trust-boundary-reachable function whose size
                      comes from a wire read with no intervening branch on
-                     that value. core::ByteReader/BinaryReader block reads
-                     validate counts against remaining() internally and are
-                     exempt.
+                     that value. core::ByteReader block reads validate
+                     counts against remaining() internally and are exempt.
   az-lock-cycle      A cycle in the global lock-order graph built from
                      core::MutexLock scopes and Mutex::Lock calls,
                      intra- and interprocedurally (Clang thread-safety
@@ -84,7 +83,7 @@ ABORT_MACRO_RE = re.compile(r"^(FEDDA_)?D?CHECK(_[A-Z0-9_]+)?$")
 ABORT_CALLS = {"abort", "exit", "_Exit", "quick_exit", "terminate"}
 READ_CALL_RE = re.compile(r"^Read[A-Z]\w*$|^Read$")
 BLOCK_READS = {"ReadBytes", "ReadFloats", "ReadString"}
-SAFE_READER_RE = re.compile(r"\b(?:ByteReader|BinaryReader)\b")
+SAFE_READER_RE = re.compile(r"\bByteReader\b")
 STATUS_TYPE_RE = re.compile(r"(?:^|::)(?:Status|Result<)")
 SERIAL_FN_RE = re.compile(r"^(?:Save|Write|Serialize|Encode)")
 FLOAT_TYPES = {"float", "double", "long double"}
