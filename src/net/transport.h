@@ -74,12 +74,12 @@ struct ServerOptions {
 
 /// Server side of the wire protocol: owns one connection per client process
 /// and implements fl::Transport for the runner. Collection is a poll-driven
-/// event loop sequenced through the existing fl::EventQueue coordinator:
-/// every connection-lifecycle observation — a handshake completing, a reply
-/// arriving, a peer departing — is pushed with its measured wall-clock
-/// offset and popped in (time, seq) order into the event log. The log is
-/// observability and test surface only; replies are returned in task order,
-/// so aggregation stays deterministic no matter how arrivals interleave.
+/// event loop: every connection-lifecycle observation — a handshake
+/// completing, a reply arriving, a peer departing — is appended to the
+/// event log with its measured offset on a steady clock, so the log is in
+/// (time, seq) order as it is written. The log is observability and test
+/// surface only; replies are returned in task order, so aggregation stays
+/// deterministic no matter how arrivals interleave.
 ///
 /// Single-threaded by design: ExecuteRound runs on the runner's coordinator
 /// thread, like every other round-loop step.
@@ -133,8 +133,8 @@ class SocketTransport final : public fl::Transport {
   /// Closes `client`'s connection and logs a departure at the current
   /// measured time. Idempotent per client.
   void MarkDeparted(int client, int round);
-  /// Pops every pending queue event into the event log.
-  void DrainEvents();
+  /// Appends an event at the current measured time, its seq its index.
+  void LogEvent(fl::EventKind kind, int client, int round);
   double Elapsed() const { return MonotonicSeconds() - start_time_; }
 
   struct Connection {
@@ -147,7 +147,6 @@ class SocketTransport final : public fl::Transport {
   std::string address_;
   Listener listener_;
   std::vector<Connection> connections_;
-  fl::EventQueue queue_;
   std::vector<fl::Event> events_;
   Stats stats_;
   double start_time_ = 0.0;

@@ -381,7 +381,7 @@ void RunLoopback(fl::FlOptions options, const std::string& address,
   const core::Status accepted = transport->AcceptClients();
   ASSERT_TRUE(accepted.ok()) << accepted.ToString();
 
-  // Every handshake is an arrival event at round -1, through the queue.
+  // Every handshake is logged as an arrival event at round -1.
   ASSERT_EQ(transport->events().size(),
             static_cast<size_t>(system.num_clients()));
   for (const fl::Event& event : transport->events()) {
