@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -14,17 +13,6 @@
 namespace fedda::tensor::kernels {
 
 namespace {
-
-// Scheduling grains, mirroring the historical op-level values: one chunk
-// must carry enough arithmetic to amortize its enqueue. Chunk boundaries
-// never change results (lane/row independence), only scheduling.
-constexpr int64_t kElementGrain = 4096;
-constexpr int64_t kRowWorkGrain = 16384;
-constexpr int64_t kSegmentGrain = 16;
-
-int64_t RowGrain(int64_t cols) {
-  return std::max<int64_t>(1, kRowWorkGrain / std::max<int64_t>(1, cols));
-}
 
 std::atomic<uint8_t>& ModeStorage() {
   static std::atomic<uint8_t> mode{static_cast<uint8_t>(
@@ -181,11 +169,9 @@ void MatMul(const float* a, const float* b, float* out, int64_t m, int64_t k,
             int64_t n, core::ThreadPool* pool) {
   const Path path = ActivePath();
   // Output rows are independent; parallelizing over them preserves each
-  // row's accumulation order exactly. Grain sized so a chunk carries at
-  // least ~16k multiply-adds.
-  const int64_t grain =
-      std::max<int64_t>(1, kRowWorkGrain / std::max<int64_t>(1, k * n));
-  core::ParallelForRange(pool, m, grain,
+  // row's accumulation order exactly. Each output row costs k * n
+  // multiply-adds.
+  core::ParallelForRange(pool, m, RowGrain(k * n),
                          [=](int64_t row_begin, int64_t row_end) {
                            FEDDA_DISPATCH_PATH(path, MatMulRows, a, b, out,
                                                row_begin, row_end, k, n)
@@ -197,10 +183,8 @@ void MatMul(const float* a, const float* b, float* out, int64_t m, int64_t k,
 void MatMulAtB(const float* a, const float* b, float* out, int64_t m,
                int64_t k, int64_t n, core::ThreadPool* pool) {
   const Path path = ActivePath();
-  const int64_t grain =
-      std::max<int64_t>(1, kRowWorkGrain / std::max<int64_t>(1, k * n));
   core::ParallelForRange(
-      pool, m, grain, [=](int64_t row_begin, int64_t row_end) {
+      pool, m, RowGrain(k * n), [=](int64_t row_begin, int64_t row_end) {
         FEDDA_DISPATCH_PATH(path, MatMulAtBRows, a, b, out, row_begin,
                             row_end, m, k, n)
       });
@@ -209,10 +193,8 @@ void MatMulAtB(const float* a, const float* b, float* out, int64_t m,
 void MatMulABt(const float* a, const float* b, float* out, int64_t m,
                int64_t k, int64_t n, core::ThreadPool* pool) {
   const Path path = ActivePath();
-  const int64_t grain =
-      std::max<int64_t>(1, kRowWorkGrain / std::max<int64_t>(1, k * n));
   core::ParallelForRange(
-      pool, m, grain, [=](int64_t row_begin, int64_t row_end) {
+      pool, m, RowGrain(k * n), [=](int64_t row_begin, int64_t row_end) {
         FEDDA_DISPATCH_PATH(path, MatMulABtRows, a, b, out, row_begin,
                             row_end, k, n)
       });

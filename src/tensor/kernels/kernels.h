@@ -1,6 +1,7 @@
 #ifndef FEDDA_TENSOR_KERNELS_KERNELS_H_
 #define FEDDA_TENSOR_KERNELS_KERNELS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -24,6 +25,26 @@ namespace fedda::tensor::kernels {
 /// Exp-based kernels (segment-softmax) deliberately stay scalar under every
 /// path — a vectorized exp() approximation would change bits. Hosts without
 /// AVX2, AArch64 included, run the scalar bodies.
+
+// ---------------------------------------------------------------------------
+// Scheduling grains
+// ---------------------------------------------------------------------------
+
+/// The minimum work of one parallel chunk, for the kernels below and the
+/// ops that partition their own loops: a chunk must carry enough
+/// arithmetic to amortize its enqueue. Elementwise loops count scalars, row
+/// loops divide a multiply-add budget by each row's work (RowGrain) and
+/// segment loops count segments. Chunk boundaries never change results
+/// (lane and row independence), only scheduling.
+inline constexpr int64_t kElementGrain = 4096;
+inline constexpr int64_t kRowWorkGrain = 16384;
+inline constexpr int64_t kSegmentGrain = 16;
+
+/// Rows per chunk when each row costs `row_work` scalar operations.
+inline int64_t RowGrain(int64_t row_work) {
+  return std::max<int64_t>(1,
+                           kRowWorkGrain / std::max<int64_t>(1, row_work));
+}
 
 // ---------------------------------------------------------------------------
 // Dispatch policy

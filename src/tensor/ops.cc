@@ -25,22 +25,8 @@ bool GradFits(const Tensor& grad, const Tensor& value) {
   return grad.SameShape(value) || (grad.empty() && value.empty());
 }
 
-// Scheduling grains: one chunk must carry enough arithmetic to amortize its
-// enqueue. Elementwise kernels count scalars; row kernels divide a scalar-op
-// budget by the row width.
-constexpr int64_t kElementGrain = 4096;
-constexpr int64_t kRowWorkGrain = 16384;
-
-int64_t RowGrain(int64_t cols) {
-  return std::max<int64_t>(1, kRowWorkGrain / std::max<int64_t>(1, cols));
-}
-
-/// Runs fn(begin, end) over a partition of [0, n), using the graph's pool
-/// when one is attached and inline otherwise.
-void ParallelChunks(const Graph* g, int64_t n, int64_t grain,
-                    const std::function<void(int64_t, int64_t)>& fn) {
-  core::ParallelForRange(g->pool(), n, grain, fn);
-}
+using kernels::kElementGrain;
+using kernels::RowGrain;
 
 }  // namespace
 
@@ -213,14 +199,15 @@ Var AddBias(Graph* g, Var a, Var bias) {
 Var Elu(Graph* g, Var a, float alpha) {
   const Tensor& av = g->value(a);
   Tensor out(av.rows(), av.cols());
-  ParallelChunks(g, av.size(), kElementGrain,
-                 [&out, &av, alpha](int64_t begin, int64_t end) {
-                   for (int64_t i = begin; i < end; ++i) {
-                     const float x = av.data()[i];
-                     out.data()[i] =
-                         x > 0.0f ? x : alpha * (std::exp(x) - 1.0f);
-                   }
-                 });
+  core::ParallelForRange(
+      g->pool(), av.size(), kElementGrain,
+      [&out, &av, alpha](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          const float x = av.data()[i];
+          out.data()[i] =
+              x > 0.0f ? x : alpha * (std::exp(x) - 1.0f);
+        }
+      });
   const bool rg = g->requires_grad(a);
   return g->AddNode(
       std::move(out), {a},
@@ -230,8 +217,8 @@ Var Elu(Graph* g, Var a, float alpha) {
         const Tensor& a_in = bg->value(a);
         const Tensor& yv = bg->value(self);
         Tensor& da = bg->mutable_grad(a);
-        ParallelChunks(
-            bg, dy.size(), kElementGrain,
+        core::ParallelForRange(
+            bg->pool(), dy.size(), kElementGrain,
             [&da, &dy, &a_in, &yv, alpha](int64_t begin, int64_t end) {
               for (int64_t i = begin; i < end; ++i) {
                 // d/dx elu = 1 for x > 0, else elu(x) + alpha.
@@ -247,12 +234,13 @@ Var Elu(Graph* g, Var a, float alpha) {
 Var Sigmoid(Graph* g, Var a) {
   const Tensor& av = g->value(a);
   Tensor out(av.rows(), av.cols());
-  ParallelChunks(g, av.size(), kElementGrain,
-                 [&out, &av](int64_t begin, int64_t end) {
-                   for (int64_t i = begin; i < end; ++i) {
-                     out.data()[i] = 1.0f / (1.0f + std::exp(-av.data()[i]));
-                   }
-                 });
+  core::ParallelForRange(
+      g->pool(), av.size(), kElementGrain,
+      [&out, &av](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          out.data()[i] = 1.0f / (1.0f + std::exp(-av.data()[i]));
+        }
+      });
   const bool rg = g->requires_grad(a);
   return g->AddNode(
       std::move(out), {a},
@@ -261,13 +249,14 @@ Var Sigmoid(Graph* g, Var a) {
         const Tensor& dy = bg->grad(self);
         const Tensor& yv = bg->value(self);
         Tensor& da = bg->mutable_grad(a);
-        ParallelChunks(bg, dy.size(), kElementGrain,
-                       [&da, &dy, &yv](int64_t begin, int64_t end) {
-                         for (int64_t i = begin; i < end; ++i) {
-                           const float s = yv.data()[i];
-                           da.data()[i] += dy.data()[i] * s * (1.0f - s);
-                         }
-                       });
+        core::ParallelForRange(
+            bg->pool(), dy.size(), kElementGrain,
+            [&da, &dy, &yv](int64_t begin, int64_t end) {
+              for (int64_t i = begin; i < end; ++i) {
+                const float s = yv.data()[i];
+                da.data()[i] += dy.data()[i] * s * (1.0f - s);
+              }
+            });
       },
       rg);
 }
@@ -275,12 +264,13 @@ Var Sigmoid(Graph* g, Var a) {
 Var Tanh(Graph* g, Var a) {
   const Tensor& av = g->value(a);
   Tensor out(av.rows(), av.cols());
-  ParallelChunks(g, av.size(), kElementGrain,
-                 [&out, &av](int64_t begin, int64_t end) {
-                   for (int64_t i = begin; i < end; ++i) {
-                     out.data()[i] = std::tanh(av.data()[i]);
-                   }
-                 });
+  core::ParallelForRange(
+      g->pool(), av.size(), kElementGrain,
+      [&out, &av](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          out.data()[i] = std::tanh(av.data()[i]);
+        }
+      });
   const bool rg = g->requires_grad(a);
   return g->AddNode(
       std::move(out), {a},
@@ -289,13 +279,14 @@ Var Tanh(Graph* g, Var a) {
         const Tensor& dy = bg->grad(self);
         const Tensor& yv = bg->value(self);
         Tensor& da = bg->mutable_grad(a);
-        ParallelChunks(bg, dy.size(), kElementGrain,
-                       [&da, &dy, &yv](int64_t begin, int64_t end) {
-                         for (int64_t i = begin; i < end; ++i) {
-                           const float t = yv.data()[i];
-                           da.data()[i] += dy.data()[i] * (1.0f - t * t);
-                         }
-                       });
+        core::ParallelForRange(
+            bg->pool(), dy.size(), kElementGrain,
+            [&da, &dy, &yv](int64_t begin, int64_t end) {
+              for (int64_t i = begin; i < end; ++i) {
+                const float t = yv.data()[i];
+                da.data()[i] += dy.data()[i] * (1.0f - t * t);
+              }
+            });
       },
       rg);
 }
@@ -303,12 +294,13 @@ Var Tanh(Graph* g, Var a) {
 Var Exp(Graph* g, Var a) {
   const Tensor& av = g->value(a);
   Tensor out(av.rows(), av.cols());
-  ParallelChunks(g, av.size(), kElementGrain,
-                 [&out, &av](int64_t begin, int64_t end) {
-                   for (int64_t i = begin; i < end; ++i) {
-                     out.data()[i] = std::exp(av.data()[i]);
-                   }
-                 });
+  core::ParallelForRange(
+      g->pool(), av.size(), kElementGrain,
+      [&out, &av](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          out.data()[i] = std::exp(av.data()[i]);
+        }
+      });
   const bool rg = g->requires_grad(a);
   return g->AddNode(
       std::move(out), {a},
@@ -317,12 +309,13 @@ Var Exp(Graph* g, Var a) {
         const Tensor& dy = bg->grad(self);
         const Tensor& yv = bg->value(self);
         Tensor& da = bg->mutable_grad(a);
-        ParallelChunks(bg, dy.size(), kElementGrain,
-                       [&da, &dy, &yv](int64_t begin, int64_t end) {
-                         for (int64_t i = begin; i < end; ++i) {
-                           da.data()[i] += dy.data()[i] * yv.data()[i];
-                         }
-                       });
+        core::ParallelForRange(
+            bg->pool(), dy.size(), kElementGrain,
+            [&da, &dy, &yv](int64_t begin, int64_t end) {
+              for (int64_t i = begin; i < end; ++i) {
+                da.data()[i] += dy.data()[i] * yv.data()[i];
+              }
+            });
       },
       rg);
 }
@@ -342,12 +335,13 @@ Var Log(Graph* g, Var a) {
         const Tensor& dy = bg->grad(self);
         const Tensor& a_in = bg->value(a);
         Tensor& da = bg->mutable_grad(a);
-        ParallelChunks(bg, dy.size(), kElementGrain,
-                       [&da, &dy, &a_in](int64_t begin, int64_t end) {
-                         for (int64_t i = begin; i < end; ++i) {
-                           da.data()[i] += dy.data()[i] / a_in.data()[i];
-                         }
-                       });
+        core::ParallelForRange(
+            bg->pool(), dy.size(), kElementGrain,
+            [&da, &dy, &a_in](int64_t begin, int64_t end) {
+              for (int64_t i = begin; i < end; ++i) {
+                da.data()[i] += dy.data()[i] / a_in.data()[i];
+              }
+            });
       },
       rg);
 }
@@ -547,12 +541,13 @@ Var EdgeSoftmax(Graph* g, Var s_src, Var s_dst, Var s_edge,
         // that starts at +0, where adding either zero gives the same bits.
         const float* pre_p = pre->data();
         float* dl_p = dl.data();
-        ParallelChunks(bg, n_edges, kElementGrain,
-                       [pre_p, dl_p, slope](int64_t begin, int64_t end) {
-                         for (int64_t i = begin; i < end; ++i) {
-                           dl_p[i] *= pre_p[i] > 0.0f ? 1.0f : slope;
-                         }
-                       });
+        core::ParallelForRange(
+            bg->pool(), n_edges, kElementGrain,
+            [pre_p, dl_p, slope](int64_t begin, int64_t end) {
+              for (int64_t i = begin; i < end; ++i) {
+                dl_p[i] *= pre_p[i] > 0.0f ? 1.0f : slope;
+              }
+            });
         // Scatter into the scores in the chain's reverse tape order: edge
         // type, source, destination (the chain's Add evaluated its
         // destination gather first). A score column that serves as both
@@ -665,8 +660,8 @@ Var RowL2Normalize(Graph* g, Var a, float eps) {
   // pointers only drop the per-element index checks (out is av-shaped).
   const float* x = av.data();
   float* y = out.data();
-  ParallelChunks(
-      g, rows, RowGrain(cols),
+  core::ParallelForRange(
+      g->pool(), rows, RowGrain(cols),
       [x, y, norms, cols, eps](int64_t begin, int64_t end) {
         for (int64_t r = begin; r < end; ++r) {
           const float* xrow = x + r * cols;
@@ -693,8 +688,8 @@ Var RowL2Normalize(Graph* g, Var a, float eps) {
         const float* dyp = dy.data();
         const float* yp = yv.data();
         float* dap = da.data();
-        ParallelChunks(
-            bg, n_rows, RowGrain(n_cols),
+        core::ParallelForRange(
+            bg->pool(), n_rows, RowGrain(n_cols),
             [dyp, yp, dap, norms, n_cols](int64_t begin, int64_t end) {
               for (int64_t r = begin; r < end; ++r) {
                 const float* dyrow = dyp + r * n_cols;
