@@ -1,14 +1,27 @@
 // Federated node classification through the task-agnostic runner — the
 // paper's conclusion claims dynamic activation generalizes beyond the
 // link-prediction setting; this exercises FedAvg and FedDA end-to-end on a
-// different objective with a custom evaluator.
+// different objective with a custom evaluator. SeededRunsMatchPins pins
+// this generic-Client, custom-Evaluator path the way RunnerPinTest pins the
+// RunFederated one: the table was generated once and must never be
+// regenerated to make a refactoring pass. To print it, run fl_test with
+// FEDDA_REGEN_GOLDENS=1 and
+//   --gtest_filter='NodeClassificationFlTest.SeededRunsMatchPins'
+
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <map>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/string_util.h"
 #include "data/generator.h"
 #include "data/schema.h"
 #include "fl/runner.h"
 #include "hgn/node_classification.h"
+#include "tests/fl/run_fingerprint.h"
 
 namespace fedda::fl {
 namespace {
@@ -142,6 +155,42 @@ TEST_F(NodeClassificationFlTest, HeadParametersAreFederated) {
   const int head = store.FindByName("head/W");
   ASSERT_GE(head, 0);
   EXPECT_FALSE(store.value(head).Equals(reference_.value(head)));
+}
+
+TEST_F(NodeClassificationFlTest, SeededRunsMatchPins) {
+  // Sequential and pooled runs must agree, so each algorithm's two worker
+  // counts share one fingerprint.
+  const std::map<std::string, uint64_t> pins = {
+      {"FedAvg/w0", 0x7dd5e62e600685cdull},
+      {"FedAvg/w3", 0x7dd5e62e600685cdull},
+      {"FedDA-Explore/w0", 0x751858c647d850ddull},
+      {"FedDA-Explore/w3", 0x751858c647d850ddull},
+  };
+  const bool regen = std::getenv("FEDDA_REGEN_GOLDENS") != nullptr;
+  for (FlAlgorithm algorithm :
+       {FlAlgorithm::kFedAvg, FlAlgorithm::kFedDaExplore}) {
+    for (int workers : {0, 3}) {
+      const std::string name = core::StrFormat(
+          "%s/w%d", FlAlgorithmName(algorithm), workers);
+      FlOptions options;
+      options.algorithm = algorithm;
+      options.rounds = 4;
+      options.local.learning_rate = 5e-3f;
+      options.worker_threads = workers;
+      FederatedRunner runner(MakeClients(), MakeEvaluator(), options);
+      tensor::ParameterStore store = reference_;
+      core::Rng rng(99);
+      const FlRunResult result = runner.Run(&store, &rng);
+      const uint64_t fingerprint = testing::RunFingerprint(result);
+      if (regen) {
+        std::printf("      {\"%s\", 0x%016llxull},\n", name.c_str(),
+                    static_cast<unsigned long long>(fingerprint));
+        continue;
+      }
+      EXPECT_EQ(fingerprint, pins.at(name)) << name << " renders as:\n"
+                                            << testing::RenderRun(result);
+    }
+  }
 }
 
 }  // namespace

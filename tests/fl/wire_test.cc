@@ -161,6 +161,7 @@ TEST(WirePayloadTest, RandomMaskedUplinkRoundTripsAcrossGranularities) {
       for (int client = 0; client < kClients; ++client) {
         const WirePayload payload =
             BuildUplinkPayload(state, client, /*round=*/3, sender);
+        EXPECT_EQ(payload.num_entries(), state.TransmittedGroups(client));
         EXPECT_EQ(payload.PayloadScalars(), state.TransmittedScalars(client));
 
         const std::vector<uint8_t> bytes = payload.Serialize();
