@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "fl/wire.h"
+
 namespace fedda::fl {
 
 Client::Client(int id, const hgn::SimpleHgn* model,
@@ -24,25 +26,27 @@ Client::Client(int id, std::unique_ptr<hgn::TrainableTask> task,
   store_.ZeroGrads();
 }
 
-double Client::Update(const tensor::ParameterStore& global,
-                      const hgn::TrainOptions& options, core::Rng* rng) {
-  if (store_.num_groups() == 0) {
-    // Re-materialize after TakeUpdate(): a full copy carries the same
-    // values CopyValuesFrom would have written, and ZeroGrads restores the
-    // constructor's gradient state.
-    store_ = global;
-    store_.ZeroGrads();
-  } else {
-    store_.CopyValuesFrom(global);
-  }
-  return TrainLocalOnly(options, rng);
+TransportReply Client::RunRound(const tensor::ParameterStore& global,
+                                const hgn::TrainOptions& options,
+                                double dp_noise_std,
+                                const ActivationState* fedda_state,
+                                const std::vector<int>& selected_groups,
+                                int round, core::Rng* rng) {
+  TransportReply reply;
+  reply.ok = true;
+  reply.loss = Update(global, options, rng);
+  PerturbParams(dp_noise_std, rng);
+  reply.uplink =
+      fedda_state != nullptr
+          ? BuildUplinkPayload(*fedda_state, id_, round, store_)
+          : BuildDenseUplinkPayload(selected_groups, id_, round, store_);
+  return reply;
 }
 
-tensor::ParameterStore Client::TakeUpdate() {
-  FEDDA_CHECK_GT(store_.num_groups(), 0) << "update already taken";
-  tensor::ParameterStore update = std::move(store_);
-  store_ = tensor::ParameterStore();
-  return update;
+double Client::Update(const tensor::ParameterStore& global,
+                      const hgn::TrainOptions& options, core::Rng* rng) {
+  store_.CopyValuesFrom(global);
+  return TrainLocalOnly(options, rng);
 }
 
 void Client::PerturbParams(double noise_std, core::Rng* rng) {

@@ -4,6 +4,8 @@
 #include <memory>
 #include <vector>
 
+#include "fl/activation.h"
+#include "fl/transport.h"
 #include "graph/hetero_graph.h"
 #include "hgn/link_prediction.h"
 #include "tensor/parameter_store.h"
@@ -15,8 +17,8 @@ namespace fedda::fl {
 /// local copy of the model parameters.
 ///
 /// Clients never expose raw graph data to the runner; the only things that
-/// cross the "network" are parameter values (down) and updated parameter
-/// values for requested groups (up).
+/// cross the "network" are parameter values (down) and the uplink payload
+/// RunRound returns (up).
 class Client {
  public:
   /// Link-prediction client (the paper's setting). `model` must outlive the
@@ -35,33 +37,26 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// ClientUpdate of Algorithm 1: replaces local weights with the broadcast
-  /// global weights, runs E local epochs of mini-batch training, and leaves
-  /// the result in params(). Returns the mean local training loss. A client
-  /// whose update was taken (TakeUpdate) is re-materialized from `global`
-  /// with identical values, so seeded results don't depend on whether the
-  /// server kept or consumed the previous round's update.
+  /// ClientUpdate of Algorithm 1, end to end: Update() on the broadcast
+  /// `global`, PerturbParams(`dp_noise_std`), then the uplink payload the
+  /// server folds in, encoded under this client's id — masked by
+  /// `fedda_state`'s masks for this client (FedDA), or dense over the
+  /// ascending `selected_groups` when `fedda_state` is null (FedAvg). The
+  /// runner's in-process dispatch and net::RemoteClient both call this, so
+  /// a remote reply carries the in-process reply's bytes. The reply is
+  /// `ok`; its `rtt_sec` is 0.
+  TransportReply RunRound(const tensor::ParameterStore& global,
+                          const hgn::TrainOptions& options,
+                          double dp_noise_std,
+                          const ActivationState* fedda_state,
+                          const std::vector<int>& selected_groups, int round,
+                          core::Rng* rng);
+
+  /// Replaces local weights with the broadcast global weights, runs E local
+  /// epochs of mini-batch training, and leaves the result in params().
+  /// Returns the mean local training loss.
   double Update(const tensor::ParameterStore& global,
                 const hgn::TrainOptions& options, core::Rng* rng);
-
-  /// Hands the post-training weights to the server by move: the returned
-  /// store owns the update and the client holds no parameters until the
-  /// next broadcast rebuilds them. This is what keeps streaming aggregation
-  /// O(model) on the server — each update is freed right after it is folded
-  /// into the running sums instead of staying alive in clients_ until the
-  /// end of the round.
-  tensor::ParameterStore TakeUpdate();
-
-  /// False between TakeUpdate() and the next Update().
-  bool has_params() const { return store_.num_groups() > 0; }
-
-  /// Local-DP-style perturbation of the outgoing weights: adds
-  /// Gaussian(0, noise_std) to every scalar, drawing from `rng` in group
-  /// then scalar order. Draws nothing unless noise_std > 0, so runs without
-  /// noise keep their RNG stream. In-process and remote rounds both call
-  /// this right after Update() with the client's round RNG, which keeps
-  /// their draws — and so their results — identical.
-  void PerturbParams(double noise_std, core::Rng* rng);
 
   /// Continues training from the current local weights without a broadcast
   /// (used by the Local baseline).
@@ -79,6 +74,12 @@ class Client {
   int64_t num_task_edges() const { return task_->num_examples(); }
 
  private:
+  /// Local-DP-style perturbation of the outgoing weights: adds
+  /// Gaussian(0, noise_std) to every scalar, drawing from `rng` in group
+  /// then scalar order. Draws nothing unless noise_std > 0, so runs without
+  /// noise keep their RNG stream.
+  void PerturbParams(double noise_std, core::Rng* rng);
+
   int id_;
   /// Heap-allocated so the task's pointer stays valid (LP clients only).
   std::unique_ptr<graph::HeteroGraph> local_graph_;

@@ -33,8 +33,15 @@ const char* FlAlgorithmName(FlAlgorithm algorithm) {
 
 namespace {
 
-void ValidateOptions(const FlOptions& options, size_t num_clients) {
+void ValidateOptions(const FlOptions& options,
+                     const std::vector<std::unique_ptr<Client>>& clients) {
+  const size_t num_clients = clients.size();
   FEDDA_CHECK_GT(num_clients, 0u);
+  // A client encodes its uplink under its own id, which the server reads
+  // as its index.
+  for (size_t c = 0; c < num_clients; ++c) {
+    FEDDA_CHECK_EQ(clients[c]->id(), static_cast<int>(c));
+  }
   FEDDA_CHECK_GT(options.rounds, 0);
   FEDDA_CHECK(options.client_fraction > 0.0 &&
               options.client_fraction <= 1.0);
@@ -74,7 +81,7 @@ FederatedRunner::FederatedRunner(const hgn::SimpleHgn* model,
     : model_(model), global_graph_(global_graph), test_edges_(test_edges),
       clients_(std::move(clients)), options_(options),
       global_mp_(model->BuildStructure(*global_graph)) {
-  ValidateOptions(options_, clients_.size());
+  ValidateOptions(options_, clients_);
 }
 
 FederatedRunner::FederatedRunner(std::vector<std::unique_ptr<Client>> clients,
@@ -82,7 +89,7 @@ FederatedRunner::FederatedRunner(std::vector<std::unique_ptr<Client>> clients,
     : clients_(std::move(clients)), options_(options),
       evaluator_(std::move(evaluator)) {
   FEDDA_CHECK(evaluator_ != nullptr);
-  ValidateOptions(options_, clients_.size());
+  ValidateOptions(options_, clients_);
 }
 
 std::pair<double, double> FederatedRunner::EvaluateGlobal(
@@ -216,16 +223,14 @@ struct FederatedRunner::RoundLoop {
   /// Client has an update (or a scheduled departure) in flight and must not
   /// be re-broadcast until the event is processed.
   std::vector<uint8_t> in_flight;
-  /// A dispatched update's round, loss and uplink accounting, captured when
-  /// it trained (the masks in force then) and charged when it is
-  /// aggregated — the same round in sync mode, possibly a later one in
+  /// A dispatched update's round, loss and uplink payload, captured when
+  /// it trained (the masks in force then) and charged and folded in when it
+  /// is aggregated — the same round in sync mode, possibly a later one in
   /// semi-async mode.
   struct Pending {
     int round = 0;
     double loss = 0.0;
-    int64_t uplink_groups = 0;
-    int64_t uplink_scalars = 0;
-    int64_t uplink_bytes = 0;
+    WirePayload uplink;
     int64_t downlink_bytes = 0;
   };
   std::vector<Pending> pending;
@@ -313,48 +318,45 @@ struct FederatedRunner::RoundLoop {
     mirror.InvalidateClient(c);
   }
 
-  /// Trains `trainers` on the global store, in-process on the pool or in
-  /// remote processes over the transport, and returns their losses. RNG
+  /// Runs ClientUpdate (Client::RunRound) for `trainers` on the global
+  /// store, in-process on the pool or in remote processes over the
+  /// transport, and returns one reply per trainer, in trainer order. RNG
   /// streams are split from the round RNG in trainer order before any
   /// update starts, so the result is identical whether updates run
   /// sequentially, on the pool, or remotely (a remote task carries its
   /// split state, its masks and a mirror resync). The global store itself
   /// is the broadcast: streaming aggregation defers every write to
   /// Finalize(), so no global value changes while clients read it.
-  ///
-  /// A remote trainer whose process departed, or whose reply does not fit
-  /// the model layout, departs and is removed from `trainers`; the other
-  /// replies' payloads land in `uplinks`, aligned with `trainers`.
-  std::vector<double> Dispatch(std::vector<int>* trainers,
-                               const std::vector<int>& selected_groups,
-                               int round, RoundRecord* record,
-                               std::vector<WirePayload>* uplinks) {
+  std::vector<TransportReply> Dispatch(const std::vector<int>& trainers,
+                                       const std::vector<int>& selected_groups,
+                                       int round) {
     std::vector<core::Rng> client_rngs;
-    client_rngs.reserve(trainers->size());
-    for (size_t p = 0; p < trainers->size(); ++p) {
+    client_rngs.reserve(trainers.size());
+    for (size_t p = 0; p < trainers.size(); ++p) {
       client_rngs.push_back(rng->Split());
     }
     obs::ScopedSpan train_span(tracer, "local-train", "round", round);
     if (transport == nullptr) {
-      std::vector<double> losses(trainers->size(), 0.0);
+      std::vector<TransportReply> replies(trainers.size());
       // With zero workers ParallelFor degenerates to the sequential loop;
       // with workers each client update is one chunk and the kernels
       // inside it recursively share the same pool.
-      pool.ParallelFor(static_cast<int64_t>(trainers->size()),
+      pool.ParallelFor(static_cast<int64_t>(trainers.size()),
                        [&](int64_t p) {
-        const int c = (*trainers)[static_cast<size_t>(p)];
+        const size_t i = static_cast<size_t>(p);
+        const int c = trainers[i];
         obs::ScopedSpan client_span(tracer, "client-update", "client", c);
-        core::Rng& client_rng = client_rngs[static_cast<size_t>(p)];
-        losses[static_cast<size_t>(p)] =
-            client(c)->Update(*global, local_options, &client_rng);
-        client(c)->PerturbParams(options().dp_noise_std, &client_rng);
+        replies[i] = client(c)->RunRound(
+            *global, local_options, options().dp_noise_std,
+            is_fedda ? &state : nullptr, selected_groups, round,
+            &client_rngs[i]);
       });
-      return losses;
+      return replies;
     }
 
-    std::vector<TransportTask> tasks(trainers->size());
-    for (size_t p = 0; p < trainers->size(); ++p) {
-      const int c = (*trainers)[p];
+    std::vector<TransportTask> tasks(trainers.size());
+    for (size_t p = 0; p < trainers.size(); ++p) {
+      const int c = trainers[p];
       TransportTask& task = tasks[p];
       task.client = c;
       task.round = round;
@@ -370,37 +372,25 @@ struct FederatedRunner::RoundLoop {
     }
     std::vector<TransportReply> replies = transport->ExecuteRound(tasks);
     FEDDA_CHECK_EQ(replies.size(), tasks.size());
-    std::vector<int> delivered;
-    std::vector<double> losses;
-    for (size_t p = 0; p < replies.size(); ++p) {
-      const int c = (*trainers)[p];
-      TransportReply& reply = replies[p];
-      // The decoder checked the reply's structure; its layout is checked
-      // here, against the model it must be applied to.
-      if (!reply.ok || !reply.uplink.CheckLayout(*global).ok()) {
-        Depart(c, record);
-        continue;
-      }
-      delivered.push_back(c);
-      losses.push_back(reply.loss);
-      uplinks->push_back(std::move(reply.uplink));
-    }
-    *trainers = std::move(delivered);
-    return losses;
+    return replies;
   }
 
   /// Semi-async: puts `c`'s arrival or departure in flight at the virtual
-  /// time its transfers and compute take under the NetworkModel.
-  void Schedule(int c, EventKind kind, int64_t uplink_bytes, int round) {
+  /// time its transfers and compute take under the NetworkModel. A dropout
+  /// crashes before upload: its time has no uplink term.
+  void Schedule(int c, EventKind kind, int round) {
     const SemiAsyncOptions& sa = options().semi_async;
     const NetworkModel& net = sa.network;
+    const Pending& entry = pending[static_cast<size_t>(c)];
+    const int64_t uplink_bytes =
+        kind == EventKind::kArrival ? entry.uplink.EncodedBytes() : 0;
     const double speed =
         sa.client_speed.empty() ? 1.0
                                 : sa.client_speed[static_cast<size_t>(c)];
     const double duration =
         speed *
         (net.round_latency_sec +
-         static_cast<double>(pending[static_cast<size_t>(c)].downlink_bytes) /
+         static_cast<double>(entry.downlink_bytes) /
              net.downlink_bytes_per_sec +
          static_cast<double>(options().local.local_epochs) *
              net.compute_sec_per_epoch +
@@ -504,49 +494,40 @@ void FederatedRunner::RoundLoop::RunRound(int round) {
     }
     std::sort(selected_groups.begin(), selected_groups.end());
   }
-  int64_t selected_scalars = 0;
-  for (int gid : selected_groups) {
-    selected_scalars += global->value(gid).size();
-  }
 
-  // 3. Dispatch; remote trainers that depart drop out of `trainers`.
-  std::vector<WirePayload> uplinks;
-  std::vector<double> losses;
-  if (!trainers.empty()) {
-    losses = Dispatch(&trainers, selected_groups, round, &record, &uplinks);
+  // 3. Dispatch and capture each reply. A trainer whose reply is lost (its
+  // process departed) or does not fit the model layout departs and drops
+  // out of `trainers`. The decoder checked a remote reply's structure; its
+  // layout is checked here, against the model it must be applied to.
+  std::vector<TransportReply> replies;
+  if (!trainers.empty()) replies = Dispatch(trainers, selected_groups, round);
+  std::vector<int> delivered;
+  for (size_t p = 0; p < replies.size(); ++p) {
+    const int c = trainers[p];
+    TransportReply& reply = replies[p];
+    if (!reply.ok || !reply.uplink.CheckLayout(*global).ok()) {
+      Depart(c, &record);
+      continue;
+    }
+    delivered.push_back(c);
+    Pending& entry = pending[static_cast<size_t>(c)];
+    entry.round = round;
+    entry.loss = reply.loss;
+    entry.uplink = std::move(reply.uplink);
   }
+  trainers = std::move(delivered);
 
-  // 4. Charge the wire under the masks in force this round (before the
-  // post-aggregation update below). Bytes are measured off real fl/wire.h
-  // payloads, so they include entry headers and the bit-packed mask
-  // overhead: a remote uplink is the payload that crossed the wire, an
-  // in-process one is built here from the same masks and weights. The
-  // uplink is captured now and charged on aggregation. Downlink goes to
-  // every client that received the broadcast and is still there: delivered
-  // trainers and semi-async dropouts. An empty need-list costs nothing —
-  // the round trigger is covered by the timing model's per-round latency.
+  // 4. Charge the downlink under the masks in force this round (before the
+  // post-aggregation update below), measured off real fl/wire.h payloads,
+  // so it includes entry headers. It goes to every client that received
+  // the broadcast and is still there: delivered trainers and semi-async
+  // dropouts. An empty need-list costs nothing — the round trigger is
+  // covered by the timing model's per-round latency.
   {
     obs::ScopedSpan wire_span(tracer, "wire-encode", "round", round);
-    for (size_t p = 0; p < trainers.size(); ++p) {
-      const int c = trainers[p];
-      Pending& entry = pending[static_cast<size_t>(c)];
-      entry.round = round;
-      entry.loss = losses[p];
-      entry.uplink_groups =
-          is_fedda ? state.TransmittedGroups(c)
-                   : static_cast<int64_t>(selected_groups.size());
-      entry.uplink_scalars =
-          is_fedda ? state.TransmittedScalars(c) : selected_scalars;
-      entry.uplink_bytes =
-          transport != nullptr
-              ? uplinks[p].EncodedBytes()
-              : (is_fedda ? BuildUplinkPayload(state, c, round,
-                                               client(c)->params())
-                          : BuildDenseUplinkPayload(selected_groups, c,
-                                                    round,
-                                                    client(c)->params()))
-                    .EncodedBytes();
-      entry.downlink_bytes = ChargeDownlink(c, round, &record);
+    for (int c : trainers) {
+      pending[static_cast<size_t>(c)].downlink_bytes =
+          ChargeDownlink(c, round, &record);
     }
     for (int c : dropouts) {
       pending[static_cast<size_t>(c)].downlink_bytes =
@@ -563,13 +544,9 @@ void FederatedRunner::RoundLoop::RunRound(int round) {
     arrivals = trainers;
   } else {
     obs::ScopedSpan sched_span(tracer, "event-schedule", "round", round);
-    // Trainers first, so ties pop in that order. A dropout crashes before
-    // upload: its time has no uplink term.
-    for (int c : trainers) {
-      Schedule(c, EventKind::kArrival,
-               pending[static_cast<size_t>(c)].uplink_bytes, round);
-    }
-    for (int c : dropouts) Schedule(c, EventKind::kDeparture, 0, round);
+    // Trainers first, so ties pop in that order.
+    for (int c : trainers) Schedule(c, EventKind::kArrival, round);
+    for (int c : dropouts) Schedule(c, EventKind::kDeparture, round);
     const int buffer_k = options().semi_async.buffer_size;
     while (!queue.empty() &&
            (buffer_k <= 0 || static_cast<int>(arrivals.size()) < buffer_k)) {
@@ -586,10 +563,10 @@ void FederatedRunner::RoundLoop::RunRound(int round) {
   }
 
   // 6. Streaming aggregation: one update at a time into per-group running
-  // sums, handed off by move and freed as soon as it is folded in. Peak
-  // server memory is O(model) — the accumulators plus one update. A stale
-  // update's weight is discounted by 1 / (1 + staleness)^rho; at staleness
-  // 0 the divisor is exactly 1.
+  // sums, each charged off its payload, rebuilt from it and freed as soon
+  // as it is folded in. Peak server memory is O(model) — the accumulators
+  // plus one rebuilt update. A stale update's weight is discounted by
+  // 1 / (1 + staleness)^rho; at staleness 0 the divisor is exactly 1.
   std::vector<std::vector<double>> magnitudes;
   double loss_sum = 0.0;
   double staleness_sum = 0.0;
@@ -600,31 +577,28 @@ void FederatedRunner::RoundLoop::RunRound(int round) {
     config.scalar_granularity = scalar_gran;
     StreamingAggregator aggregator(global, &state, selected_groups, config);
     magnitudes.reserve(arrivals.size());
-    for (size_t a = 0; a < arrivals.size(); ++a) {
-      const int c = arrivals[a];
-      const Pending& entry = pending[static_cast<size_t>(c)];
+    for (const int c : arrivals) {
+      Pending& entry = pending[static_cast<size_t>(c)];
       const int staleness = round - entry.round;
-      record.uplink_groups += entry.uplink_groups;
-      record.uplink_scalars += entry.uplink_scalars;
+      const int64_t uplink_scalars = entry.uplink.PayloadScalars();
+      const int64_t uplink_bytes = entry.uplink.EncodedBytes();
+      record.uplink_groups += entry.uplink.num_entries();
+      record.uplink_scalars += uplink_scalars;
       record.max_uplink_scalars =
-          std::max(record.max_uplink_scalars, entry.uplink_scalars);
-      record.uplink_bytes += entry.uplink_bytes;
+          std::max(record.max_uplink_scalars, uplink_scalars);
+      record.uplink_bytes += uplink_bytes;
       record.max_uplink_bytes =
-          std::max(record.max_uplink_bytes, entry.uplink_bytes);
+          std::max(record.max_uplink_bytes, uplink_bytes);
       loss_sum += entry.loss;
       staleness_sum += static_cast<double>(staleness);
-      ParameterStore update;
-      if (transport != nullptr) {
-        // Remote rounds are synchronous, so arrival `a` is trainer `a`.
-        // Reconstruct the update from its payload onto a copy of the
-        // broadcast, which carries values only (no gradient slots):
-        // scalars the payload masks off keep broadcast values, which
-        // Accumulate never reads. Dispatch checked the layout.
-        update = *global;
-        FEDDA_CHECK(uplinks[a].ApplyTo(&update).ok());
-      } else {
-        update = client(c)->TakeUpdate();
-      }
+      // Rebuild the update from its payload onto a copy of the global store
+      // (values only, no gradient slots); step 3 checked the layout.
+      // Scalars the payload does not carry keep global values. Accumulate
+      // reads them only if the client's mask widened while its update was
+      // in flight (a semi-async ActivateAll): then they fold in as global.
+      ParameterStore update = *global;
+      FEDDA_CHECK(entry.uplink.ApplyTo(&update).ok());
+      entry.uplink = WirePayload();
       const double weight =
           runner->AggregationWeight(c) /
           std::pow(1.0 + static_cast<double>(staleness),

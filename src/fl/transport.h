@@ -12,17 +12,17 @@ namespace fedda::fl {
 /// Boundary between the synchronous round loop and a real network.
 ///
 /// The runner normally trains clients in-process. With a Transport plugged
-/// into FlOptions::transport, the per-participant work of a round — train on
-/// the current global, perturb, serialize the masked uplink — executes in a
-/// remote process instead, and only fl/wire.h payloads cross the boundary.
-/// The contract is bit-identity: a remote round must return exactly the
-/// uplink bytes the in-process round would have built, so a seeded
-/// multi-process run reproduces the in-process round history verbatim. The
-/// runner makes that possible by shipping each participant the three inputs
-/// local training consumes: the split RNG stream (as raw engine state, in
-/// the split order of the in-process dispatch), the activation masks in
-/// force, and a resync payload that makes the remote mirror of the global
-/// store exact (see RoundLoop's mirror tracker in runner.cc).
+/// into FlOptions::transport, the per-participant work of a round —
+/// Client::RunRound: train on the current global, perturb, encode the
+/// masked uplink — executes in a remote process instead, and only
+/// fl/wire.h payloads cross the boundary. Either way the server folds in
+/// the payload RunRound encoded. The contract is bit-identity: a seeded
+/// multi-process run reproduces the in-process round history verbatim,
+/// because the runner ships each participant the three inputs RunRound
+/// consumes: the split RNG stream (as raw engine state, in the split order
+/// of the in-process dispatch), the activation masks in force, and a resync
+/// payload that makes the remote mirror of the global store exact (see
+/// RoundLoop's mirror tracker in runner.cc).
 
 /// Everything one participant needs to execute one synchronous round
 /// remotely.
@@ -31,15 +31,15 @@ struct TransportTask {
   int round = 0;
   /// Engine state of the client's round RNG (core::Rng::SaveState), split
   /// from the server's round stream in participant order. The remote side
-  /// restores it with Rng::FromState and must draw in exactly the order the
-  /// in-process runner would (training first, then DP noise).
+  /// restores it with Rng::FromState and hands it to Client::RunRound, which
+  /// draws in the in-process order (training first, then DP noise).
   std::array<uint64_t, 4> rng_state{};
   /// True for FedDA algorithms: the uplink is masked (`mask_bits`), not
   /// dense (`selected_groups`).
   bool fedda = false;
   /// FedDA: the client's per-unit request mask in force this round
   /// (ActivationState::ClientMask), installed remotely via SetClientMask so
-  /// both sides build the identical BuildUplinkPayload.
+  /// Client::RunRound masks the uplink as it does in-process.
   std::vector<uint8_t> mask_bits;
   /// FedAvg: the round's server-sampled group subset (rate D) for the dense
   /// uplink. Ascending.
@@ -51,7 +51,8 @@ struct TransportTask {
   WirePayload sync;
 };
 
-/// What came back (or didn't) for one task.
+/// One participant's ClientUpdate result: what Client::RunRound returns
+/// in-process, or what came back (or didn't) for one transport task.
 struct TransportReply {
   /// False when the client departed mid-round: the connection hit EOF, the
   /// read deadline expired, or a frame failed to parse. The runner records
@@ -59,8 +60,8 @@ struct TransportReply {
   bool ok = false;
   /// Mean local training loss (Client::Update's return).
   double loss = 0.0;
-  /// The client's serialized uplink — byte-identical to what the in-process
-  /// round would have built from the same masks and weights.
+  /// The client's uplink payload as Client::RunRound encoded it; the server
+  /// charges its groups, scalars and bytes and folds it in.
   WirePayload uplink;
   /// Measured wall-clock seconds from task send to reply receipt. Pure
   /// observability: never feeds back into results.

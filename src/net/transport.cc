@@ -413,6 +413,8 @@ RemoteClient::RemoteClient(fl::Client* client, fl::ActivationState* state,
   FEDDA_CHECK(client_ != nullptr);
   FEDDA_CHECK(state_ != nullptr);
   FEDDA_CHECK(mirror_ != nullptr);
+  // The client encodes its uplink under its own id.
+  FEDDA_CHECK_EQ(client_->id(), options_.client_id);
 }
 
 Status RemoteClient::Handshake() {
@@ -450,7 +452,7 @@ Status RemoteClient::ServeRound(const std::vector<uint8_t>& body) {
     return Status::IoError("round task routed to the wrong client");
   }
   // The task fields below cross the trust boundary: they flow into
-  // ActivationState::SetClientMask and fl::BuildDenseUplinkPayload, whose
+  // ActivationState::SetClientMask and fl::Client::RunRound, whose
   // FEDDA_CHECKs are in-process programmer-error contracts, not wire
   // validation. Reject malformed tasks here so a hostile or buggy server
   // yields a Status instead of aborting the client.
@@ -475,32 +477,23 @@ Status RemoteClient::ServeRound(const std::vector<uint8_t>& body) {
   // group the aggregation rewrote since our last sync).
   FEDDA_RETURN_IF_ERROR(task.sync.ApplyTo(mirror_));
 
-  // 2. Install this round's mask so BuildUplinkPayload sees exactly what
+  // 2. Install this round's mask so the uplink is masked by exactly what
   // the server's ActivationState holds for us.
   if (task.fedda) {
     state_->SetClientMask(options_.client_id, task.mask_bits);
   }
 
-  // 3. Replay the in-process client update: same RNG stream, same draw
-  // order (training first, then DP noise — the calls the runner's
-  // in-process dispatch makes).
+  // 3. Run the client update the runner's in-process dispatch runs, on the
+  // shipped RNG stream: these are the bytes the in-process round builds.
   core::Rng rng = core::Rng::FromState(task.rng_state);
-  const double loss = client_->Update(*mirror_, options_.local, &rng);
-  client_->PerturbParams(options_.dp_noise_std, &rng);
-
-  // 4. Serialize with the shared builders: these are the bytes the
-  // in-process round would have measured.
+  fl::TransportReply update = client_->RunRound(
+      *mirror_, options_.local, options_.dp_noise_std,
+      task.fedda ? state_ : nullptr, task.selected_groups, task.round, &rng);
   RoundReplyMessage reply;
   reply.client = options_.client_id;
   reply.round = task.round;
-  reply.loss = loss;
-  reply.uplink =
-      task.fedda
-          ? fl::BuildUplinkPayload(*state_, options_.client_id, task.round,
-                                   client_->params())
-          : fl::BuildDenseUplinkPayload(task.selected_groups,
-                                        options_.client_id, task.round,
-                                        client_->params());
+  reply.loss = update.loss;
+  reply.uplink = std::move(update.uplink);
   return WriteFrame(&socket_, FrameType::kRoundReply,
                     EncodeRoundReply(reply));
 }

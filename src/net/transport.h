@@ -171,23 +171,23 @@ struct RemoteClientOptions {
   /// evaluation between rounds, so it is much longer than the server's
   /// reply timeout.
   double round_timeout_sec = 600.0;
-  /// Mirror of FlOptions::dp_noise_std — the client replicates the
-  /// runner's exact post-training noise draws.
+  /// Mirror of FlOptions::dp_noise_std, passed to Client::RunRound.
   double dp_noise_std = 0.0;
   /// Mirror of FlOptions::local.
   hgn::TrainOptions local;
 };
 
 /// Client side: dials the server, handshakes, then serves rounds until
-/// kShutdown. Each round replays exactly what the in-process runner would
-/// have done with this client — restore the shipped RNG state, resync the
-/// mirror, install the shipped mask, train, perturb, serialize — so the
-/// reply bytes are the in-process round's bytes.
+/// kShutdown. Each round restores the shipped RNG state, resyncs the
+/// mirror, installs the shipped mask and runs Client::RunRound, the call
+/// the runner's in-process dispatch makes, so the reply bytes are the
+/// in-process round's bytes.
 class RemoteClient {
  public:
-  /// `client` trains, `state` carries this client's activation masks
-  /// (FedDA), `mirror` is the local replica of the server's global store.
-  /// All three are borrowed and must outlive the RemoteClient.
+  /// `client` trains (its id must be `options.client_id`), `state` carries
+  /// this client's activation masks (FedDA), `mirror` is the local replica
+  /// of the server's global store. All three are borrowed and must outlive
+  /// the RemoteClient.
   RemoteClient(fl::Client* client, fl::ActivationState* state,
                tensor::ParameterStore* mirror, RemoteClientOptions options);
 
