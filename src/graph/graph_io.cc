@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <utility>
 #include <vector>
@@ -15,10 +14,6 @@ namespace fedda::graph {
 namespace {
 constexpr uint32_t kMagic = 0xF3DDA6F2;
 constexpr uint32_t kVersion = 1;
-// The builder's bounds checks cast the type count to the type-id type, so a
-// loader must never declare more types than a type id can number.
-constexpr size_t kMaxTypes = std::numeric_limits<NodeTypeId>::max();
-static_assert(std::numeric_limits<EdgeTypeId>::max() == kMaxTypes);
 }  // namespace
 
 core::Status SaveGraph(const HeteroGraph& graph, const std::string& path) {

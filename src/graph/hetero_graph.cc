@@ -116,6 +116,7 @@ void HeteroGraph::BuildAdjacency() {
 NodeTypeId HeteroGraphBuilder::AddNodeType(const std::string& name,
                                            int64_t feature_dim) {
   FEDDA_CHECK_GE(feature_dim, 0);
+  FEDDA_CHECK_LT(node_types_.size(), kMaxTypes) << "too many node types";
   node_types_.push_back(NodeTypeInfo{name, feature_dim});
   type_counts_.push_back(0);
   features_.emplace_back();
@@ -130,6 +131,7 @@ EdgeTypeId HeteroGraphBuilder::AddEdgeType(const std::string& name,
               src_type < static_cast<NodeTypeId>(node_types_.size()));
   FEDDA_CHECK(dst_type >= 0 &&
               dst_type < static_cast<NodeTypeId>(node_types_.size()));
+  FEDDA_CHECK_LT(edge_types_.size(), kMaxTypes) << "too many edge types";
   edge_types_.push_back(EdgeTypeInfo{name, src_type, dst_type});
   return static_cast<EdgeTypeId>(edge_types_.size() - 1);
 }

@@ -1,7 +1,9 @@
 #ifndef FEDDA_GRAPH_HETERO_GRAPH_H_
 #define FEDDA_GRAPH_HETERO_GRAPH_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +16,11 @@ using NodeId = int32_t;
 using EdgeId = int64_t;
 using NodeTypeId = int16_t;
 using EdgeTypeId = int16_t;
+/// Most node types, and most edge types, one graph may declare: the largest
+/// count that fits the 16-bit id types, as the builder's bounds checks cast
+/// the count to them.
+inline constexpr size_t kMaxTypes = std::numeric_limits<NodeTypeId>::max();
+static_assert(std::numeric_limits<EdgeTypeId>::max() == kMaxTypes);
 
 /// Schema entry for one node type.
 struct NodeTypeInfo {
@@ -127,9 +134,10 @@ class HeteroGraphBuilder {
  public:
   HeteroGraphBuilder() = default;
 
-  /// Declares a node type; returns its id.
+  /// Declares a node type; returns its id. At most kMaxTypes node types.
   NodeTypeId AddNodeType(const std::string& name, int64_t feature_dim);
   /// Declares an edge type between two declared node types; returns its id.
+  /// At most kMaxTypes edge types.
   EdgeTypeId AddEdgeType(const std::string& name, NodeTypeId src_type,
                          NodeTypeId dst_type);
 

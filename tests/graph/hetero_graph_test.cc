@@ -151,6 +151,20 @@ TEST(HeteroGraphBuilderDeathTest, FeatureShapeMismatchAborts) {
   EXPECT_DEATH(b.SetFeatures(a, tensor::Tensor::Zeros(3, 1)), "");
 }
 
+TEST(HeteroGraphBuilderDeathTest, TypeDeclarationPastTheCapAborts) {
+  // 32,767 types of each kind get ids 0..32766, NodeTypeId's and
+  // EdgeTypeId's range; the next declaration has no id to take.
+  constexpr int kDeclarable = 32767;
+  HeteroGraphBuilder nodes;
+  for (int t = 0; t < kDeclarable; ++t) nodes.AddNodeType("n", 0);
+  EXPECT_DEATH(nodes.AddNodeType("n", 0), "too many node types");
+
+  HeteroGraphBuilder edges;
+  const NodeTypeId a = edges.AddNodeType("a", 0);
+  for (int t = 0; t < kDeclarable; ++t) edges.AddEdgeType("e", a, a);
+  EXPECT_DEATH(edges.AddEdgeType("e", a, a), "too many edge types");
+}
+
 TEST(HeteroGraphDeathTest, BadIdsAbort) {
   HeteroGraph g = MakeBibGraph();
   EXPECT_DEATH(g.node_type(5), "out of range");
