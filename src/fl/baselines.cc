@@ -15,14 +15,8 @@ BaselineResult RunGlobalBaseline(const hgn::SimpleHgn* model,
   core::Rng eval_rng = rng->Split();
 
   // Centralized training keeps one optimizer across all rounds.
-  std::unique_ptr<tensor::Optimizer> optimizer;
-  if (options.use_adam) {
-    optimizer = std::make_unique<tensor::Adam>(
-        options.learning_rate, 0.9f, 0.999f, 1e-8f, options.weight_decay);
-  } else {
-    optimizer = std::make_unique<tensor::Sgd>(options.learning_rate,
-                                              options.weight_decay);
-  }
+  const std::unique_ptr<tensor::Optimizer> optimizer =
+      hgn::MakeOptimizer(options);
 
   BaselineResult result;
   for (int round = 0; round < rounds; ++round) {

@@ -13,6 +13,15 @@ using tensor::ParameterStore;
 using tensor::Tensor;
 using tensor::Var;
 
+std::unique_ptr<tensor::Optimizer> MakeOptimizer(const TrainOptions& options) {
+  if (options.use_adam) {
+    return std::make_unique<tensor::Adam>(options.learning_rate, 0.9f, 0.999f,
+                                          1e-8f, options.weight_decay);
+  }
+  return std::make_unique<tensor::Sgd>(options.learning_rate,
+                                       options.weight_decay);
+}
+
 LinkPredictionTask::LinkPredictionTask(const SimpleHgn* model,
                                        const graph::HeteroGraph* graph,
                                        std::vector<EdgeId> target_edges)
@@ -28,16 +37,7 @@ LinkPredictionTask::LinkPredictionTask(const SimpleHgn* model,
 double LinkPredictionTask::TrainRound(ParameterStore* store,
                                       const TrainOptions& options,
                                       core::Rng* rng) const {
-  std::unique_ptr<tensor::Optimizer> optimizer;
-  if (options.use_adam) {
-    optimizer = std::make_unique<tensor::Adam>(options.learning_rate, 0.9f,
-                                               0.999f, 1e-8f,
-                                               options.weight_decay);
-  } else {
-    optimizer = std::make_unique<tensor::Sgd>(options.learning_rate,
-                                              options.weight_decay);
-  }
-  return TrainRound(store, options, rng, optimizer.get());
+  return TrainRound(store, options, rng, MakeOptimizer(options).get());
 }
 
 double LinkPredictionTask::TrainRound(ParameterStore* store,

@@ -1,6 +1,7 @@
 #ifndef FEDDA_HGN_LINK_PREDICTION_H_
 #define FEDDA_HGN_LINK_PREDICTION_H_
 
+#include <memory>
 #include <vector>
 
 #include "core/rng.h"
@@ -50,6 +51,10 @@ struct TrainOptions {
   /// numeric results.
   obs::Tracer* tracer = nullptr;
 };
+
+/// The local optimizer `options` asks for: Adam (beta1 0.9, beta2 0.999,
+/// eps 1e-8) or plain SGD, either with `options.weight_decay`.
+std::unique_ptr<tensor::Optimizer> MakeOptimizer(const TrainOptions& options);
 
 /// Evaluation protocol knobs.
 struct EvalOptions {

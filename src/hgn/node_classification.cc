@@ -65,16 +65,7 @@ double NodeClassificationTask::TrainRound(ParameterStore* store,
                                           core::Rng* rng) const {
   if (train_nodes_.empty()) return 0.0;
   FEDDA_CHECK_GT(options.local_epochs, 0);
-
-  std::unique_ptr<tensor::Optimizer> optimizer;
-  if (options.use_adam) {
-    optimizer = std::make_unique<tensor::Adam>(options.learning_rate, 0.9f,
-                                               0.999f, 1e-8f,
-                                               options.weight_decay);
-  } else {
-    optimizer = std::make_unique<tensor::Sgd>(options.learning_rate,
-                                              options.weight_decay);
-  }
+  const std::unique_ptr<tensor::Optimizer> optimizer = MakeOptimizer(options);
 
   double total_loss = 0.0;
   int64_t num_batches = 0;
@@ -95,6 +86,7 @@ double NodeClassificationTask::TrainRound(ParameterStore* store,
       store->ZeroGrads();
       tensor::Graph g(/*training=*/true);
       g.set_pool(options.pool);
+      g.set_tracer(options.tracer);
       Var embeddings = model_->Encode(&g, *graph_, mp_, store, rng);
       Var logits = Logits(&g, embeddings, nodes, store);
       Var loss = tensor::SoftmaxCrossEntropy(&g, logits, batch_labels);

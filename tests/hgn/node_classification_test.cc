@@ -1,9 +1,13 @@
 #include "hgn/node_classification.h"
 
+#include <map>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "data/generator.h"
 #include "data/schema.h"
+#include "obs/trace.h"
 #include "tensor/ops.h"
 #include "tests/tensor/grad_check.h"
 
@@ -144,6 +148,21 @@ TEST_F(NodeClassificationFixture, TrainingBeatsChanceAccuracy) {
   EXPECT_GT(after.accuracy, 0.5);  // 4 classes -> chance 0.25
   EXPECT_GT(after.accuracy, before.accuracy);
   EXPECT_GT(after.macro_f1, 0.4);
+}
+
+TEST_F(NodeClassificationFixture, TracedTrainRoundRecordsEncodeAndBackward) {
+  NodeClassificationTask task(model_.get(), &graph_, labels_, split_.train,
+                              4);
+  core::Rng rng(25);
+  task.InitHeadParameters(&store_, &rng);
+  obs::Tracer tracer;
+  TrainOptions options;
+  options.tracer = &tracer;
+  task.TrainRound(&store_, options, &rng);
+  std::map<std::string, int> counts;
+  for (const obs::Span& span : tracer.Collect()) ++counts[span.name];
+  EXPECT_GT(counts["hgn-encode"], 0);
+  EXPECT_GT(counts["backward"], 0);
 }
 
 TEST_F(NodeClassificationFixture, EmptyTrainSetIsNoOp) {
