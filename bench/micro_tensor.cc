@@ -1,14 +1,13 @@
 // Microbenchmarks for the tensor/autograd substrate, plus the dispatched
 // kernel speed grid: every kernel × {scalar, auto} dispatch × {1, N}
-// threads, registered under "kernel/..." names. A custom main captures the
-// kernel-grid timings and writes them to bench_results/kernel_speed.json
-// (override with --kernel_json=PATH; CI uploads the file as an artifact so
-// scalar-vs-SIMD speedups are tracked per commit).
+// threads, registered under "kernel/<kernel>/dispatch:<d>/threads:<n>"
+// names. google-benchmark's own JSON output records the grid's timings: CI
+// runs --benchmark_filter='kernel/'
+// --benchmark_out=bench_results/kernel_speed.json
+// --benchmark_out_format=json and uploads that file as an artifact, so
+// scalar-vs-SIMD speedups are tracked per commit.
 
 #include <algorithm>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -124,7 +123,7 @@ void BM_RowL2Normalize(benchmark::State& state) {
 BENCHMARK(BM_RowL2Normalize)->Arg(4096);
 
 // ---------------------------------------------------------------------------
-// Dispatched kernel speed grid -> bench_results/kernel_speed.json
+// Dispatched kernel speed grid ("kernel/..." names)
 // ---------------------------------------------------------------------------
 
 constexpr int kGridThreads = 4;  // the "N-thread" row of the grid
@@ -401,98 +400,14 @@ void RegisterKernelGrid() {
   }
 }
 
-/// Console reporter that additionally remembers every "kernel/..." run so
-/// main() can serialize the grid to JSON after the run.
-class KernelGridReporter : public benchmark::ConsoleReporter {
- public:
-  struct Row {
-    std::string kernel;
-    std::string dispatch;
-    int threads = 0;
-    double real_time_ns = 0.0;
-  };
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      const std::string name = run.benchmark_name();
-      if (name.rfind("kernel/", 0) != 0 || run.error_occurred) continue;
-      Row row;
-      // kernel/<kernel>/dispatch:<mode>/threads:<n>
-      const size_t k_end = name.find('/', 7);
-      const size_t d_pos = name.find("dispatch:");
-      const size_t d_end = name.find('/', d_pos);
-      const size_t t_pos = name.find("threads:");
-      if (k_end == std::string::npos || d_pos == std::string::npos ||
-          d_end == std::string::npos || t_pos == std::string::npos) {
-        continue;
-      }
-      row.kernel = name.substr(7, k_end - 7);
-      row.dispatch = name.substr(d_pos + 9, d_end - d_pos - 9);
-      row.threads = std::stoi(name.substr(t_pos + 8));
-      row.real_time_ns = run.GetAdjustedRealTime();
-      rows_.push_back(std::move(row));
-    }
-    benchmark::ConsoleReporter::ReportRuns(runs);
-  }
-
-  const std::vector<Row>& rows() const { return rows_; }
-
- private:
-  std::vector<Row> rows_;
-};
-
-bool WriteKernelJson(const std::string& path,
-                     const std::vector<KernelGridReporter::Row>& rows) {
-  const std::filesystem::path out_path(path);
-  if (out_path.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(out_path.parent_path(), ec);
-    if (ec) return false;
-  }
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "{\n  \"rows\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    out << "    {\"kernel\": \"" << r.kernel << "\", \"dispatch\": \""
-        << r.dispatch << "\", \"threads\": " << r.threads
-        << ", \"real_time_ns\": " << r.real_time_ns << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  return out.good();
-}
-
 }  // namespace
 }  // namespace fedda::tensor
 
 int main(int argc, char** argv) {
-  // Peel off our own flag before google-benchmark sees (and rejects) it.
-  std::string json_path = "bench_results/kernel_speed.json";
-  std::vector<char*> passthrough;
-  passthrough.reserve(static_cast<size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    constexpr const char* kFlag = "--kernel_json=";
-    if (std::strncmp(argv[i], kFlag, std::strlen(kFlag)) == 0) {
-      json_path = argv[i] + std::strlen(kFlag);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  int pass_argc = static_cast<int>(passthrough.size());
   fedda::tensor::RegisterKernelGrid();
-  benchmark::Initialize(&pass_argc, passthrough.data());
-  if (benchmark::ReportUnrecognizedArguments(pass_argc,
-                                             passthrough.data())) {
-    return 1;
-  }
-  fedda::tensor::KernelGridReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (!reporter.rows().empty() &&
-      !fedda::tensor::WriteKernelJson(json_path, reporter.rows())) {
-    std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-    return 1;
-  }
   return 0;
 }
