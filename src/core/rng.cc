@@ -1,5 +1,6 @@
 #include "core/rng.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -86,37 +87,6 @@ double Rng::Gaussian(double mean, double stddev) {
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
-size_t Rng::Categorical(const std::vector<double>& weights) {
-  FEDDA_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    FEDDA_CHECK_GE(w, 0.0);
-    total += w;
-  }
-  FEDDA_CHECK_GT(total, 0.0);
-  double r = Uniform() * total;
-  double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (r < acc) return i;
-  }
-  return weights.size() - 1;
-}
-
-size_t Rng::Zipf(size_t n, double exponent) {
-  FEDDA_CHECK_GT(n, 0u);
-  // Inverse-CDF over the (small) support; callers use modest n.
-  double total = 0.0;
-  for (size_t k = 0; k < n; ++k) total += std::pow(k + 1.0, -exponent);
-  double r = Uniform() * total;
-  double acc = 0.0;
-  for (size_t k = 0; k < n; ++k) {
-    acc += std::pow(k + 1.0, -exponent);
-    if (r < acc) return k;
-  }
-  return n - 1;
-}
-
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   FEDDA_CHECK_LE(k, n);
   // Partial Fisher-Yates over an index array; O(n) memory, O(n + k) time.
@@ -128,6 +98,26 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   }
   indices.resize(k);
   return indices;
+}
+
+DiscreteSampler::DiscreteSampler(const std::vector<double>& weights) {
+  FEDDA_CHECK(!weights.empty());
+  cumulative_.reserve(weights.size());
+  double total = 0.0;
+  for (double w : weights) {
+    FEDDA_CHECK_GE(w, 0.0);
+    total += w;
+    cumulative_.push_back(total);
+  }
+  FEDDA_CHECK_GT(total, 0.0);
+}
+
+size_t DiscreteSampler::Sample(Rng* rng) const {
+  const double r = rng->Uniform() * cumulative_.back();
+  const size_t k = static_cast<size_t>(
+      std::upper_bound(cumulative_.begin(), cumulative_.end(), r) -
+      cumulative_.begin());
+  return std::min(k, cumulative_.size() - 1);
 }
 
 }  // namespace fedda::core

@@ -51,14 +51,6 @@ class Rng {
   /// True with probability p.
   bool Bernoulli(double p);
 
-  /// Samples an index in [0, weights.size()) proportionally to weights.
-  /// Requires at least one strictly positive weight.
-  size_t Categorical(const std::vector<double>& weights);
-
-  /// Zipf-like sample in [0, n): P(k) proportional to 1/(k+1)^exponent.
-  /// Used for power-law degree distributions in the graph generators.
-  size_t Zipf(size_t n, double exponent);
-
   /// In-place Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* values) {
@@ -74,6 +66,27 @@ class Rng {
 
  private:
   uint64_t state_[4];
+};
+
+/// Samples an index in [0, n) with probability proportional to a fixed
+/// weight vector, in O(log n) per draw.
+///
+/// Built once from the weights, it stores their cumulative sums in index
+/// order. A draw takes exactly one `Uniform()`, scales it by the total and
+/// returns the first index whose cumulative sum exceeds it, so it returns
+/// the same index as a linear scan that accumulates the weights in order
+/// and stops at the first sum above the scaled draw. The graph generator
+/// builds one per endpoint side of each edge type, with Zipf weights
+/// `(k + 1)^-exponent` for power-law degree profiles.
+class DiscreteSampler {
+ public:
+  /// Requires at least one weight, every weight >= 0 and a positive total.
+  explicit DiscreteSampler(const std::vector<double>& weights);
+
+  size_t Sample(Rng* rng) const;
+
+ private:
+  std::vector<double> cumulative_;
 };
 
 }  // namespace fedda::core

@@ -1,5 +1,7 @@
 #include "data/generator.h"
 
+#include <cmath>
+#include <optional>
 #include <unordered_set>
 
 namespace fedda::data {
@@ -14,6 +16,13 @@ uint64_t PairKey(NodeId a, NodeId b) {
   const uint64_t lo = static_cast<uint64_t>(std::min(a, b));
   const uint64_t hi = static_cast<uint64_t>(std::max(a, b));
   return (hi << 32) | lo;
+}
+
+/// Zipf popularity over n ranks: rank k weighs (k + 1)^-exponent.
+std::vector<double> ZipfWeights(size_t n, double exponent) {
+  std::vector<double> weights(n);
+  for (size_t k = 0; k < n; ++k) weights[k] = std::pow(k + 1.0, -exponent);
+  return weights;
 }
 
 }  // namespace
@@ -142,11 +151,19 @@ graph::HeteroGraph GenerateGraphWithLabels(const SyntheticSpec& spec,
     rng->Shuffle(&src_perm);
     rng->Shuffle(&dst_perm);
 
-    auto draw = [&](const std::vector<int64_t>& perm) {
-      if (et.zipf_exponent <= 0.0) {
+    // One popularity table per side, built once for the whole edge type.
+    std::optional<core::DiscreteSampler> src_zipf;
+    std::optional<core::DiscreteSampler> dst_zipf;
+    if (et.zipf_exponent > 0.0) {
+      src_zipf.emplace(ZipfWeights(src_perm.size(), et.zipf_exponent));
+      dst_zipf.emplace(ZipfWeights(dst_perm.size(), et.zipf_exponent));
+    }
+    auto draw = [&](const std::vector<int64_t>& perm,
+                    const std::optional<core::DiscreteSampler>& zipf) {
+      if (!zipf) {
         return perm[rng->UniformInt(static_cast<uint64_t>(perm.size()))];
       }
-      return perm[rng->Zipf(perm.size(), et.zipf_exponent)];
+      return perm[zipf->Sample(rng)];
     };
 
     std::unordered_set<uint64_t> seen;
@@ -158,7 +175,7 @@ graph::HeteroGraph GenerateGraphWithLabels(const SyntheticSpec& spec,
     const int64_t max_attempts = et.count * 20;
     for (int64_t attempt = 0; attempt < max_attempts && added < et.count;
          ++attempt) {
-      const int64_t u_local = draw(src_perm);
+      const int64_t u_local = draw(src_perm, src_zipf);
       int64_t v_local;
       if (rng->Bernoulli(et.homophily)) {
         const int c =
@@ -170,7 +187,7 @@ graph::HeteroGraph GenerateGraphWithLabels(const SyntheticSpec& spec,
         if (pool.empty()) continue;
         v_local = pool[rng->UniformInt(static_cast<uint64_t>(pool.size()))];
       } else {
-        v_local = draw(dst_perm);
+        v_local = draw(dst_perm, dst_zipf);
       }
       if (same_type && u_local == v_local) continue;
       const NodeId u =

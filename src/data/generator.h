@@ -17,7 +17,10 @@ namespace fedda::data {
 ///      community signal a GNN can exploit.
 ///   3. For every edge type, endpoints are drawn with Zipf-skewed popularity
 ///      over a per-type random permutation; with probability `homophily`
-///      the destination is re-drawn from the source's community.
+///      the destination is re-drawn from the source's community. The
+///      popularity table is built once per edge type (one
+///      `core::DiscreteSampler` per endpoint side), so a draw costs
+///      O(log n) in the endpoint type's node count n.
 ///   4. Duplicate edges and self loops are rejected.
 ///
 /// This substitutes the paper's real Amazon/DBLP datasets (see DESIGN.md):

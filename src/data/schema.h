@@ -20,9 +20,11 @@ struct EdgeTypeSpec {
   int src_type = 0;
   int dst_type = 0;
   int64_t count = 0;
-  /// Degree skew: endpoints are drawn Zipf(count, exponent) over a random
-  /// permutation, producing the heavy-tailed degree profiles of real
-  /// co-purchase/citation graphs. 0 disables skew (uniform endpoints).
+  /// Degree skew: each endpoint is drawn with Zipf popularity, rank k
+  /// weighing (k + 1)^-exponent, over a random permutation of its endpoint
+  /// type's nodes (not over `count`), producing the heavy-tailed degree
+  /// profiles of real co-purchase/citation graphs. 0 disables skew (uniform
+  /// endpoints).
   double zipf_exponent = 1.0;
   /// Probability that an edge connects nodes of the same latent community,
   /// which couples structure to features and makes link prediction

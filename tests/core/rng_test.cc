@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -101,36 +103,6 @@ TEST(RngTest, BernoulliExtremes) {
   }
 }
 
-TEST(RngTest, CategoricalProportionalToWeights) {
-  Rng rng(31);
-  std::vector<double> weights = {1.0, 3.0, 0.0, 6.0};
-  std::vector<int> counts(4, 0);
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) ++counts[rng.Categorical(weights)];
-  EXPECT_EQ(counts[2], 0);
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.02);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.02);
-  EXPECT_NEAR(counts[3] / static_cast<double>(n), 0.6, 0.02);
-}
-
-TEST(RngTest, ZipfSkewsTowardSmallIndices) {
-  Rng rng(37);
-  std::vector<int> counts(10, 0);
-  for (int i = 0; i < 20000; ++i) ++counts[rng.Zipf(10, 1.2)];
-  EXPECT_GT(counts[0], counts[4]);
-  EXPECT_GT(counts[4], counts[9]);
-}
-
-TEST(RngTest, ZipfZeroExponentIsUniform) {
-  Rng rng(37);
-  std::vector<int> counts(5, 0);
-  const int n = 25000;
-  for (int i = 0; i < n; ++i) ++counts[rng.Zipf(5, 0.0)];
-  for (int c : counts) {
-    EXPECT_NEAR(c / static_cast<double>(n), 0.2, 0.02);
-  }
-}
-
 TEST(RngTest, ShufflePreservesMultiset) {
   Rng rng(41);
   std::vector<int> values = {1, 2, 3, 4, 5, 6, 7, 8};
@@ -207,6 +179,116 @@ TEST(RngTest, RestoredSplitMatchesInProcessSplit) {
   for (int i = 0; i < 20; ++i) {
     EXPECT_DOUBLE_EQ(child.Gaussian(), shipped.Gaussian());
   }
+}
+
+/// The O(n) scan DiscreteSampler replaced: accumulate the weights in index
+/// order and stop at the first sum above the scaled draw. With Zipf weights
+/// this is exactly the old per-draw Zipf sampler, which summed the same
+/// pow terms for its total and rescanned them.
+size_t ReferenceScan(const std::vector<double>& weights, Rng* rng) {
+  double total = 0.0;
+  for (double w : weights) total += w;
+  const double r = rng->Uniform() * total;
+  double acc = 0.0;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    acc += weights[i];
+    if (r < acc) return i;
+  }
+  return weights.size() - 1;
+}
+
+std::vector<double> ZipfWeights(size_t n, double exponent) {
+  std::vector<double> weights(n);
+  for (size_t k = 0; k < n; ++k) weights[k] = std::pow(k + 1.0, -exponent);
+  return weights;
+}
+
+/// Draws from the sampler and the reference scan on two copies of one
+/// stream; every index must agree, and the streams must stay in step.
+void ExpectMatchesReference(const std::vector<double>& weights, int draws,
+                            uint64_t seed) {
+  const DiscreteSampler sampler(weights);
+  Rng a(seed), b(seed);
+  for (int i = 0; i < draws; ++i) {
+    ASSERT_EQ(sampler.Sample(&a), ReferenceScan(weights, &b)) << "draw " << i;
+  }
+  EXPECT_EQ(a.Next(), b.Next());
+}
+
+TEST(DiscreteSamplerTest, ProportionalToWeights) {
+  Rng rng(31);
+  const DiscreteSampler sampler({1.0, 3.0, 0.0, 6.0});
+  std::vector<int> counts(4, 0);
+  const int n = 20000;
+  for (int i = 0; i < n; ++i) ++counts[sampler.Sample(&rng)];
+  EXPECT_EQ(counts[2], 0);
+  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.02);
+  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.02);
+  EXPECT_NEAR(counts[3] / static_cast<double>(n), 0.6, 0.02);
+}
+
+TEST(DiscreteSamplerTest, ZipfWeightsSkewTowardSmallIndices) {
+  Rng rng(37);
+  const DiscreteSampler sampler(ZipfWeights(10, 1.2));
+  std::vector<int> counts(10, 0);
+  for (int i = 0; i < 20000; ++i) ++counts[sampler.Sample(&rng)];
+  EXPECT_GT(counts[0], counts[4]);
+  EXPECT_GT(counts[4], counts[9]);
+}
+
+TEST(DiscreteSamplerTest, EqualWeightsAreUniform) {
+  Rng rng(37);
+  const DiscreteSampler sampler(ZipfWeights(5, 0.0));
+  std::vector<int> counts(5, 0);
+  const int n = 25000;
+  for (int i = 0; i < n; ++i) ++counts[sampler.Sample(&rng)];
+  for (int c : counts) {
+    EXPECT_NEAR(c / static_cast<double>(n), 0.2, 0.02);
+  }
+}
+
+TEST(DiscreteSamplerTest, ZipfMatchesReferenceScanDrawForDraw) {
+  for (size_t n : {1, 2, 13, 656, 82000}) {
+    for (double exponent : {0.8, 1.0, 1.2}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " exponent=" + std::to_string(exponent));
+      ExpectMatchesReference(ZipfWeights(n, exponent), n > 1000 ? 500 : 5000,
+                             n * 31 + static_cast<uint64_t>(exponent * 10));
+    }
+  }
+}
+
+TEST(DiscreteSamplerTest, ZeroWeightsMatchReferenceAndAreNeverDrawn) {
+  // Leading, inner, repeated and trailing zeros: the cumulative sums have
+  // flat runs, and the first index past a run is the one returned.
+  const std::vector<double> weights = {0.0, 0.0, 2.5, 0.0, 1.0, 0.0,
+                                       0.0, 0.5, 3.0, 0.0, 0.0};
+  ExpectMatchesReference(weights, 20000, 53);
+  const DiscreteSampler sampler(weights);
+  Rng rng(59);
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_GT(weights[sampler.Sample(&rng)], 0.0);
+  }
+}
+
+TEST(DiscreteSamplerTest, SubUlpTailMatchesReference) {
+  // After the first weight, each 1e-17 term is below half an ulp of the
+  // running sum (1.0), so adding it leaves the sum unchanged; the last term
+  // is large enough to move it again. Both paths must skip the whole flat
+  // tail the same way.
+  std::vector<double> weights(1, 1.0);
+  weights.resize(2000, 1e-17);
+  weights.push_back(0.75);
+  ExpectMatchesReference(weights, 20000, 61);
+  // A Zipf tail at a steep exponent: late terms fall below the ulp of a
+  // sum near zeta(3).
+  ExpectMatchesReference(ZipfWeights(300000, 3.0), 300, 67);
+}
+
+TEST(DiscreteSamplerDeathTest, RejectsEmptyNegativeAndZeroTotalWeights) {
+  EXPECT_DEATH(DiscreteSampler(std::vector<double>{}), "empty");
+  EXPECT_DEATH(DiscreteSampler({1.0, -0.5}), "w >= 0");
+  EXPECT_DEATH(DiscreteSampler({0.0, 0.0}), "total > 0");
 }
 
 }  // namespace
