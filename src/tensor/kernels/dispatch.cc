@@ -102,11 +102,6 @@ struct CsrCacheEntry {
   std::shared_ptr<const Csr> csr;
 };
 
-// Sweep expired entries once the map outgrows this; keeps per-batch
-// throwaway index vectors from growing the cache without bound while
-// leaving the long-lived message-passing indices resident.
-constexpr size_t kCsrSweepThreshold = 64;
-
 core::Mutex g_csr_mutex;
 // std::map (not unordered_map): deterministic iteration and no hashing of
 // pointer values; the cache holds tens of entries at most.
@@ -135,15 +130,10 @@ std::shared_ptr<const Csr> GetCsr(
   auto csr = std::make_shared<const Csr>(BuildCsr(*ids, num_rows));
   {
     core::MutexLock lock(&g_csr_mutex);
-    if (g_csr_cache.size() >= kCsrSweepThreshold) {
-      for (auto it = g_csr_cache.begin(); it != g_csr_cache.end();) {
-        if (it->second.key.expired()) {
-          it = g_csr_cache.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
+    // An expired entry can never hit again: free its CSR now rather than
+    // let per-batch index vectors keep dead groupings resident.
+    std::erase_if(g_csr_cache,
+                  [](const auto& entry) { return entry.second.key.expired(); });
     g_csr_cache[key] = CsrCacheEntry{ids, num_rows, csr};
   }
   return csr;

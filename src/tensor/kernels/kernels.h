@@ -97,8 +97,8 @@ Csr BuildCsr(const std::vector<int32_t>& rows, int64_t num_rows);
 /// forward pass of every epoch, so a static graph pays the counting-sort
 /// regroup once, not once per op per batch. Entries are validated against
 /// a weak_ptr (address reuse after free rebuilds instead of serving stale
-/// offsets) and expired entries are swept opportunistically, so per-batch
-/// index vectors cannot grow the cache without bound. Thread-safe.
+/// offsets), and every insertion sweeps the expired entries, so a dead
+/// per-batch index vector's CSR is freed at the next miss. Thread-safe.
 std::shared_ptr<const Csr> GetCsr(
     const std::shared_ptr<const std::vector<int32_t>>& ids,
     int64_t num_rows);

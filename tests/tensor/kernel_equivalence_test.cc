@@ -758,6 +758,20 @@ TEST(CsrCacheTest, ExpiredEntryIsRebuiltNotServedStale) {
   }
 }
 
+TEST(CsrCacheTest, ExpiredEntryIsFreedAtTheNextInsertion) {
+  auto ids = std::make_shared<const std::vector<int32_t>>(
+      std::vector<int32_t>{0, 1, 1});
+  const std::weak_ptr<const k::Csr> csr = k::GetCsr(ids, 2);
+  // Allocated while `ids` is alive, so the two keys' addresses differ and
+  // the second insertion cannot simply overwrite the first entry.
+  auto other = std::make_shared<const std::vector<int32_t>>(
+      std::vector<int32_t>{1, 0});
+  ids.reset();
+  EXPECT_FALSE(csr.expired());  // the cache still holds it
+  const auto other_csr = k::GetCsr(other, 2);
+  EXPECT_TRUE(csr.expired());
+}
+
 TEST(CsrCacheTest, BuildCsrGroupsInIncreasingPositionOrder) {
   const std::vector<int32_t> rows = {2, 0, 2, 1, 2, 0};
   const k::Csr csr = k::BuildCsr(rows, 3);
