@@ -4,12 +4,21 @@
 // pooled kernel is bit-identical to its sequential counterpart (asserted by
 // tests), so this bench reports pure wall-clock, not a quality trade-off.
 //
+// A fixed-work pool round trip comes first: one ParallelForRange over 12
+// one-index chunks of dependent arithmetic (tens of microseconds each, a
+// kernel chunk's size), timed per call, with the number of calls whose
+// chunks all ran on one thread. It shows whether waking the workers spreads
+// the work at all on the machine it runs on, before any kernel's grain
+// comes into it.
+//
 // Note: on a single-core machine the pooled numbers include scheduling
 // overhead with no parallel speedup; run on >= --threads physical cores to
 // see the intended effect.
 
+#include <algorithm>
 #include <functional>
 #include <iostream>
+#include <thread>
 
 #include "bench/bench_common.h"
 #include "core/csv_writer.h"
@@ -34,6 +43,50 @@ double BestMillis(int reps, const std::function<void()>& fn) {
   return best;
 }
 
+/// Dependent multiply-adds: fixed work the compiler cannot vectorize or
+/// drop, since the result is stored.
+double Spin(int64_t iters, double x) {
+  for (int64_t i = 0; i < iters; ++i) x = x * 0.9999999 + 1e-7;
+  return x;
+}
+
+struct RoundTrip {
+  double median_us = 0.0;
+  int single_thread_calls = 0;
+};
+
+/// `calls` timed calls (after one warmup) of ParallelForRange over 12
+/// one-index chunks of Spin; a null pool runs them inline.
+RoundTrip MeasureRoundTrip(core::ThreadPool* pool, int calls) {
+  constexpr int64_t kChunks = 12;
+  constexpr int64_t kSpinIters = 8192;
+  std::vector<double> out(kChunks);
+  std::vector<std::thread::id> ran_on(kChunks);
+  std::vector<double> micros;
+  RoundTrip result;
+  for (int call = 0; call <= calls; ++call) {
+    core::WallTimer timer;
+    core::ParallelForRange(pool, kChunks, 1, [&](int64_t begin, int64_t end) {
+      for (int64_t i = begin; i < end; ++i) {
+        const auto slot = static_cast<size_t>(i);
+        out[slot] = Spin(kSpinIters, static_cast<double>(i));
+        ran_on[slot] = std::this_thread::get_id();
+      }
+    });
+    const double us = timer.ElapsedSeconds() * 1e6;
+    if (call == 0) continue;
+    micros.push_back(us);
+    if (std::all_of(ran_on.begin(), ran_on.end(),
+                    [&](std::thread::id id) { return id == ran_on[0]; })) {
+      ++result.single_thread_calls;
+    }
+  }
+  FEDDA_CHECK_GT(out[kChunks - 1], 0.0);
+  std::nth_element(micros.begin(), micros.begin() + calls / 2, micros.end());
+  result.median_us = micros[static_cast<size_t>(calls / 2)];
+  return result;
+}
+
 int Main(int argc, char** argv) {
   // The bench-default system (Amazon 0.03, hidden 16, M=4) used by the
   // micro_hgn suite, so numbers are comparable; --dataset overrides it.
@@ -51,6 +104,20 @@ int Main(int argc, char** argv) {
   FEDDA_CHECK_GT(flags.threads, 0) << "--threads must be positive here";
 
   core::ThreadPool pool(flags.threads);
+
+  constexpr int kRoundTripCalls = 500;
+  const RoundTrip seq_trip = MeasureRoundTrip(nullptr, kRoundTripCalls);
+  const RoundTrip pool_trip = MeasureRoundTrip(&pool, kRoundTripCalls);
+  std::cout << "=== Pool round trip: 12 fixed-work chunks, median of "
+            << kRoundTripCalls << " calls ===\n";
+  core::TablePrinter trip_table(
+      {"1 thread (us)", core::StrFormat("%d threads (us)", flags.threads),
+       "Pooled calls on one thread"});
+  trip_table.AddRow({core::FormatDouble(seq_trip.median_us, 1),
+                     core::FormatDouble(pool_trip.median_us, 1),
+                     core::StrFormat("%d of %d", pool_trip.single_thread_calls,
+                                     kRoundTripCalls)});
+  trip_table.Print();
 
   const fl::FederatedSystem system =
       fl::FederatedSystem::Build(MakeSystemConfig(flags, 4));
