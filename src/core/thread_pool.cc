@@ -6,8 +6,6 @@
 
 namespace fedda::core {
 
-thread_local const ThreadPool* ThreadPool::current_worker_pool_ = nullptr;
-
 ThreadPool::ThreadPool(int num_threads) {
   FEDDA_CHECK_GE(num_threads, 0);
   workers_.reserve(num_threads);
@@ -25,47 +23,20 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::Schedule(std::function<void()> task) {
-  if (workers_.empty()) {
-    task();  // Inline mode.
-    return;
-  }
-  {
-    MutexLock lock(&mutex_);
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  work_available_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  FEDDA_CHECK(current_worker_pool_ != this)
-      << "— ThreadPool::Wait() called from inside a worker task of the same "
-         "pool. The calling task counts as in-flight, so the wait could "
-         "never return; use ParallelFor/ParallelForRange for nested "
-         "parallelism instead.";
-  if (workers_.empty()) return;
-  MutexLock lock(&mutex_);
-  while (in_flight_ != 0) all_done_.Wait(&mutex_);
-}
-
-void ThreadPool::RunChunks(const std::shared_ptr<ForLoop>& loop) {
+void ThreadPool::RunChunks(ForLoop* wave) {
   // Claim chunks until none remain. A thread that claims a chunk is
-  // guaranteed `loop->fn` is still alive: ParallelForRange cannot return
+  // guaranteed `wave->fn` is still alive: ParallelForRange cannot return
   // before `completed == num_chunks`, and this chunk has not completed yet.
   // A thread that claims no chunk never dereferences `fn`.
   while (true) {
-    const int64_t c = loop->next_chunk.fetch_add(1, std::memory_order_relaxed);
-    if (c >= loop->num_chunks) return;
-    const int64_t begin = c * loop->chunk;
-    const int64_t end = std::min(loop->n, begin + loop->chunk);
-    (*loop->fn)(begin, end);
-    {
-      ForLoop& wave = *loop;
-      MutexLock lock(&wave.mutex);
-      ++wave.completed;
-      if (wave.completed == wave.num_chunks) wave.done.NotifyAll();
-    }
+    const int64_t c = wave->next_chunk.fetch_add(1, std::memory_order_relaxed);
+    if (c >= wave->num_chunks) return;
+    const int64_t begin = c * wave->chunk;
+    const int64_t end = std::min(wave->n, begin + wave->chunk);
+    (*wave->fn)(begin, end);
+    MutexLock lock(&wave->mutex);
+    ++wave->completed;
+    if (wave->completed == wave->num_chunks) wave->done.NotifyAll();
   }
 }
 
@@ -91,14 +62,16 @@ void ThreadPool::ParallelForRange(
   // Helpers beyond the chunk count would only contend on the cursor.
   const int64_t helpers = std::min<int64_t>(
       static_cast<int64_t>(workers_.size()), loop->num_chunks - 1);
-  for (int64_t h = 0; h < helpers; ++h) {
-    Schedule([loop] { RunChunks(loop); });
+  {
+    MutexLock lock(&mutex_);
+    for (int64_t h = 0; h < helpers; ++h) queue_.push_back(loop);
   }
+  for (int64_t h = 0; h < helpers; ++h) work_available_.NotifyOne();
 
   // The caller participates: even when every worker is busy (e.g. this is a
-  // nested call from inside a client-update task) the loop completes on the
+  // nested call from inside another wave's chunk) the loop completes on the
   // calling thread alone, so nesting cannot deadlock.
-  RunChunks(loop);
+  RunChunks(loop.get());
 
   ForLoop& wave = *loop;
   MutexLock lock(&wave.mutex);
@@ -113,26 +86,21 @@ void ThreadPool::ParallelFor(int64_t n, const std::function<void(int64_t)>& fn,
 }
 
 void ThreadPool::WorkerLoop() {
-  current_worker_pool_ = this;
   while (true) {
-    std::function<void()> task;
+    std::shared_ptr<ForLoop> wave;
     {
       MutexLock lock(&mutex_);
       while (!shutting_down_ && queue_.empty()) {
         work_available_.Wait(&mutex_);
       }
-      // Shutdown drains the queue first: a task scheduled before the
-      // destructor ran still executes.
+      // Shutdown drains the queue first. A wave cannot be in progress once
+      // the destructor runs, so every entry left belongs to a finished wave
+      // and claims no chunk.
       if (queue_.empty()) return;
-      task = std::move(queue_.front());
+      wave = std::move(queue_.front());
       queue_.pop_front();
     }
-    task();
-    {
-      MutexLock lock(&mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.NotifyAll();
-    }
+    RunChunks(wave.get());
   }
 }
 

@@ -14,11 +14,11 @@
 
 namespace fedda::core {
 
-/// Long-lived fixed-size worker pool shared by the FL round loop (client-level
-/// parallelism) and the tensor kernels (row-level parallelism). A pool is
-/// constructed once per run and reused across thousands of ParallelFor waves.
-/// With num_threads == 0 the pool degenerates to inline execution (useful on
-/// single-core hosts and for deterministic debugging).
+/// Long-lived fixed-size fork-join pool shared by the FL round loop (client-
+/// level parallelism) and the tensor kernels (row-level parallelism). A pool
+/// is constructed once per run and reused across thousands of ParallelFor
+/// waves. A pool with num_threads == 0 runs every wave inline on the caller
+/// (useful on single-core hosts and for deterministic debugging).
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -27,26 +27,11 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task. Tasks must not throw (the library is exception-free).
-  /// Tasks may Schedule further tasks; Wait() covers those as well.
-  void Schedule(std::function<void()> task);
-
-  /// Blocks until every scheduled task has finished. Calling it from inside
-  /// a worker task of the same pool CHECK-fails immediately (the caller's
-  /// own task counts as in-flight, so it could never return); the check
-  /// runs before any lock is taken, so the abort is prompt even if the
-  /// caller holds unrelated locks. Use ParallelFor/ParallelForRange for
-  /// nested parallelism instead. FEDDA_EXCLUDES makes calling it while
-  /// already holding mutex_ (a guaranteed self-deadlock) a compile error
-  /// under -Wthread-safety.
-  void Wait() FEDDA_EXCLUDES(mutex_);
-
   /// Runs fn(i) for i in [0, n), then returns. Work is split into contiguous
-  /// chunks of at least `grain` indices — one enqueue per chunk, not per
-  /// index — and the calling thread participates in executing chunks, so the
-  /// call is safe (and deadlock-free) from inside a worker task. Chunk
-  /// boundaries never change results as long as fn(i) only writes state owned
-  /// by index i.
+  /// chunks of at least `grain` indices, and the calling thread participates
+  /// in executing chunks, so the call is safe (and deadlock-free) from
+  /// inside a chunk of another wave. Chunk boundaries never change results
+  /// as long as fn(i) only writes state owned by index i.
   void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn,
                    int64_t grain = 1);
 
@@ -76,18 +61,14 @@ class ThreadPool {
   };
 
   void WorkerLoop();
-  static void RunChunks(const std::shared_ptr<ForLoop>& loop);
-
-  /// The pool whose WorkerLoop owns the current thread (null on non-worker
-  /// threads). Lets Wait() detect the deadlocking call-from-worker case.
-  static thread_local const ThreadPool* current_worker_pool_;
+  static void RunChunks(ForLoop* wave);
 
   std::vector<std::thread> workers_;  // immutable after the constructor
   Mutex mutex_;
   CondVar work_available_;
-  CondVar all_done_;
-  std::deque<std::function<void()>> queue_ FEDDA_GUARDED_BY(mutex_);
-  int in_flight_ FEDDA_GUARDED_BY(mutex_) = 0;
+  /// One entry per helper a wave asked for. A worker that pops the entry of
+  /// a wave whose chunks are all claimed runs nothing.
+  std::deque<std::shared_ptr<ForLoop>> queue_ FEDDA_GUARDED_BY(mutex_);
   bool shutting_down_ FEDDA_GUARDED_BY(mutex_) = false;
 };
 

@@ -193,7 +193,6 @@ struct FederatedRunner::RoundLoop {
   ActivationState state;
   core::Rng eval_rng;
   core::ThreadPool pool;
-  core::ThreadPool* pool_ptr;
   hgn::TrainOptions local_options;
   DownlinkVersionTracker downlink;
   /// Remote execution (null in-process). `mirror` tracks what each remote
@@ -247,7 +246,6 @@ struct FederatedRunner::RoundLoop {
         state(r->num_clients(), *global_store, r->options_.activation),
         eval_rng(g->Split()),
         pool(r->options_.worker_threads),
-        pool_ptr(r->options_.worker_threads > 0 ? &pool : nullptr),
         local_options(r->options_.local),
         downlink(r->num_clients(), num_groups),
         transport(r->options_.transport),
@@ -256,7 +254,7 @@ struct FederatedRunner::RoundLoop {
         in_flight(static_cast<size_t>(r->num_clients()), 0),
         pending(static_cast<size_t>(r->num_clients())) {
     std::iota(all_groups.begin(), all_groups.end(), 0);
-    local_options.pool = pool_ptr;
+    local_options.pool = &pool;
     local_options.tracer = tracer;
     obs::MetricsRegistry* metrics = r->options_.metrics;
     if (metrics != nullptr) {
@@ -439,7 +437,7 @@ struct FederatedRunner::RoundLoop {
     if (options().eval_every_round || round == options().rounds - 1) {
       obs::ScopedSpan eval_span(tracer, "eval", "round", round);
       std::tie(record->auc, record->mrr) =
-          runner->EvaluateGlobal(global, &eval_rng, pool_ptr);
+          runner->EvaluateGlobal(global, &eval_rng, &pool);
     }
   }
 

@@ -1,10 +1,10 @@
 // Concurrency stress suite for core::ThreadPool, written to be run under
 // ThreadSanitizer (cmake -DFEDDA_SANITIZE=thread). Each test hammers one
-// usage pattern the FL stack depends on — nested ParallelFor from worker
-// tasks, Schedule-from-task chains, waves issued concurrently from several
-// external threads, and long-lived pool reuse — with enough iterations that
-// a racy interleaving has a realistic chance to occur, but sized so the
-// suite stays fast under TSan's ~10x slowdown.
+// usage pattern the FL stack depends on — ParallelFor nested inside another
+// wave's chunks, waves issued concurrently from several external threads,
+// and long-lived pool reuse — with enough iterations that a racy
+// interleaving has a realistic chance to occur, but sized so the suite stays
+// fast under TSan's ~10x slowdown.
 
 #include "core/thread_pool.h"
 
@@ -67,46 +67,6 @@ TEST(ThreadPoolStressTest, DeeplyNestedParallelFor) {
   EXPECT_EQ(total.load(), 6 * 4 * kSumTo);
 }
 
-TEST(ThreadPoolStressTest, ScheduleChainsFromTasks) {
-  // Tasks scheduling tasks scheduling tasks: Wait() must cover the whole
-  // transitive set, across many independent chains at once.
-  ThreadPool pool(4);
-  constexpr int kChains = 64;
-  constexpr int kDepth = 16;
-  std::atomic<int> completed{0};
-  std::function<void(int)> link = [&](int remaining) {
-    completed.fetch_add(1, std::memory_order_relaxed);
-    if (remaining > 0) pool.Schedule([&link, remaining] { link(remaining - 1); });
-  };
-  for (int c = 0; c < kChains; ++c) {
-    pool.Schedule([&link] { link(kDepth - 1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(completed.load(), kChains * kDepth);
-}
-
-TEST(ThreadPoolStressTest, MixedScheduleAndParallelForWaves) {
-  // Interleaves fire-and-forget tasks with synchronous waves on the same
-  // pool — the runner does exactly this (client updates as one wave, eval
-  // kernels as later waves) thousands of times per run.
-  ThreadPool pool(4);
-  std::atomic<int64_t> task_hits{0};
-  std::atomic<int64_t> wave_sum{0};
-  constexpr int kRounds = 200;
-  for (int round = 0; round < kRounds; ++round) {
-    pool.Schedule([&] { task_hits.fetch_add(1, std::memory_order_relaxed); });
-    pool.ParallelForRange(100, 13, [&](int64_t begin, int64_t end) {
-      int64_t s = 0;
-      for (int64_t i = begin; i < end; ++i) s += i;
-      wave_sum.fetch_add(s, std::memory_order_relaxed);
-    });
-    pool.Schedule([&] { task_hits.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(task_hits.load(), 2 * kRounds);
-  EXPECT_EQ(wave_sum.load(), kRounds * kSumTo);
-}
-
 TEST(ThreadPoolStressTest, ReuseAcrossWavesWithVaryingShapes) {
   // Rapid-fire waves whose n/grain shapes change every iteration, so chunk
   // counts oscillate between 1 and many and helpers are scheduled and
@@ -157,59 +117,6 @@ TEST(ThreadPoolStressTest, NestedParallelForResultsUnchangedUnderContention) {
   for (const auto& row : hits) {
     for (int h : row) ASSERT_EQ(h, 1);
   }
-}
-
-TEST(ThreadPoolStressTest, WaitFromOtherPoolsWorkerIsAllowed) {
-  // The Wait-from-worker guard is per pool: a worker of pool A may block on
-  // pool B (cross-pool orchestration), only A.Wait() from A's own worker is
-  // a deadlock.
-  ThreadPool a(2);
-  ThreadPool b(2);
-  std::atomic<int> done{0};
-  a.Schedule([&] {
-    b.Schedule([&] { done.fetch_add(1); });
-    b.Wait();  // Allowed: the current thread is a worker of `a`, not `b`.
-    done.fetch_add(1);
-  });
-  a.Wait();
-  EXPECT_EQ(done.load(), 2);
-}
-
-TEST(ThreadPoolDeathTest, WaitFromOwnWorkerTaskCheckFails) {
-  // Wait() from inside a worker task of the same pool used to silently
-  // deadlock (the caller's task counts as in-flight); it must now abort
-  // with a diagnostic instead. Threadsafe style re-execs the binary, which
-  // keeps the death test sound when the parent holds worker threads and
-  // under the sanitizers.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        ThreadPool pool(2);
-        pool.Schedule([&pool] { pool.Wait(); });
-        pool.Wait();
-      },
-      "Wait\\(\\) called from inside a worker task");
-}
-
-TEST(ThreadPoolDeathTest, WaitUnderCallerLockStillAbortsPromptly) {
-  // Wait-under-lock misuse: a worker task that calls Wait() while holding
-  // one of the *caller's* locks. The worker-identity CHECK runs before
-  // Wait() touches the pool's own mutex (its FEDDA_EXCLUDES(mutex_)
-  // contract), so the abort is immediate even with a foreign lock held —
-  // a guard placed after the lock acquisition would deadlock here instead
-  // of dying, and the death test would hang.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        ThreadPool pool(2);
-        Mutex caller_mu;
-        pool.Schedule([&pool, &caller_mu] {
-          MutexLock lock(&caller_mu);
-          pool.Wait();
-        });
-        pool.Wait();
-      },
-      "Wait\\(\\) called from inside a worker task");
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // MUST NOT COMPILE under -Werror=thread-safety-analysis: calls a
-// FEDDA_EXCLUDES method while holding the excluded mutex — the shape of
-// ThreadPool::Wait() self-deadlock this annotation exists to prevent.
+// FEDDA_EXCLUDES method while holding the excluded mutex — the blocking
+// call under its own object's lock that this annotation exists to prevent.
 
 #include "core/mutex.h"
 #include "core/thread_annotations.h"
