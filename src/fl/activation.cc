@@ -55,27 +55,15 @@ ActivationState::ActivationState(int num_clients,
   FEDDA_CHECK(options.alpha >= 0.0 && options.alpha <= 1.0);
 
   total_groups_ = reference.num_groups();
-  total_scalars_ = reference.num_scalars();
   group_sizes_.resize(static_cast<size_t>(total_groups_));
-  group_disentangled_.resize(static_cast<size_t>(total_groups_));
   group_first_unit_.assign(static_cast<size_t>(total_groups_), -1);
 
   for (int gid = 0; gid < reference.num_groups(); ++gid) {
     const size_t s = static_cast<size_t>(gid);
     group_sizes_[s] = reference.value(gid).size();
-    group_disentangled_[s] = reference.info(gid).disentangled;
-    if (!group_disentangled_[s]) {
-      ++nondisentangled_groups_;
-      nondisentangled_scalars_ += group_sizes_[s];
-      continue;
-    }
+    if (!reference.info(gid).disentangled) continue;
     group_first_unit_[s] = num_units_;
-    const int64_t units =
-        options.granularity == ActivationGranularity::kTensor
-            ? 1
-            : group_sizes_[s];
-    for (int64_t u = 0; u < units; ++u) unit_group_.push_back(gid);
-    num_units_ += units;
+    num_units_ += GroupUnitCount(gid);
   }
 
   client_active_.assign(static_cast<size_t>(num_clients), true);
@@ -107,15 +95,26 @@ bool ActivationState::UnitActive(int client, int64_t unit) const {
   return masks_[static_cast<size_t>(client)][static_cast<size_t>(unit)] != 0;
 }
 
-bool ActivationState::GroupRequested(int client, int group) const {
+GroupCoverage ActivationState::Coverage(const std::vector<uint8_t>& mask,
+                                        int group,
+                                        int64_t* first_unit) const {
   FEDDA_CHECK(group >= 0 && group < total_groups_);
-  const int64_t first = group_first_unit_[static_cast<size_t>(group)];
-  if (first < 0) return true;  // outside [N_d]: always requested
-  const int64_t count = GroupUnitCount(group);
-  for (int64_t u = first; u < first + count; ++u) {
-    if (UnitActive(client, u)) return true;
+  FEDDA_CHECK_EQ(mask.size(), static_cast<size_t>(num_units_));
+  const size_t g = static_cast<size_t>(group);
+  const int64_t first = group_first_unit_[g];
+  if (first_unit != nullptr) *first_unit = first;
+  if (first < 0) return GroupCoverage::kWhole;  // outside [N_d]
+  const auto begin = mask.begin() + first;
+  if (options_.granularity == ActivationGranularity::kTensor) {
+    return *begin != 0 ? GroupCoverage::kWhole : GroupCoverage::kNone;
   }
-  return false;
+  const bool any = std::any_of(begin, begin + group_sizes_[g],
+                               [](uint8_t bit) { return bit != 0; });
+  return any ? GroupCoverage::kScalars : GroupCoverage::kNone;
+}
+
+bool ActivationState::GroupRequested(int client, int group) const {
+  return Coverage(ClientMask(client), group) != GroupCoverage::kNone;
 }
 
 int64_t ActivationState::ActiveUnits(int client) const {
@@ -123,29 +122,6 @@ int64_t ActivationState::ActiveUnits(int client) const {
   const auto& mask = masks_[static_cast<size_t>(client)];
   return static_cast<int64_t>(
       std::count(mask.begin(), mask.end(), uint8_t{1}));
-}
-
-int64_t ActivationState::TransmittedGroups(int client) const {
-  int64_t groups = nondisentangled_groups_;
-  for (int gid = 0; gid < total_groups_; ++gid) {
-    if (group_first_unit_[static_cast<size_t>(gid)] < 0) continue;
-    if (GroupRequested(client, gid)) ++groups;
-  }
-  return groups;
-}
-
-int64_t ActivationState::TransmittedScalars(int client) const {
-  int64_t scalars = nondisentangled_scalars_;
-  if (options_.granularity == ActivationGranularity::kTensor) {
-    for (int64_t u = 0; u < num_units_; ++u) {
-      if (UnitActive(client, u)) {
-        scalars += group_sizes_[static_cast<size_t>(UnitGroup(u))];
-      }
-    }
-  } else {
-    scalars += ActiveUnits(client);
-  }
-  return scalars;
 }
 
 void ActivationState::UpdateMasks(
@@ -217,17 +193,6 @@ void ActivationState::SetClientMask(int client,
   FEDDA_CHECK(client >= 0 && client < num_clients_);
   FEDDA_CHECK_EQ(mask.size(), static_cast<size_t>(num_units_));
   masks_[static_cast<size_t>(client)] = mask;
-}
-
-int ActivationState::UnitGroup(int64_t unit) const {
-  FEDDA_CHECK(unit >= 0 && unit < num_units_);
-  return unit_group_[static_cast<size_t>(unit)];
-}
-
-int64_t ActivationState::UnitOffsetInGroup(int64_t unit) const {
-  if (options_.granularity == ActivationGranularity::kTensor) return 0;
-  const int group = UnitGroup(unit);
-  return unit - group_first_unit_[static_cast<size_t>(group)];
 }
 
 int64_t ActivationState::GroupFirstUnit(int group) const {

@@ -17,6 +17,14 @@ namespace fedda::fl {
 /// kScalar masks individual scalars inside disentangled groups (ablation).
 enum class ActivationGranularity { kTensor, kScalar };
 
+/// How one parameter group travels in a client's update under one mask row
+/// (the paper's index set I_i), as ActivationState::Coverage decides.
+enum class GroupCoverage {
+  kNone,     // masked off: neither sent nor folded
+  kWhole,    // sent and folded whole: outside [N_d], or active per tensor
+  kScalars,  // sent and folded per active scalar of a disentangled group
+};
+
 /// How the per-unit deactivation threshold is derived from the returned
 /// gradient magnitudes. The paper uses the mean "and leaves the discussion
 /// of other settings to future work" (Sec. 5.3 fn. 2) — the other two are
@@ -75,18 +83,17 @@ class ActivationState {
 
   /// Whether client `client` is asked to return unit `unit`.
   bool UnitActive(int client, int64_t unit) const;
-  /// Whether any scalar of `group` is requested from `client` (groups
-  /// outside [N_d] are always requested).
+  /// How `group` travels under mask row `mask` (num_units() entries, as
+  /// ClientMask returns): the one rule that the uplink builder, the
+  /// aggregator and GroupRequested follow. Sets `*first_unit`, when given,
+  /// to GroupFirstUnit(group) for callers that index the row.
+  GroupCoverage Coverage(const std::vector<uint8_t>& mask, int group,
+                         int64_t* first_unit = nullptr) const;
+  /// Whether `client`'s mask covers any of `group` (groups outside [N_d]
+  /// are always requested).
   bool GroupRequested(int client, int group) const;
   /// Active unit count of a client (the sum over I_i in the alpha rule).
   int64_t ActiveUnits(int client) const;
-
-  /// Uplink cost of `client` this round, in parameter groups and scalars.
-  /// At tensor granularity a masked group costs 0; at scalar granularity a
-  /// partially masked group costs its active scalars (and counts as
-  /// transmitted if any scalar is active).
-  int64_t TransmittedGroups(int client) const;
-  int64_t TransmittedScalars(int client) const;
 
   /// Mask update from returned pseudo-gradients. `participants` are the
   /// clients that trained this round; `magnitudes[p][u]` is participant
@@ -127,12 +134,7 @@ class ActivationState {
   /// percentile) must match this instance's construction.
   [[nodiscard]] core::Status Load(const std::string& path);
 
-  // -- Layout helpers shared with the runner --------------------------------
-  /// Maps unit index -> parameter group id.
-  int UnitGroup(int64_t unit) const;
-  /// For scalar granularity: offset of the unit inside its group; 0 at
-  /// tensor granularity.
-  int64_t UnitOffsetInGroup(int64_t unit) const;
+  // -- Unit layout -----------------------------------------------------------
   /// First unit of a disentangled group, or -1 if the group is not maskable.
   int64_t GroupFirstUnit(int group) const;
   /// Number of units of a group (0 for non-disentangled groups).
@@ -145,13 +147,8 @@ class ActivationState {
 
   // Layout derived from the reference store.
   std::vector<int64_t> group_sizes_;
-  std::vector<bool> group_disentangled_;
   std::vector<int64_t> group_first_unit_;  // -1 for non-disentangled
-  std::vector<int> unit_group_;
   int64_t total_groups_ = 0;
-  int64_t total_scalars_ = 0;
-  int64_t nondisentangled_groups_ = 0;
-  int64_t nondisentangled_scalars_ = 0;
 
   std::vector<bool> client_active_;
   /// masks_[client] has num_units_ entries.

@@ -27,44 +27,37 @@ StreamingAggregator::StreamingAggregator(const ParameterStore* reference,
   }
   sums_.resize(num_groups);
   total_weight_.assign(num_groups, 0.0);
-  if (config_.fedda && config_.scalar_granularity) {
-    scalar_sums_.resize(num_groups);
-    scalar_weights_.resize(num_groups);
-  }
+  scalar_sums_.resize(num_groups);
+  scalar_weights_.resize(num_groups);
 }
 
 std::vector<double> StreamingAggregator::Accumulate(
     int client, double weight, const ParameterStore& update) {
   FEDDA_CHECK(!finalized_);
   std::vector<double> magnitudes;
+  const std::vector<uint8_t>* mask = nullptr;
   if (config_.fedda) {
     magnitudes.assign(static_cast<size_t>(state_->num_units()), 0.0);
+    mask = &state_->ClientMask(client);
   }
 
   for (int gid = 0; gid < reference_->num_groups(); ++gid) {
     const size_t g = static_cast<size_t>(gid);
+    int64_t first_unit = -1;
+    GroupCoverage coverage = GroupCoverage::kNone;
+    if (config_.fedda) {
+      coverage = state_->Coverage(*mask, gid, &first_unit);
+    } else if (group_selected_[g]) {
+      coverage = GroupCoverage::kWhole;  // FedAvg's selected groups
+    }
+    if (coverage == GroupCoverage::kNone) continue;
     const Tensor& cv = update.value(gid);
 
-    if (!config_.fedda) {
-      // FedAvg: dense contribution to every group in the round's subset.
-      if (!group_selected_[g]) continue;
+    if (coverage == GroupCoverage::kWhole) {
       if (sums_[g].size() == 0) sums_[g] = Tensor(cv.rows(), cv.cols());
       sums_[g].Axpy(static_cast<float>(weight), cv);
       total_weight_[g] += weight;
-      continue;
-    }
-
-    const int64_t first_unit = state_->GroupFirstUnit(gid);
-    const bool maskable = first_unit >= 0;
-
-    if (!maskable || !config_.scalar_granularity) {
-      // Whole-group path: groups outside [N_d] take everyone; maskable
-      // groups at tensor granularity take only clients whose mask is on.
-      if (maskable && !state_->UnitActive(client, first_unit)) continue;
-      if (sums_[g].size() == 0) sums_[g] = Tensor(cv.rows(), cv.cols());
-      sums_[g].Axpy(static_cast<float>(weight), cv);
-      total_weight_[g] += weight;
-      if (maskable) {
+      if (first_unit >= 0) {
         // Tensor-granularity magnitude: mean |delta| over the group.
         const Tensor delta = cv.Sub(reference_->value(gid));
         magnitudes[static_cast<size_t>(first_unit)] = delta.AbsMean();
@@ -72,17 +65,18 @@ std::vector<double> StreamingAggregator::Accumulate(
       continue;
     }
 
-    // Scalar granularity on a disentangled group: per-scalar contributors.
+    // Per-scalar coverage: each active scalar has its own contributors.
     const int64_t size = cv.size();
     const Tensor& old = reference_->value(gid);
+    const uint8_t* bits = mask->data() + first_unit;
     std::vector<double>& sums = scalar_sums_[g];
     std::vector<double>& weights = scalar_weights_[g];
+    if (sums.empty()) {
+      sums.assign(static_cast<size_t>(size), 0.0);
+      weights.assign(static_cast<size_t>(size), 0.0);
+    }
     for (int64_t s = 0; s < size; ++s) {
-      if (!state_->UnitActive(client, first_unit + s)) continue;
-      if (sums.empty()) {
-        sums.assign(static_cast<size_t>(size), 0.0);
-        weights.assign(static_cast<size_t>(size), 0.0);
-      }
+      if (bits[s] == 0) continue;
       const float value = cv.data()[s];
       sums[static_cast<size_t>(s)] += weight * value;
       weights[static_cast<size_t>(s)] += weight;
@@ -103,11 +97,9 @@ void StreamingAggregator::Finalize(ParameterStore* global,
   for (int gid = 0; gid < global->num_groups(); ++gid) {
     const size_t g = static_cast<size_t>(gid);
 
-    if (config_.fedda && config_.scalar_granularity &&
-        state_->GroupFirstUnit(gid) >= 0) {
-      // Scalar-granularity group: write contributed scalars, keep the rest.
-      const std::vector<double>& sums = scalar_sums_[g];
-      if (sums.empty()) continue;  // no client contributed any scalar
+    const std::vector<double>& sums = scalar_sums_[g];
+    if (!sums.empty()) {
+      // Per-scalar sums: write contributed scalars, keep the rest.
       const std::vector<double>& weights = scalar_weights_[g];
       Tensor& target = global->value(gid);
       const Tensor& old = reference_->value(gid);
@@ -123,8 +115,8 @@ void StreamingAggregator::Finalize(ParameterStore* global,
       continue;
     }
 
-    // Whole-group path (FedAvg and FedDA alike): groups with no
-    // contributors keep their previous global value.
+    // Whole-group sums: groups with no contributors keep their previous
+    // global value.
     if (sums_[g].size() == 0 || total_weight_[g] <= 0.0) continue;
     sums_[g].Scale(1.0f / static_cast<float>(total_weight_[g]));
     global->value(gid) = std::move(sums_[g]);

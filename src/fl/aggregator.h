@@ -28,11 +28,11 @@ namespace fedda::fl {
 class StreamingAggregator {
  public:
   struct Config {
-    /// FedDA masked aggregation (Eq. 6) with per-unit magnitudes; false =
-    /// FedAvg dense aggregation over `selected_groups`.
+    /// FedDA masked aggregation (Eq. 6) with per-unit magnitudes, each
+    /// group folded as ActivationState::Coverage decides under the
+    /// client's mask row; false = FedAvg dense aggregation over
+    /// `selected_groups`.
     bool fedda = false;
-    /// FedDA only: per-scalar masks inside disentangled groups.
-    bool scalar_granularity = false;
   };
 
   /// `reference` holds the pre-round global values the participants trained
@@ -76,14 +76,14 @@ class StreamingAggregator {
   const ActivationState* state_;
   Config config_;
   std::vector<uint8_t> group_selected_;  // FedAvg round subset
-  /// Whole-group accumulators (FedAvg groups; FedDA non-scalar path), empty
-  /// tensors for groups never aggregated. Allocated lazily on first
-  /// contribution so an aggressively masked round costs only the groups it
-  /// touches.
+  /// Whole-coverage accumulators, empty tensors for groups never
+  /// aggregated. Allocated lazily on first contribution so an aggressively
+  /// masked round costs only the groups it touches.
   std::vector<tensor::Tensor> sums_;
   std::vector<double> total_weight_;
-  /// Scalar-granularity accumulators for disentangled groups (double, to
-  /// match the old per-scalar double accumulation exactly).
+  /// Per-scalar-coverage accumulators (double, to match the old per-scalar
+  /// double accumulation exactly); empty for groups that collected none,
+  /// which is how Finalize tells the two kinds apart.
   std::vector<std::vector<double>> scalar_sums_;
   std::vector<std::vector<double>> scalar_weights_;
   int num_consumed_ = 0;

@@ -185,7 +185,6 @@ struct FederatedRunner::RoundLoop {
   ParameterStore* global;
   core::Rng* rng;
   bool is_fedda;
-  bool scalar_gran;
   bool semi_async;
   int num_groups;
   std::vector<int> all_groups;
@@ -237,8 +236,6 @@ struct FederatedRunner::RoundLoop {
   RoundLoop(FederatedRunner* r, ParameterStore* global_store, core::Rng* g)
       : runner(r), global(global_store), rng(g),
         is_fedda(r->options_.algorithm != FlAlgorithm::kFedAvg),
-        scalar_gran(r->options_.activation.granularity ==
-                    ActivationGranularity::kScalar),
         semi_async(r->options_.aggregation_mode ==
                    AggregationMode::kSemiAsync),
         num_groups(global_store->num_groups()),
@@ -572,7 +569,6 @@ void FederatedRunner::RoundLoop::RunRound(int round) {
     obs::ScopedSpan agg_span(tracer, "aggregate", "round", round);
     StreamingAggregator::Config config;
     config.fedda = is_fedda;
-    config.scalar_granularity = scalar_gran;
     StreamingAggregator aggregator(global, &state, selected_groups, config);
     magnitudes.reserve(arrivals.size());
     for (const int c : arrivals) {

@@ -167,11 +167,12 @@ core::Status WirePayload::Deserialize(const std::vector<uint8_t>& bytes) {
         "implausible group counts (corrupt payload?)");
   }
 
-  // An entry takes at least 13 bytes (u32 group, u8 encoding, i64 size), so
-  // the bytes left bound how many can follow: a bare header cannot reserve
-  // 2^24 entries.
+  // An entry takes at least its header (u32 group, u8 encoding, i64 size),
+  // so the bytes left bound how many can follow: a bare header cannot
+  // reserve 2^24 entries.
   std::vector<Entry> entries;
-  entries.reserve(std::min<size_t>(entry_count, reader.remaining() / 13));
+  entries.reserve(std::min<size_t>(
+      entry_count, reader.remaining() / kEntryHeaderBytes));
   int previous_group = -1;
   for (uint32_t e = 0; e < entry_count; ++e) {
     Entry entry;
@@ -284,95 +285,80 @@ core::Status WirePayload::ApplyTo(tensor::ParameterStore* store) const {
 WirePayload BuildUplinkPayload(const ActivationState& state, int client,
                                int round,
                                const tensor::ParameterStore& params) {
-  const bool scalar_gran =
-      state.options().granularity == ActivationGranularity::kScalar;
   const std::vector<uint8_t>& mask = state.ClientMask(client);
-  // First pass: which groups ship and how many values each carries, so the
+  // First pass: which groups ship, how and with how many values, so the
   // buffer is reserved to its exact size before anything is written.
-  // `active[gid]` is -1 for an omitted group, the group size for a dense
-  // entry, and the set-bit count for a masked one.
-  std::vector<int64_t> active(static_cast<size_t>(params.num_groups()), -1);
-  size_t entry_count = 0;
+  struct Shipped {
+    int group;
+    GroupCoverage coverage;
+    int64_t first_unit;
+    int64_t values;
+  };
+  std::vector<Shipped> shipped;
+  shipped.reserve(static_cast<size_t>(params.num_groups()));
   int64_t encoded_bytes = kHeaderBytes;
   for (int gid = 0; gid < params.num_groups(); ++gid) {
-    const int64_t first_unit = state.GroupFirstUnit(gid);
+    int64_t first_unit = -1;
+    const GroupCoverage coverage = state.Coverage(mask, gid, &first_unit);
     const int64_t size = params.value(gid).size();
-    if (first_unit < 0 || !scalar_gran) {
-      // Non-disentangled groups are always uploaded whole; at tensor
-      // granularity an active disentangled group is too (a masked one is
-      // simply absent — its "mask" is the missing entry).
-      if (first_unit >= 0 && !state.UnitActive(client, first_unit)) continue;
-      active[static_cast<size_t>(gid)] = size;
-      ++entry_count;
+    if (coverage == GroupCoverage::kNone) continue;
+    if (coverage == GroupCoverage::kWhole) {
+      // A whole group is a dense entry; a masked-off one is simply absent.
+      shipped.push_back({gid, coverage, first_unit, size});
       encoded_bytes += DenseEntryBytes(size);
       continue;
     }
-    // Scalar granularity: bit-packed per-scalar mask + active scalars.
+    // Per-scalar coverage: bit-packed per-scalar mask + active scalars.
     FEDDA_CHECK_EQ(state.GroupUnitCount(gid), size);
-    int64_t set = 0;
-    for (int64_t u = 0; u < size; ++u) {
-      if (mask[static_cast<size_t>(first_unit + u)] != 0) ++set;
-    }
-    if (set == 0) continue;  // fully masked: the group is not transmitted
-    active[static_cast<size_t>(gid)] = set;
-    ++entry_count;
+    const int64_t set =
+        std::count_if(mask.begin() + first_unit,
+                      mask.begin() + first_unit + size,
+                      [](uint8_t bit) { return bit != 0; });
+    shipped.push_back({gid, coverage, first_unit, set});
     encoded_bytes += kEntryHeaderBytes + MaskBytes(size) +
                      set * static_cast<int64_t>(sizeof(float));
   }
 
   WirePayload payload(WireKind::kUplink, client, round, params.num_groups(),
-                      entry_count, encoded_bytes);
-  for (int gid = 0; gid < params.num_groups(); ++gid) {
-    const int64_t set = active[static_cast<size_t>(gid)];
-    if (set < 0) continue;
-    const int64_t first_unit = state.GroupFirstUnit(gid);
-    if (first_unit < 0 || !scalar_gran) {
-      payload.AppendDense(gid, params.value(gid));
+                      shipped.size(), encoded_bytes);
+  for (const Shipped& entry : shipped) {
+    const tensor::Tensor& value = params.value(entry.group);
+    if (entry.coverage == GroupCoverage::kWhole) {
+      payload.AppendDense(entry.group, value);
     } else {
-      payload.AppendMasked(gid, mask.data() + first_unit, set,
-                           params.value(gid));
+      payload.AppendMasked(entry.group, mask.data() + entry.first_unit,
+                           entry.values, value);
     }
   }
   FEDDA_CHECK_EQ(payload.EncodedBytes(), encoded_bytes);
   return payload;
 }
 
-namespace {
-
-/// Header plus one dense entry per group of `groups`, which must be valid
-/// ids of `params`.
-int64_t DenseEncodedBytes(const std::vector<int>& groups,
-                          const tensor::ParameterStore& params) {
-  int64_t bytes = kHeaderBytes;
+WirePayload BuildDensePayload(WireKind kind, const std::vector<int>& groups,
+                              int client, int round,
+                              const tensor::ParameterStore& store) {
+  int64_t encoded_bytes = kHeaderBytes;
   for (const int gid : groups) {
-    FEDDA_CHECK(gid >= 0 && gid < params.num_groups());
-    bytes += DenseEntryBytes(params.value(gid).size());
+    FEDDA_CHECK(gid >= 0 && gid < store.num_groups());
+    encoded_bytes += DenseEntryBytes(store.value(gid).size());
   }
-  return bytes;
+  WirePayload payload(kind, client, round, store.num_groups(), groups.size(),
+                      encoded_bytes);
+  for (const int gid : groups) payload.AppendDense(gid, store.value(gid));
+  FEDDA_CHECK_EQ(payload.EncodedBytes(), encoded_bytes);
+  return payload;
 }
-
-}  // namespace
 
 WirePayload BuildDenseUplinkPayload(const std::vector<int>& groups,
                                     int client, int round,
                                     const tensor::ParameterStore& params) {
-  const int64_t encoded_bytes = DenseEncodedBytes(groups, params);
-  WirePayload payload(WireKind::kUplink, client, round, params.num_groups(),
-                      groups.size(), encoded_bytes);
-  for (const int gid : groups) payload.AppendDense(gid, params.value(gid));
-  FEDDA_CHECK_EQ(payload.EncodedBytes(), encoded_bytes);
-  return payload;
+  return BuildDensePayload(WireKind::kUplink, groups, client, round, params);
 }
 
 WirePayload BuildDownlinkPayload(const std::vector<int>& groups, int client,
                                  int round,
                                  const tensor::ParameterStore& global) {
-  const int64_t encoded_bytes = DenseEncodedBytes(groups, global);
-  WirePayload payload(WireKind::kDownlink, client, round, global.num_groups(),
-                      groups.size(), encoded_bytes);
-  for (const int gid : groups) payload.AppendDense(gid, global.value(gid));
-  FEDDA_CHECK_EQ(payload.EncodedBytes(), encoded_bytes);
-  return payload;
+  return BuildDensePayload(WireKind::kDownlink, groups, client, round, global);
 }
 
 DownlinkVersionTracker::DownlinkVersionTracker(int num_clients, int num_groups)

@@ -98,12 +98,12 @@ class WirePayload {
   friend WirePayload BuildUplinkPayload(const ActivationState& state,
                                         int client, int round,
                                         const tensor::ParameterStore& params);
-  friend WirePayload BuildDenseUplinkPayload(
-      const std::vector<int>& groups, int client, int round,
-      const tensor::ParameterStore& params);
-  friend WirePayload BuildDownlinkPayload(
-      const std::vector<int>& groups, int client, int round,
-      const tensor::ParameterStore& global);
+  /// One dense entry per group of `groups`: the body of both dense
+  /// factories below, which differ only in `kind`.
+  friend WirePayload BuildDensePayload(WireKind kind,
+                                       const std::vector<int>& groups,
+                                       int client, int round,
+                                       const tensor::ParameterStore& store);
 
   /// Where one entry sits in `bytes_`. Dense entries carry all `size`
   /// scalars of the group; masked entries carry a bit-packed scalar mask
@@ -145,10 +145,9 @@ class WirePayload {
 };
 
 /// FedDA uplink: client `client`'s post-training weights under its current
-/// masks. Non-disentangled groups and active tensor-granularity groups are
-/// sent whole (dense entries); scalar-granularity disentangled groups are
-/// sent as bit-packed mask + active scalars (masked entries); groups whose
-/// mask is entirely off are omitted.
+/// mask row, one entry per group as ActivationState::Coverage decides: a
+/// whole group is a dense entry, a per-scalar group a bit-packed mask plus
+/// its active scalars (a masked entry), and an uncovered group is omitted.
 WirePayload BuildUplinkPayload(const ActivationState& state, int client,
                                int round,
                                const tensor::ParameterStore& params);

@@ -60,7 +60,9 @@ TEST_F(ActivationIoTest, SaveLoadRoundTripScalarGranularity) {
   ActivationState restored(2, ref, options);
   ASSERT_TRUE(restored.Load(path_).ok());
   EXPECT_EQ(restored.ActiveUnits(0), state.ActiveUnits(0));
-  EXPECT_EQ(restored.TransmittedScalars(0), state.TransmittedScalars(0));
+  for (int c = 0; c < 2; ++c) {
+    EXPECT_EQ(restored.ClientMask(c), state.ClientMask(c));
+  }
 }
 
 TEST_F(ActivationIoTest, LoadRejectsLayoutMismatch) {

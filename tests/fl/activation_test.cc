@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fl/wire.h"
+
 namespace fedda::fl {
 namespace {
 
@@ -35,6 +37,12 @@ ActivationOptions ScalarGran(double alpha = 0.5) {
   return options;
 }
 
+/// What `client`'s update carries under its current mask.
+WirePayload Uplink(const ActivationState& state, int client,
+                   const ParameterStore& params) {
+  return BuildUplinkPayload(state, client, /*round=*/0, params);
+}
+
 TEST(ActivationStateTest, InitialStateAllActiveAllOnes) {
   ParameterStore ref = MakeReference();
   ActivationState state(3, ref, TensorGran());
@@ -44,8 +52,8 @@ TEST(ActivationStateTest, InitialStateAllActiveAllOnes) {
   EXPECT_EQ(state.num_units(), 2);  // two disentangled groups
   for (int c = 0; c < 3; ++c) {
     EXPECT_EQ(state.ActiveUnits(c), 2);
-    EXPECT_EQ(state.TransmittedGroups(c), 4);
-    EXPECT_EQ(state.TransmittedScalars(c), 15);
+    EXPECT_EQ(Uplink(state, c, ref).num_entries(), 4);
+    EXPECT_EQ(Uplink(state, c, ref).PayloadScalars(), 15);
   }
 }
 
@@ -53,7 +61,7 @@ TEST(ActivationStateTest, ScalarGranularityUnitCount) {
   ParameterStore ref = MakeReference();
   ActivationState state(2, ref, ScalarGran());
   EXPECT_EQ(state.num_units(), 7);  // 4 + 3 disentangled scalars
-  EXPECT_EQ(state.TransmittedScalars(0), 15);
+  EXPECT_EQ(Uplink(state, 0, ref).PayloadScalars(), 15);
 }
 
 TEST(ActivationStateTest, UnitLayoutMapsToGroups) {
@@ -64,9 +72,33 @@ TEST(ActivationStateTest, UnitLayoutMapsToGroups) {
   EXPECT_EQ(state.GroupFirstUnit(3), 4);
   EXPECT_EQ(state.GroupUnitCount(2), 4);
   EXPECT_EQ(state.GroupUnitCount(0), 0);
-  EXPECT_EQ(state.UnitGroup(0), 2);
-  EXPECT_EQ(state.UnitGroup(5), 3);
-  EXPECT_EQ(state.UnitOffsetInGroup(5), 1);
+  EXPECT_EQ(state.GroupUnitCount(3), 3);
+}
+
+TEST(ActivationStateTest, CoverageFollowsGranularityAndMask) {
+  ParameterStore ref = MakeReference();
+  ActivationState tensor_state(1, ref, TensorGran());
+  std::vector<uint8_t> mask = {0, 1};  // edge_emb off, rel on
+  EXPECT_EQ(tensor_state.Coverage(mask, 0), GroupCoverage::kWhole);
+  EXPECT_EQ(tensor_state.Coverage(mask, 2), GroupCoverage::kNone);
+  int64_t first_unit = -2;
+  EXPECT_EQ(tensor_state.Coverage(mask, 3, &first_unit),
+            GroupCoverage::kWhole);
+  EXPECT_EQ(first_unit, 1);
+
+  ActivationState scalar_state(1, ref, ScalarGran());
+  mask = {0, 0, 0, 0, 0, 1, 0};  // edge_emb all off, one scalar of rel
+  EXPECT_EQ(scalar_state.Coverage(mask, 1, &first_unit),
+            GroupCoverage::kWhole);
+  EXPECT_EQ(first_unit, -1);
+  EXPECT_EQ(scalar_state.Coverage(mask, 2), GroupCoverage::kNone);
+  EXPECT_EQ(scalar_state.Coverage(mask, 3, &first_unit),
+            GroupCoverage::kScalars);
+  EXPECT_EQ(first_unit, 4);
+  // A full row covers a disentangled group per scalar all the same: the
+  // granularity, not the mask, picks the form.
+  mask.assign(7, 1);
+  EXPECT_EQ(scalar_state.Coverage(mask, 2), GroupCoverage::kScalars);
 }
 
 TEST(ActivationStateTest, UpdateMasksDeactivatesBelowMeanClients) {
@@ -101,10 +133,10 @@ TEST(ActivationStateTest, TransmissionAccountingAfterMasking) {
   state.UpdateMasks({0, 1}, {{1.0, 1.0}, {9.0, 9.0}});
   // Client 0 lost both disentangled groups.
   EXPECT_EQ(state.ActiveUnits(0), 0);
-  EXPECT_EQ(state.TransmittedGroups(0), 2);   // W, a
-  EXPECT_EQ(state.TransmittedScalars(0), 8);  // 6 + 2
-  EXPECT_EQ(state.TransmittedGroups(1), 4);
-  EXPECT_EQ(state.TransmittedScalars(1), 15);
+  EXPECT_EQ(Uplink(state, 0, ref).num_entries(), 2);     // W, a
+  EXPECT_EQ(Uplink(state, 0, ref).PayloadScalars(), 8);  // 6 + 2
+  EXPECT_EQ(Uplink(state, 1, ref).num_entries(), 4);
+  EXPECT_EQ(Uplink(state, 1, ref).PayloadScalars(), 15);
 }
 
 TEST(ActivationStateTest, ScalarGranularityPartialGroupStillRequested) {
@@ -117,8 +149,8 @@ TEST(ActivationStateTest, ScalarGranularityPartialGroupStillRequested) {
   state.UpdateMasks({0, 1}, mags);
   EXPECT_EQ(state.ActiveUnits(0), 4);
   EXPECT_TRUE(state.GroupRequested(0, 2));  // one scalar alive
-  EXPECT_EQ(state.TransmittedGroups(0), 4);
-  EXPECT_EQ(state.TransmittedScalars(0), 8 + 4);
+  EXPECT_EQ(Uplink(state, 0, ref).num_entries(), 4);
+  EXPECT_EQ(Uplink(state, 0, ref).PayloadScalars(), 8 + 4);
 }
 
 TEST(ActivationStateTest, AlphaRuleDeactivatesLowOccupancyClients) {

@@ -174,7 +174,6 @@ TEST(StreamingAggregatorTest, ScalarGranularityAggregatesPerScalar) {
   ParameterStore global = reference;
   StreamingAggregator::Config config;
   config.fedda = true;
-  config.scalar_granularity = true;
   StreamingAggregator aggregator(&global, &state, {}, config);
   std::vector<std::vector<double>> magnitudes;
   for (size_t p = 0; p < updates.size(); ++p) {

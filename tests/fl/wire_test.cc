@@ -161,8 +161,20 @@ TEST(WirePayloadTest, RandomMaskedUplinkRoundTripsAcrossGranularities) {
       for (int client = 0; client < kClients; ++client) {
         const WirePayload payload =
             BuildUplinkPayload(state, client, /*round=*/3, sender);
-        EXPECT_EQ(payload.num_entries(), state.TransmittedGroups(client));
-        EXPECT_EQ(payload.PayloadScalars(), state.TransmittedScalars(client));
+        // The payload carries exactly the groups and scalars the reference
+        // ships, counted independently of the builder.
+        int shipped_groups = 0;
+        int64_t shipped_scalars = 0;
+        for (int g = 0; g < sender.num_groups(); ++g) {
+          int64_t in_group = 0;
+          for (int64_t s = 0; s < sender.value(g).size(); ++s) {
+            if (ScalarShipped(state, client, g, s)) ++in_group;
+          }
+          if (in_group > 0) ++shipped_groups;
+          shipped_scalars += in_group;
+        }
+        EXPECT_EQ(payload.num_entries(), shipped_groups);
+        EXPECT_EQ(payload.PayloadScalars(), shipped_scalars);
 
         const std::vector<uint8_t> bytes = payload.Serialize();
         ASSERT_EQ(static_cast<int64_t>(bytes.size()), payload.EncodedBytes());
