@@ -59,8 +59,7 @@ class FederatedSystem {
   std::unique_ptr<graph::HeteroGraph> global_;
   graph::EdgeSplit split_;
   std::vector<data::ClientShard> shards_;
-  /// mutable: InitParameters records group ids on first use.
-  mutable std::unique_ptr<hgn::SimpleHgn> model_;
+  std::unique_ptr<hgn::SimpleHgn> model_;
 };
 
 /// Runs one federated experiment on `system` with fresh init from

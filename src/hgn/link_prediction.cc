@@ -14,12 +14,8 @@ using tensor::Tensor;
 using tensor::Var;
 
 std::unique_ptr<tensor::Optimizer> MakeOptimizer(const TrainOptions& options) {
-  if (options.use_adam) {
-    return std::make_unique<tensor::Adam>(options.learning_rate, 0.9f, 0.999f,
-                                          1e-8f, options.weight_decay);
-  }
-  return std::make_unique<tensor::Sgd>(options.learning_rate,
-                                       options.weight_decay);
+  return std::make_unique<tensor::Adam>(options.learning_rate, 0.9f, 0.999f,
+                                        1e-8f, options.weight_decay);
 }
 
 LinkPredictionTask::LinkPredictionTask(const SimpleHgn* model,
@@ -46,17 +42,15 @@ double LinkPredictionTask::TrainRound(ParameterStore* store,
                                       tensor::Optimizer* optimizer) const {
   if (target_edges_.empty()) return 0.0;
   FEDDA_CHECK_GT(options.local_epochs, 0);
-  FEDDA_CHECK_GT(options.negatives_per_positive, 0);
 
   double total_loss = 0.0;
   int64_t num_batches = 0;
   for (int epoch = 0; epoch < options.local_epochs; ++epoch) {
     for (const auto& batch :
          graph::MakeBatches(target_edges_, options.batch_size, rng)) {
+      // Each positive is followed by one corrupted-destination negative.
       std::vector<int32_t> us, vs, ets;
-      const size_t total =
-          batch.size() *
-          (1 + static_cast<size_t>(options.negatives_per_positive));
+      const size_t total = 2 * batch.size();
       us.reserve(total);
       vs.reserve(total);
       ets.reserve(total);
@@ -70,12 +64,10 @@ double LinkPredictionTask::TrainRound(ParameterStore* store,
         vs.push_back(v);
         ets.push_back(t);
         labels.at(static_cast<int64_t>(row++), 0) = 1.0f;
-        for (int k = 0; k < options.negatives_per_positive; ++k) {
-          us.push_back(u);
-          vs.push_back(sampler_.CorruptDst(u, v, static_cast<int16_t>(t), rng));
-          ets.push_back(t);
-          labels.at(static_cast<int64_t>(row++), 0) = 0.0f;
-        }
+        us.push_back(u);
+        vs.push_back(sampler_.CorruptDst(u, v, static_cast<int16_t>(t), rng));
+        ets.push_back(t);
+        labels.at(static_cast<int64_t>(row++), 0) = 0.0f;
       }
 
       store->ZeroGrads();
@@ -156,8 +148,7 @@ EvalResult EvaluateLinkPrediction(const SimpleHgn& model,
   const size_t num_types = static_cast<size_t>(graph.num_edge_types());
   std::vector<std::vector<double>> type_scores(num_types);
   std::vector<std::vector<int>> type_labels(num_types);
-  scores.reserve(eval_edges.size() *
-                 (1 + static_cast<size_t>(options.negatives_per_positive)));
+  scores.reserve(2 * eval_edges.size());
   reciprocal_ranks.reserve(eval_edges.size());
 
   for (EdgeId e : eval_edges) {
@@ -170,15 +161,14 @@ EvalResult EvaluateLinkPrediction(const SimpleHgn& model,
     labels.push_back(1);
     type_scores[ts].push_back(pos);
     type_labels[ts].push_back(1);
-    for (int k = 0; k < options.negatives_per_positive; ++k) {
-      const int32_t neg =
-          sampler.CorruptDst(u, v, static_cast<int16_t>(t), rng);
-      const double score = model.ScorePair(embeddings, u, neg, t, *store);
-      scores.push_back(score);
-      labels.push_back(0);
-      type_scores[ts].push_back(score);
-      type_labels[ts].push_back(0);
-    }
+    // One corrupted-destination negative per positive for ROC-AUC.
+    const int32_t auc_neg =
+        sampler.CorruptDst(u, v, static_cast<int16_t>(t), rng);
+    const double score = model.ScorePair(embeddings, u, auc_neg, t, *store);
+    scores.push_back(score);
+    labels.push_back(0);
+    type_scores[ts].push_back(score);
+    type_labels[ts].push_back(0);
     std::vector<double> candidates;
     candidates.reserve(static_cast<size_t>(options.mrr_negatives));
     for (int k = 0; k < options.mrr_negatives; ++k) {

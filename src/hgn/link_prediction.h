@@ -29,10 +29,7 @@ struct TrainOptions {
   int64_t batch_size = 0;
   /// Paper Sec. 6.1: learning rate 0.0005.
   float learning_rate = 5e-4f;
-  int negatives_per_positive = 1;
   float weight_decay = 0.0f;
-  /// Adam (default) or plain SGD for the local update.
-  bool use_adam = true;
   /// Ego-graph training (paper Sec. 3's H_i(v) formulation): when > 0,
   /// every mini-batch encodes only the sampled `ego_hops`-hop neighborhood
   /// of the batch's endpoints instead of the whole local graph — the
@@ -52,14 +49,12 @@ struct TrainOptions {
   obs::Tracer* tracer = nullptr;
 };
 
-/// The local optimizer `options` asks for: Adam (beta1 0.9, beta2 0.999,
-/// eps 1e-8) or plain SGD, either with `options.weight_decay`.
+/// The local optimizer: Adam (beta1 0.9, beta2 0.999, eps 1e-8) with
+/// `options.learning_rate` and `options.weight_decay`.
 std::unique_ptr<tensor::Optimizer> MakeOptimizer(const TrainOptions& options);
 
 /// Evaluation protocol knobs.
 struct EvalOptions {
-  /// Negatives per positive for ROC-AUC.
-  int negatives_per_positive = 1;
   /// Candidate negatives per query for MRR ranking.
   int mrr_negatives = 10;
   /// Cap on evaluated test edges (0 = all); evaluation subsamples

@@ -10,6 +10,13 @@ using tensor::ParameterStore;
 using tensor::Tensor;
 using tensor::Var;
 
+namespace {
+
+/// LeakyReLU slope in the attention logits (Simple-HGN's and GAT's 0.2).
+constexpr float kAttentionNegativeSlope = 0.2f;
+
+}  // namespace
+
 SimpleHgn::SimpleHgn(std::vector<int64_t> feature_dims,
                      std::vector<std::string> node_type_names,
                      std::vector<std::string> edge_type_names,
@@ -25,27 +32,26 @@ SimpleHgn::SimpleHgn(std::vector<int64_t> feature_dims,
   FEDDA_CHECK_GT(config_.num_heads, 0);
   FEDDA_CHECK_GT(config_.hidden_dim, 0);
   FEDDA_CHECK_GT(config_.edge_emb_dim, 0);
-}
 
-int64_t SimpleHgn::LayerInputDim(int l) const {
-  FEDDA_CHECK(l >= 0 && l < config_.num_layers);
-  if (l == 0) return config_.hidden_dim;
-  return static_cast<int64_t>(config_.hidden_dim) * config_.num_heads;
-}
-
-void SimpleHgn::InitParameters(ParameterStore* store, core::Rng* rng) {
-  FEDDA_CHECK_EQ(store->num_groups(), 0) << "store must be empty";
-  initialized_ = true;
-  input_proj_ids_.clear();
-  edge_emb_ids_.clear();
-  head_ids_.clear();
-  decoder_rel_ids_.clear();
+  // The group list InitParameters registers, in order: a group's index is
+  // its id in every store InitParameters fills. Shared groups are
+  // Glorot-uniform; the disentangled ones ([N_d]) are normal-initialized.
+  const auto glorot = [this](std::string name, int64_t rows, int64_t cols) {
+    groups_.push_back({std::move(name), rows, cols});
+    return static_cast<int>(groups_.size()) - 1;
+  };
+  const auto disentangled = [this](std::string name, int64_t rows,
+                                   int64_t cols, float mean, float stddev,
+                                   int edge_type) {
+    groups_.push_back({std::move(name), rows, cols, /*normal=*/true, mean,
+                       stddev, /*disentangled=*/true, edge_type});
+    return static_cast<int>(groups_.size()) - 1;
+  };
 
   // 1. Per-node-type input projections onto the shared hidden space.
   for (size_t t = 0; t < feature_dims_.size(); ++t) {
-    input_proj_ids_.push_back(store->Register(
-        "input_proj/" + node_type_names_[t],
-        Tensor::GlorotUniform(feature_dims_[t], config_.hidden_dim, rng)));
+    input_proj_ids_.push_back(glorot("input_proj/" + node_type_names_[t],
+                                     feature_dims_[t], config_.hidden_dim));
   }
 
   // 2. Per-layer edge-type embedding tables (disentangled: rows are
@@ -53,43 +59,30 @@ void SimpleHgn::InitParameters(ParameterStore* store, core::Rng* rng) {
   const bool attention = config_.use_attention;
   const bool edge_type_attention =
       attention && config_.use_edge_type_attention;
-  const int mp_types = num_mp_edge_types();
   head_ids_.resize(static_cast<size_t>(config_.num_layers));
   for (int l = 0; l < config_.num_layers; ++l) {
     if (edge_type_attention) {
-      edge_emb_ids_.push_back(store->Register(
-          core::StrFormat("layer%d/edge_emb", l),
-          Tensor::RandomNormal(mp_types, config_.edge_emb_dim, rng, 0.0f,
-                               0.5f),
-          /*disentangled=*/true));
+      edge_emb_ids_.push_back(
+          disentangled(core::StrFormat("layer%d/edge_emb", l),
+                       num_mp_edge_types(), config_.edge_emb_dim, 0.0f, 0.5f,
+                       /*edge_type=*/-1));
     }
     const int64_t d_in = LayerInputDim(l);
     for (int h = 0; h < config_.num_heads; ++h) {
       HeadIds ids;
       const std::string prefix = core::StrFormat("layer%d/head%d/", l, h);
-      ids.w = store->Register(
-          prefix + "W", Tensor::GlorotUniform(d_in, config_.hidden_dim, rng));
-      ids.w_res = store->Register(
-          prefix + "W_res",
-          Tensor::GlorotUniform(d_in, config_.hidden_dim, rng));
+      ids.w = glorot(prefix + "W", d_in, config_.hidden_dim);
+      ids.w_res = glorot(prefix + "W_res", d_in, config_.hidden_dim);
       if (edge_type_attention) {
-        ids.w_r = store->Register(
-            prefix + "W_r",
-            Tensor::GlorotUniform(config_.edge_emb_dim, config_.hidden_dim,
-                                  rng));
+        ids.w_r = glorot(prefix + "W_r", config_.edge_emb_dim,
+                         config_.hidden_dim);
       }
       if (attention) {
-        ids.a_src = store->Register(
-            prefix + "a_src",
-            Tensor::GlorotUniform(config_.hidden_dim, 1, rng));
-        ids.a_dst = store->Register(
-            prefix + "a_dst",
-            Tensor::GlorotUniform(config_.hidden_dim, 1, rng));
+        ids.a_src = glorot(prefix + "a_src", config_.hidden_dim, 1);
+        ids.a_dst = glorot(prefix + "a_dst", config_.hidden_dim, 1);
       }
       if (edge_type_attention) {
-        ids.a_edge = store->Register(
-            prefix + "a_edge",
-            Tensor::GlorotUniform(config_.hidden_dim, 1, rng));
+        ids.a_edge = glorot(prefix + "a_edge", config_.hidden_dim, 1);
       }
       head_ids_[static_cast<size_t>(l)].push_back(ids);
     }
@@ -99,12 +92,28 @@ void SimpleHgn::InitParameters(ParameterStore* store, core::Rng* rng) {
   // Initialized near one so the initial score approximates a dot product.
   if (config_.decoder == DecoderKind::kDistMult) {
     for (size_t t = 0; t < edge_type_names_.size(); ++t) {
-      Tensor rel = Tensor::RandomNormal(1, config_.hidden_dim, rng, 1.0f,
-                                        0.1f);
-      decoder_rel_ids_.push_back(store->Register(
-          "decoder/rel/" + edge_type_names_[t], std::move(rel),
-          /*disentangled=*/true, static_cast<int>(t)));
+      decoder_rel_ids_.push_back(
+          disentangled("decoder/rel/" + edge_type_names_[t], 1,
+                       config_.hidden_dim, 1.0f, 0.1f, static_cast<int>(t)));
     }
+  }
+}
+
+int64_t SimpleHgn::LayerInputDim(int l) const {
+  FEDDA_CHECK(l >= 0 && l < config_.num_layers);
+  if (l == 0) return config_.hidden_dim;
+  return static_cast<int64_t>(config_.hidden_dim) * config_.num_heads;
+}
+
+void SimpleHgn::InitParameters(ParameterStore* store, core::Rng* rng) const {
+  FEDDA_CHECK_EQ(store->num_groups(), 0) << "store must be empty";
+  for (const GroupSpec& spec : groups_) {
+    Tensor init = spec.normal ? Tensor::RandomNormal(spec.rows, spec.cols, rng,
+                                                     spec.mean, spec.stddev)
+                              : Tensor::GlorotUniform(spec.rows, spec.cols,
+                                                      rng);
+    store->Register(spec.name, std::move(init), spec.disentangled,
+                    spec.edge_type);
   }
 }
 
@@ -186,7 +195,6 @@ Var SimpleHgn::EncodeBlocks(Graph* g,
                             const MpStructure& mp, ParameterStore* store,
                             core::Rng* dropout_rng) const {
   obs::ScopedSpan encode_span(g->tracer(), "hgn-encode");
-  FEDDA_CHECK(initialized_) << "InitParameters not called";
   FEDDA_CHECK_EQ(type_features.size(), input_proj_ids_.size());
 
   auto param = [&](int id) {
@@ -248,7 +256,7 @@ Var SimpleHgn::EncodeBlocks(Graph* g,
           s_edge = tensor::MatMul(g, re, param(ids.a_edge));
         }
         alpha = tensor::EdgeSoftmax(g, s_src, s_dst, s_edge, mp.src, mp.dst,
-                                    mp.etype, config_.negative_slope, n);
+                                    mp.etype, kAttentionNegativeSlope, n);
         if (config_.attn_dropout > 0.0f) {
           alpha = tensor::Dropout(g, alpha, config_.attn_dropout,
                                   dropout_rng);
@@ -292,7 +300,6 @@ Var SimpleHgn::ScorePairs(Graph* g, Var node_embeddings,
                           const std::vector<int32_t>& vs,
                           const std::vector<int32_t>& edge_types,
                           ParameterStore* store) const {
-  FEDDA_CHECK(initialized_);
   FEDDA_CHECK_EQ(us.size(), vs.size());
   FEDDA_CHECK_EQ(us.size(), edge_types.size());
   auto u_idx = tensor::MakeIndices(std::vector<int32_t>(us));
@@ -321,7 +328,6 @@ Var SimpleHgn::ScorePairs(Graph* g, Var node_embeddings,
 double SimpleHgn::ScorePair(const Tensor& embeddings, int32_t u, int32_t v,
                             int32_t edge_type,
                             const ParameterStore& store) const {
-  FEDDA_CHECK(initialized_);
   const int64_t d = embeddings.cols();
   double score = 0.0;
   if (config_.decoder == DecoderKind::kDot) {

@@ -28,8 +28,6 @@ struct SimpleHgnConfig {
   int hidden_dim = 32;
   /// Dimension of the learnable edge-type embeddings r_psi.
   int edge_emb_dim = 16;
-  /// LeakyReLU slope in the attention logits.
-  float negative_slope = 0.2f;
   float feat_dropout = 0.0f;
   float attn_dropout = 0.0f;
   bool residual = true;
@@ -85,12 +83,11 @@ class SimpleHgn {
             std::vector<std::string> edge_type_names, SimpleHgnConfig config);
 
   /// Registers all parameter groups into an empty store with Glorot/normal
-  /// initialization and records their ids for fast forward passes.
-  /// May be called repeatedly (e.g. once per experiment run with a fresh
-  /// seed); the registration order — and therefore every group id — is
-  /// deterministic, so stores from different calls are structurally
-  /// identical and interoperable.
-  void InitParameters(tensor::ParameterStore* store, core::Rng* rng);
+  /// initialization. The group list and every group id are fixed at
+  /// construction, so stores from different calls (e.g. one per experiment
+  /// run with a fresh seed) are structurally identical and interoperable,
+  /// and concurrent calls on one model are safe.
+  void InitParameters(tensor::ParameterStore* store, core::Rng* rng) const;
 
   /// Builds the message-passing structure for `graph` (which must follow
   /// this model's schema).
@@ -140,6 +137,19 @@ class SimpleHgn {
   int64_t LayerInputDim(int l) const;
 
  private:
+  /// One parameter group InitParameters registers.
+  struct GroupSpec {
+    std::string name;
+    int64_t rows = 0;
+    int64_t cols = 0;
+    /// RandomNormal(mean, stddev) when true, GlorotUniform otherwise.
+    bool normal = false;
+    float mean = 0.0f;
+    float stddev = 0.0f;
+    bool disentangled = false;
+    int edge_type = -1;
+  };
+
   struct HeadIds {
     int w = -1;
     int w_res = -1;
@@ -154,12 +164,12 @@ class SimpleHgn {
   std::vector<std::string> edge_type_names_;
   SimpleHgnConfig config_;
 
-  // Group ids recorded by InitParameters.
+  /// Every group in registration order; its index is its group id.
+  std::vector<GroupSpec> groups_;
   std::vector<int> input_proj_ids_;
   std::vector<int> edge_emb_ids_;              // per layer
   std::vector<std::vector<HeadIds>> head_ids_; // [layer][head]
   std::vector<int> decoder_rel_ids_;           // per real edge type (DistMult)
-  bool initialized_ = false;
 };
 
 }  // namespace fedda::hgn

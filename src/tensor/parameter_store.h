@@ -23,9 +23,10 @@ struct ParamInfo {
 /// the stores that train.
 ///
 /// This is the unit of federation: clients and server each hold a store with
-/// identical structure, broadcast/aggregate by group id, and FedDA's
-/// activation masks index into either the group space [0, num_groups) or the
-/// flat scalar space [0, num_scalars) (see fl/activation.h).
+/// identical structure and broadcast/aggregate by group id. FedDA's
+/// activation masks index fl::ActivationState's units: one per disentangled
+/// group at tensor granularity, one per scalar of a disentangled group at
+/// scalar granularity (see fl/activation.h).
 ///
 /// A store built by Register() has one zero gradient slot per group. A copy
 /// carries values and layout but no gradient slots: the server copies whole

@@ -1,6 +1,8 @@
 #include "fl/experiment.h"
 
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -52,6 +54,34 @@ TEST(FederatedSystemTest, InitialStoreSeedControlsValues) {
   EXPECT_EQ(s1.FlattenValues(), s1b.FlattenValues());
   EXPECT_NE(s1.FlattenValues(), s2.FlattenValues());
   EXPECT_TRUE(s1.SameStructure(s2));
+}
+
+TEST(FederatedSystemTest, InitialStoresCanBeMadeConcurrently) {
+  // Threads share one system: each store must equal the one a sequential
+  // call makes from the same seed (and, under TSan, no call may race).
+  const FederatedSystem system = FederatedSystem::Build(SmallConfig());
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 20;
+  std::vector<tensor::ParameterStore> expected;
+  for (int t = 0; t < kThreads; ++t) {
+    expected.push_back(system.MakeInitialStore(100 + t));
+  }
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&system, &expected, &mismatches, t] {
+      const tensor::ParameterStore& want = expected[static_cast<size_t>(t)];
+      for (int call = 0; call < kCalls; ++call) {
+        const tensor::ParameterStore got = system.MakeInitialStore(100 + t);
+        if (!got.SameStructure(want) ||
+            got.FlattenValues() != want.FlattenValues()) {
+          ++mismatches[static_cast<size_t>(t)];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches, std::vector<int>(kThreads, 0));
 }
 
 TEST(FederatedSystemTest, MakeClientsMapsTaskEdgesIntoLocalSpace) {

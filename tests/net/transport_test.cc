@@ -300,9 +300,8 @@ std::string UniqueUdsAddress(const char* tag) {
 }
 
 /// One remote client process, modeled as a thread with its OWN
-/// FederatedSystem (the system's lazy model init makes sharing one across
-/// threads racy, and a real client process would rebuild it from the shared
-/// config anyway — that is exactly the bit the fingerprint guards).
+/// FederatedSystem: a real client process rebuilds the system from the
+/// shared config, and that is exactly the bit the fingerprint guards.
 void RunRemoteClient(const fl::FlOptions& options, const std::string& address,
                      int client_id, uint64_t fingerprint,
                      double round_timeout_sec, core::Status* out) {
@@ -352,9 +351,11 @@ void ExpectSameHistory(const fl::FlRunResult& remote,
 }
 
 /// Runs the reference in-process and then the same seeded experiment over
-/// the transport at `address`, asserting bit-identical histories.
+/// the transport at `address`, asserting bit-identical histories. The remote
+/// run's result goes to `*remote_out` when given.
 void RunLoopback(fl::FlOptions options, const std::string& address,
-                 const char* config_tag) {
+                 const char* config_tag,
+                 fl::FlRunResult* remote_out = nullptr) {
   const fl::FederatedSystem system =
       fl::FederatedSystem::Build(TestSystemConfig());
   const fl::FlRunResult reference =
@@ -402,6 +403,7 @@ void RunLoopback(fl::FlOptions options, const std::string& address,
   EXPECT_GT(transport->stats().frames_sent, 0);
   EXPECT_GT(transport->stats().bytes_received, 0);
   EXPECT_GE(transport->stats().max_rtt_sec, 0.0);
+  if (remote_out != nullptr) *remote_out = remote;
 }
 
 TEST(SocketTransportTest, FedAvgOverUnixSocketMatchesInProcess) {
@@ -419,6 +421,31 @@ TEST(SocketTransportTest, FedDaRestartWithDpNoiseOverUnixSocketMatches) {
   // post-training Gaussian draw sequence.
   options.dp_noise_std = 0.01;
   RunLoopback(options, UniqueUdsAddress("fedda"), "fedda-loopback");
+}
+
+TEST(SocketTransportTest, FedDaScalarGranularityOverUnixSocketMatches) {
+  // Scalar-unit masks travel in every task, and uplinks carry bit-packed
+  // masked entries.
+  fl::FlOptions options = TestOptions(fl::FlAlgorithm::kFedDaExplore);
+  options.rounds = 4;
+  options.activation.granularity = fl::ActivationGranularity::kScalar;
+  fl::FlRunResult remote;
+  RunLoopback(options, UniqueUdsAddress("fedda-scalar"),
+              "fedda-scalar-loopback", &remote);
+
+  // From round 1 on the masks are partial, so the uplinks carry fewer
+  // scalars than whole models: the run cannot quietly fall back to full
+  // masks.
+  const int64_t model_scalars = fl::FederatedSystem::Build(TestSystemConfig())
+                                    .MakeInitialStore(kRunSeed)
+                                    .num_scalars();
+  ASSERT_EQ(remote.history.size(), 4u);
+  for (size_t r = 1; r < remote.history.size(); ++r) {
+    const fl::RoundRecord& record = remote.history[r];
+    ASSERT_GT(record.participants, 0) << "round " << r;
+    EXPECT_LT(record.uplink_scalars, record.participants * model_scalars)
+        << "round " << r;
+  }
 }
 
 TEST(SocketTransportTest, FedAvgOverTcpLoopbackMatchesInProcess) {
