@@ -95,7 +95,7 @@ TEST(NetworkTest, MeasuredRecordsChargePerDirectionWireBytes) {
   EXPECT_DOUBLE_EQ(timing[0].round_sec, 4.0);
 }
 
-TEST(NetworkTest, FewerTransmittedScalarsMeansFasterRounds) {
+TEST(NetworkTest, FewerUplinkScalarsMeansFasterRounds) {
   FlRunResult fedavg = MakeRun();
   FlRunResult fedda = MakeRun();
   fedda.history[0].uplink_scalars = 2000;  // half the uplink
