@@ -155,31 +155,46 @@ int64_t CsrCacheMisses() { return g_csr_misses.load(); }
     scalar::fn(__VA_ARGS__);               \
   }
 
-void MatMul(const float* a, const float* b, float* out, int64_t m, int64_t k,
-            int64_t n, core::ThreadPool* pool) {
-  const Path path = ActivePath();
-  // Output rows are independent; parallelizing over them preserves each
-  // row's accumulation order exactly. Each output row costs k * n
-  // multiply-adds.
-  core::ParallelForRange(pool, m, RowGrain(k * n),
-                         [=](int64_t row_begin, int64_t row_end) {
-                           FEDDA_DISPATCH_PATH(path, MatMulRows, a, b, out,
-                                               row_begin, row_end, k, n)
-                         });
-}
+namespace {
 
-// The transposed matmuls partition output rows exactly as MatMul does: each
-// output row carries k * n multiply-adds whichever operand is transposed.
-void MatMulAtB(const float* a, const float* b, float* out, int64_t m,
-               int64_t k, int64_t n, core::ThreadPool* pool) {
-  const Path path = ActivePath();
+// Runs body(row_begin, row_end) over the m output rows of a matmul whose
+// rows each cost k * n multiply-adds. Output rows are independent, so any
+// partition preserves each row's accumulation order exactly; chunks hold
+// whole kMatMulRowBlock-row blocks, so none splits an AVX2 register block.
+template <typename Body>
+void ForMatMulRowBlocks(int64_t m, int64_t k, int64_t n,
+                        core::ThreadPool* pool, Body body) {
+  const int64_t blocks = (m + kMatMulRowBlock - 1) / kMatMulRowBlock;
   core::ParallelForRange(
-      pool, m, RowGrain(k * n), [=](int64_t row_begin, int64_t row_end) {
-        FEDDA_DISPATCH_PATH(path, MatMulAtBRows, a, b, out, row_begin,
-                            row_end, m, k, n)
+      pool, blocks, RowGrain(k * n * kMatMulRowBlock),
+      [=](int64_t block_begin, int64_t block_end) {
+        body(block_begin * kMatMulRowBlock,
+             std::min(m, block_end * kMatMulRowBlock));
       });
 }
 
+}  // namespace
+
+void MatMul(const float* a, const float* b, float* out, int64_t m, int64_t k,
+            int64_t n, core::ThreadPool* pool) {
+  const Path path = ActivePath();
+  ForMatMulRowBlocks(m, k, n, pool, [=](int64_t row_begin, int64_t row_end) {
+    FEDDA_DISPATCH_PATH(path, MatMulRows, a, b, out, row_begin, row_end, k,
+                        n)
+  });
+}
+
+void MatMulAtB(const float* a, const float* b, float* out, int64_t m,
+               int64_t k, int64_t n, core::ThreadPool* pool) {
+  const Path path = ActivePath();
+  ForMatMulRowBlocks(m, k, n, pool, [=](int64_t row_begin, int64_t row_end) {
+    FEDDA_DISPATCH_PATH(path, MatMulAtBRows, a, b, out, row_begin, row_end,
+                        m, k, n)
+  });
+}
+
+// MatMulABt's AVX2 body blocks output columns only, so its chunks are
+// plain row ranges; each output row carries k * n multiply-adds.
 void MatMulABt(const float* a, const float* b, float* out, int64_t m,
                int64_t k, int64_t n, core::ThreadPool* pool) {
   const Path path = ActivePath();

@@ -117,20 +117,22 @@ int64_t CsrCacheMisses();
 // All kernels tolerate pool == nullptr (inline execution) and n == 0.
 
 /// out (m x n) += a (m x k) * b (k x n); `out` must be zero-initialized by
-/// the caller (the += form lets the backward accumulate in place).
-/// Cache-blocked over output columns with the reduction (kk) innermost in
-/// increasing order, so every out[i,j] accumulates in exactly the reference
-/// order regardless of blocking, vector width, or thread count. Rows whose
-/// A entry is exactly 0.0f are skipped on every path (the historical
-/// sparse-activation fast path; skipping is value-identical only because
-/// every path does it).
+/// the caller. Every out[i,j] adds a[i,kk] * b[kk,j] in increasing kk, the
+/// product rounded before the add, whatever the register blocking (blocks
+/// of output rows and columns; lanes over output rows when n == 1), vector
+/// width or thread count. Terms whose A entry is exactly 0.0f are skipped
+/// on every path (the historical sparse-activation fast path; skipping is
+/// value-identical only because every path does it).
 void MatMul(const float* a, const float* b, float* out, int64_t m, int64_t k,
             int64_t n, core::ThreadPool* pool);
 
 /// out (m x n) += aᵀ * b, where `a` is stored (k x m) and b is (k x n):
-/// the MatMul of a transposed copy of `a`, without making the copy. Each
-/// out[i,j] adds a[kk,i] * b[kk,j] in increasing kk and skips exactly-zero
-/// a[kk,i], term for term as MatMul does. `out` must be zero-initialized.
+/// the MatMul of a transposed copy of `a`, without making the copy, through
+/// MatMul's register blocks with a's strides swapped. Each out[i,j] adds
+/// a[kk,i] * b[kk,j] in increasing kk and skips exactly-zero a[kk,i], term
+/// for term as MatMul does. `out` must be zero-initialized. The MatMul
+/// backward forms each weight gradient in a fresh zeroed tensor and adds it
+/// to the gradient slot afterwards.
 void MatMulAtB(const float* a, const float* b, float* out, int64_t m,
                int64_t k, int64_t n, core::ThreadPool* pool);
 

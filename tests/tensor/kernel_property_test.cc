@@ -125,19 +125,44 @@ TEST_F(KernelPropertyTest, RandomizedElementwise) {
 TEST_F(KernelPropertyTest, RandomizedMatMul) {
   core::Rng rng(31337);
   for (int iter = 0; iter < 16; ++iter) {
-    const int64_t m = 1 + static_cast<int64_t>(rng.UniformInt(uint64_t{6}));
+    // Up to 20 rows spans several 4-row blocks and 8-row lane groups.
+    const int64_t m = 1 + static_cast<int64_t>(rng.UniformInt(uint64_t{20}));
     const int64_t kd = 1 + static_cast<int64_t>(rng.UniformInt(uint64_t{40}));
-    // Straddle the 64-column register block and force tail residues.
+    // Widths from 1 to 96 cover every column tile and tail residue.
     const int64_t n =
         1 + 8 * static_cast<int64_t>(rng.UniformInt(uint64_t{12})) +
         (iter % 8);
-    const std::vector<float> a = RandomData(m * kd, &rng);
-    const std::vector<float> b = RandomData(kd * n, &rng);
+    const std::vector<float> a = RandomDataWithSpecials(m * kd, &rng);
+    const std::vector<float> b = RandomDataWithSpecials(kd * n, &rng);
     CheckAllPaths("matmul " + std::to_string(m) + "x" + std::to_string(kd) +
                       "x" + std::to_string(n),
                   [&](core::ThreadPool* p) {
                     std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
                     k::MatMul(a.data(), b.data(), out.data(), m, kd, n, p);
+                    return out;
+                  });
+  }
+}
+
+TEST_F(KernelPropertyTest, RandomizedMatMulAtB) {
+  core::Rng rng(4141);
+  for (int iter = 0; iter < 16; ++iter) {
+    const int64_t m = 1 + static_cast<int64_t>(rng.UniformInt(uint64_t{20}));
+    const int64_t kd = 1 + static_cast<int64_t>(rng.UniformInt(uint64_t{40}));
+    // Every fourth case has one output column (the lane body); the rest
+    // cycle the tail residues of the column tiles.
+    const int64_t n =
+        iter % 4 == 0
+            ? 1
+            : 2 + 8 * static_cast<int64_t>(rng.UniformInt(uint64_t{6})) +
+                  (iter % 8);
+    const std::vector<float> a = RandomDataWithSpecials(kd * m, &rng);
+    const std::vector<float> b = RandomDataWithSpecials(kd * n, &rng);
+    CheckAllPaths("matmul-at-b " + std::to_string(m) + "x" +
+                      std::to_string(kd) + "x" + std::to_string(n),
+                  [&](core::ThreadPool* p) {
+                    std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
+                    k::MatMulAtB(a.data(), b.data(), out.data(), m, kd, n, p);
                     return out;
                   });
   }

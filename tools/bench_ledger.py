@@ -15,7 +15,11 @@ shared host cannot be compared directly (perfbench/README.md, "Noise").
 --check fails (exit 1, one line per problem) on a missing key, a workload,
 metric or unit that BENCHMARK.json does not declare, a number that is not
 finite, quartiles that do not bracket the median, a win count above the
-pair count, or a SHA that appears in two rows.
+pair count, or a SHA that appears in two rows. A row's claimed metric must
+also meet the claim rule: at least 10 pairs, the change winning at least
+nine tenths of them, a change median better than the parent's in
+BENCHMARK.json's `better` direction, and, when the parent has quartiles, a
+median difference larger than the parent's q3 - q1.
 """
 
 import argparse
@@ -64,6 +68,35 @@ def check_side(where, side, errors):
                       f"median {median}")
 
 
+CLAIM_MIN_PAIRS = 10
+
+
+def check_claim(where, entry, better, errors):
+    """The claim rule on the claimed metric's entry (already shape-checked)."""
+    pairs, wins = entry.get("pairs"), entry.get("wins")
+    parent, change = entry.get("parent") or {}, entry.get("change") or {}
+    if not isinstance(pairs, int) or not isinstance(wins, int):
+        return
+    if pairs < CLAIM_MIN_PAIRS:
+        errors.append(f"{where}: a claim needs at least {CLAIM_MIN_PAIRS} "
+                      f"pairs, not {pairs}")
+    if wins * 10 < pairs * 9:
+        errors.append(f"{where}: a claim needs the change to win 9/10 of "
+                      f"its pairs, not {wins} of {pairs}")
+    p_median, c_median = parent.get("median"), change.get("median")
+    if not is_number(p_median) or not is_number(c_median):
+        return
+    gain = p_median - c_median if better == "lower" else c_median - p_median
+    q1, q3 = parent.get("q1"), parent.get("q3")
+    if gain <= 0:
+        errors.append(f"{where}: the change median {c_median} is not "
+                      f"{better} than the parent's {p_median}")
+    elif is_number(q1) and is_number(q3) and gain <= q3 - q1:
+        errors.append(f"{where}: the median difference {gain:g} is not "
+                      f"larger than the parent's spread q3 - q1 = "
+                      f"{q3 - q1:g}")
+
+
 def check_metric(where, entry, unit, errors):
     if not isinstance(entry, dict):
         errors.append(f"{where}: not an object")
@@ -88,6 +121,7 @@ def check_metric(where, entry, unit, errors):
 
 
 def check_row(where, row, workloads, metrics, errors):
+    """`metrics` maps each end-to-end metric to its (unit, better)."""
     if not isinstance(row, dict):
         errors.append(f"{where}: not an object")
         return
@@ -130,7 +164,8 @@ def check_row(where, row, workloads, metrics, errors):
                 errors.append(f"{at}.{metric}: not an end-to-end metric in "
                               "BENCHMARK.json")
                 continue
-            check_metric(f"{at}.{metric}", entry, metrics[metric], errors)
+            check_metric(f"{at}.{metric}", entry, metrics[metric][0],
+                         errors)
 
     claim = row.get("claim")
     if claim is None:
@@ -147,12 +182,16 @@ def check_row(where, row, workloads, metrics, errors):
                       "does not report")
     elif entry.get("wins") is None:
         errors.append(f"{where}.claim: the claimed metric needs a win count")
+    elif claim.get("metric") in metrics:
+        check_claim(f"{where}.claim", entry, metrics[claim["metric"]][1],
+                    errors)
 
 
 def check(ledger, benchmark):
     """Returns the list of problems in `ledger` (empty when it is valid)."""
     workloads = {w["name"] for w in benchmark["workloads"]}
-    metrics = {m["name"]: m["unit"] for m in benchmark["end_to_end"]}
+    metrics = {m["name"]: (m["unit"], m["better"])
+               for m in benchmark["end_to_end"]}
     errors = []
     rows = ledger.get("rows") if isinstance(ledger, dict) else None
     if not isinstance(rows, list) or not rows:

@@ -13,8 +13,9 @@ import bench_ledger  # noqa: E402
 
 BENCHMARK = {
     "workloads": [{"name": "server-ingest"}, {"name": "uds-fedda-remote"}],
-    "end_to_end": [{"name": "round_s", "unit": "s"},
-                   {"name": "updates_per_s", "unit": "1/s"}],
+    "end_to_end": [{"name": "round_s", "unit": "s", "better": "lower"},
+                   {"name": "updates_per_s", "unit": "1/s",
+                    "better": "higher"}],
 }
 
 
@@ -114,6 +115,39 @@ class BenchLedgerCheck(unittest.TestCase):
         r = row()
         r["claim"]["metric"] = "updates_per_s"
         self.assertRejected([r], "claim")
+
+    def test_claim_needs_ten_pairs(self):
+        r = row()
+        entry = r["workloads"]["server-ingest"]["round_s"]
+        entry["pairs"], entry["wins"] = 9, 9
+        self.assertRejected([r], "at least 10 pairs")
+
+    def test_claim_needs_nine_tenths_wins(self):
+        r = row()
+        entry = r["workloads"]["server-ingest"]["round_s"]
+        entry["pairs"], entry["wins"] = 20, 17
+        self.assertRejected([r], "9/10")
+
+    def test_claim_median_must_move_the_better_way(self):
+        r = row()
+        r["workloads"]["server-ingest"]["round_s"] = metric(0.005, 0.007)
+        self.assertRejected([r], "is not lower")
+        r = row()
+        r["claim"]["metric"] = "updates_per_s"
+        entry = metric(7000.0, 6000.0)
+        entry["unit"] = "1/s"
+        r["workloads"]["server-ingest"]["updates_per_s"] = entry
+        self.assertRejected([r], "is not higher")
+
+    def test_claim_difference_must_exceed_parent_spread(self):
+        r = row()
+        # Parent quartiles 0.0063/0.0077: a 0.0010 drop is inside them.
+        r["workloads"]["server-ingest"]["round_s"] = metric(0.007, 0.006)
+        self.assertRejected([r], "spread")
+        # Without parent quartiles the spread rule has nothing to compare.
+        r["workloads"]["server-ingest"]["round_s"] = metric(0.007, 0.006,
+                                                            q=False)
+        self.assertEqual(errors_of([r]), [])
 
 
 if __name__ == "__main__":
