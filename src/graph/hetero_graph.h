@@ -60,6 +60,7 @@ class HeteroGraph {
   // -- Nodes ----------------------------------------------------------------
   int64_t num_nodes() const { return static_cast<int64_t>(node_type_.size()); }
   NodeTypeId node_type(NodeId v) const;
+  const std::vector<NodeTypeId>& node_types() const { return node_type_; }
   /// Index of `v` within its type's feature matrix.
   int64_t type_local_index(NodeId v) const;
   /// Number of nodes of type `t`.

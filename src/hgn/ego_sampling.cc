@@ -1,6 +1,5 @@
 #include "hgn/ego_sampling.h"
 
-#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -61,72 +60,34 @@ EgoSubgraph SampleEgoSubgraph(const graph::HeteroGraph& graph,
     frontier = std::move(next_frontier);
   }
 
-  // Message-passing lists over every graph edge internal to the sampled
-  // node set (discovered via the included nodes' adjacency, so the cost is
-  // bounded by the subgraph's own degree mass, not the global edge count).
-  auto src = std::make_shared<std::vector<int32_t>>();
-  auto dst = std::make_shared<std::vector<int32_t>>();
-  auto ety = std::make_shared<std::vector<int32_t>>();
+  // Every graph edge internal to the sampled node set, in local ids and in
+  // discovery order (found via the included nodes' adjacency, so the cost
+  // is bounded by the subgraph's own degree mass, not the global edge
+  // count). The model's structure rule builds the message-passing lists.
+  std::vector<graph::NodeTypeId> node_types;
+  node_types.reserve(sub.nodes.size());
+  for (const NodeId v : sub.nodes) node_types.push_back(graph.node_type(v));
+  std::vector<NodeId> srcs, dsts;
+  std::vector<graph::EdgeTypeId> edge_types;
   std::unordered_set<EdgeId> seen_edges;
   for (const NodeId v : sub.nodes) {
     for (const auto& n : graph.neighbors(v)) {
-      auto other = local_of.find(n.node);
-      if (other == local_of.end()) continue;
+      if (local_of.find(n.node) == local_of.end()) continue;
       if (!seen_edges.insert(n.edge).second) continue;
-      const int32_t u_local = local_of[graph.edge_src(n.edge)];
-      const int32_t v_local = local_of[graph.edge_dst(n.edge)];
-      const int32_t t = graph.edge_type(n.edge);
-      src->push_back(u_local);
-      dst->push_back(v_local);
-      ety->push_back(t);
-      if (u_local != v_local) {
-        src->push_back(v_local);
-        dst->push_back(u_local);
-        ety->push_back(t);
-      }
+      srcs.push_back(local_of[graph.edge_src(n.edge)]);
+      dsts.push_back(local_of[graph.edge_dst(n.edge)]);
+      edge_types.push_back(graph.edge_type(n.edge));
     }
   }
-  if (model.config().add_self_loops) {
-    const int32_t self_type = static_cast<int32_t>(model.num_edge_types());
-    for (size_t v = 0; v < sub.nodes.size(); ++v) {
-      src->push_back(static_cast<int32_t>(v));
-      dst->push_back(static_cast<int32_t>(v));
-      ety->push_back(self_type);
-    }
-  }
-  sub.mp.src = std::move(src);
-  sub.mp.dst = std::move(dst);
-  sub.mp.etype = std::move(ety);
-  sub.mp.num_nodes = static_cast<int64_t>(sub.nodes.size());
-
-  // Per-type block rows + the permutation assembling them in local order.
-  std::vector<int64_t> type_counts(
-      static_cast<size_t>(graph.num_node_types()), 0);
-  std::vector<int32_t> row_in_block(sub.nodes.size(), 0);
-  for (size_t v = 0; v < sub.nodes.size(); ++v) {
-    const size_t t = static_cast<size_t>(graph.node_type(sub.nodes[v]));
-    row_in_block[v] = static_cast<int32_t>(type_counts[t]++);
-  }
-  std::vector<int64_t> offsets(type_counts.size(), 0);
-  int64_t acc = 0;
-  for (size_t t = 0; t < type_counts.size(); ++t) {
-    offsets[t] = acc;
-    acc += type_counts[t];
-  }
-  auto perm = std::make_shared<std::vector<int32_t>>(sub.nodes.size());
-  for (size_t v = 0; v < sub.nodes.size(); ++v) {
-    const size_t t = static_cast<size_t>(graph.node_type(sub.nodes[v]));
-    (*perm)[v] = static_cast<int32_t>(offsets[t] + row_in_block[v]);
-  }
-  sub.mp.node_perm = std::move(perm);
+  sub.mp = model.StructureFromEdges(node_types, srcs, dsts, edge_types);
   return sub;
 }
 
 std::vector<tensor::Tensor> GatherEgoFeatures(
     const graph::HeteroGraph& graph, const EgoSubgraph& sub) {
   std::vector<tensor::Tensor> blocks;
-  // Count per type, then fill rows in local-node order (matching the
-  // row_in_block assignment in SampleEgoSubgraph).
+  // Count per type, then fill rows in local-node order (the order
+  // SimpleHgn::StructureFromEdges ranks nodes within a type).
   std::vector<int64_t> counts(static_cast<size_t>(graph.num_node_types()), 0);
   for (NodeId v : sub.nodes) {
     counts[static_cast<size_t>(graph.node_type(v))]++;

@@ -19,8 +19,8 @@ struct EgoSubgraph {
   std::vector<graph::NodeId> nodes;
   /// Local ids of the requested targets, aligned with the `targets` input.
   std::vector<int32_t> target_locals;
-  /// Message-passing lists in local indices (symmetrized, self loops per
-  /// the model config).
+  /// Message-passing lists in local indices, built by the model's
+  /// structure rule (SimpleHgn::StructureFromEdges).
   MpStructure mp;
 };
 

@@ -14,8 +14,7 @@ using tensor::Tensor;
 using tensor::Var;
 
 std::unique_ptr<tensor::Optimizer> MakeOptimizer(const TrainOptions& options) {
-  return std::make_unique<tensor::Adam>(options.learning_rate, 0.9f, 0.999f,
-                                        1e-8f, options.weight_decay);
+  return std::make_unique<tensor::Adam>(options.learning_rate);
 }
 
 LinkPredictionTask::LinkPredictionTask(const SimpleHgn* model,
@@ -91,13 +90,13 @@ double LinkPredictionTask::TrainRound(ParameterStore* store,
         std::vector<const Tensor*> block_ptrs;
         block_ptrs.reserve(blocks.size());
         for (const Tensor& b : blocks) block_ptrs.push_back(&b);
-        embeddings = model_->EncodeBlocks(&g, block_ptrs, sub.mp, store, rng);
+        embeddings = model_->EncodeBlocks(&g, block_ptrs, sub.mp, store);
         for (size_t i = 0; i < us.size(); ++i) {
           us[i] = sub.target_locals[2 * i];
           vs[i] = sub.target_locals[2 * i + 1];
         }
       } else {
-        embeddings = model_->Encode(&g, *graph_, mp_, store, rng);
+        embeddings = model_->Encode(&g, *graph_, mp_, store);
       }
       Var logits = model_->ScorePairs(&g, embeddings, us, vs, ets, store);
       Var loss = tensor::BceWithLogits(&g, logits, labels);

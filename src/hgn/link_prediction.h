@@ -29,7 +29,6 @@ struct TrainOptions {
   int64_t batch_size = 0;
   /// Paper Sec. 6.1: learning rate 0.0005.
   float learning_rate = 5e-4f;
-  float weight_decay = 0.0f;
   /// Ego-graph training (paper Sec. 3's H_i(v) formulation): when > 0,
   /// every mini-batch encodes only the sampled `ego_hops`-hop neighborhood
   /// of the batch's endpoints instead of the whole local graph — the
@@ -49,8 +48,8 @@ struct TrainOptions {
   obs::Tracer* tracer = nullptr;
 };
 
-/// The local optimizer: Adam (beta1 0.9, beta2 0.999, eps 1e-8) with
-/// `options.learning_rate` and `options.weight_decay`.
+/// The local optimizer: Adam (beta1 0.9, beta2 0.999, eps 1e-8, no weight
+/// decay) with `options.learning_rate`.
 std::unique_ptr<tensor::Optimizer> MakeOptimizer(const TrainOptions& options);
 
 /// Evaluation protocol knobs.

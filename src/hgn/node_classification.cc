@@ -87,7 +87,7 @@ double NodeClassificationTask::TrainRound(ParameterStore* store,
       tensor::Graph g(/*training=*/true);
       g.set_pool(options.pool);
       g.set_tracer(options.tracer);
-      Var embeddings = model_->Encode(&g, *graph_, mp_, store, rng);
+      Var embeddings = model_->Encode(&g, *graph_, mp_, store);
       Var logits = Logits(&g, embeddings, nodes, store);
       Var loss = tensor::SoftmaxCrossEntropy(&g, logits, batch_labels);
       g.Backward(loss);

@@ -1,5 +1,7 @@
 #include "hgn/simple_hgn.h"
 
+#include <numeric>
+
 #include "core/string_util.h"
 #include "obs/trace.h"
 
@@ -56,15 +58,14 @@ SimpleHgn::SimpleHgn(std::vector<int64_t> feature_dims,
 
   // 2. Per-layer edge-type embedding tables (disentangled: rows are
   // attributable to individual edge types) and per-head attention weights.
-  const bool attention = config_.use_attention;
-  const bool edge_type_attention =
-      attention && config_.use_edge_type_attention;
+  const bool edge_type_attention = config_.use_edge_type_attention;
   head_ids_.resize(static_cast<size_t>(config_.num_layers));
   for (int l = 0; l < config_.num_layers; ++l) {
     if (edge_type_attention) {
+      // One row per real edge type, plus the self loops' row.
       edge_emb_ids_.push_back(
           disentangled(core::StrFormat("layer%d/edge_emb", l),
-                       num_mp_edge_types(), config_.edge_emb_dim, 0.0f, 0.5f,
+                       num_edge_types() + 1, config_.edge_emb_dim, 0.0f, 0.5f,
                        /*edge_type=*/-1));
     }
     const int64_t d_in = LayerInputDim(l);
@@ -77,10 +78,8 @@ SimpleHgn::SimpleHgn(std::vector<int64_t> feature_dims,
         ids.w_r = glorot(prefix + "W_r", config_.edge_emb_dim,
                          config_.hidden_dim);
       }
-      if (attention) {
-        ids.a_src = glorot(prefix + "a_src", config_.hidden_dim, 1);
-        ids.a_dst = glorot(prefix + "a_dst", config_.hidden_dim, 1);
-      }
+      ids.a_src = glorot(prefix + "a_src", config_.hidden_dim, 1);
+      ids.a_dst = glorot(prefix + "a_dst", config_.hidden_dim, 1);
       if (edge_type_attention) {
         ids.a_edge = glorot(prefix + "a_edge", config_.hidden_dim, 1);
       }
@@ -118,25 +117,33 @@ void SimpleHgn::InitParameters(ParameterStore* store, core::Rng* rng) const {
 }
 
 MpStructure SimpleHgn::BuildStructure(const graph::HeteroGraph& graph) const {
-  FEDDA_CHECK_EQ(graph.num_edge_types(),
-                 static_cast<int>(edge_type_names_.size()));
+  FEDDA_CHECK_EQ(graph.num_edge_types(), num_edge_types());
+  return StructureFromEdges(graph.node_types(), graph.edge_srcs(),
+                            graph.edge_dsts(), graph.edge_types());
+}
+
+MpStructure SimpleHgn::StructureFromEdges(
+    const std::vector<graph::NodeTypeId>& node_types,
+    const std::vector<graph::NodeId>& srcs,
+    const std::vector<graph::NodeId>& dsts,
+    const std::vector<graph::EdgeTypeId>& edge_types) const {
+  FEDDA_CHECK_EQ(srcs.size(), dsts.size());
+  FEDDA_CHECK_EQ(srcs.size(), edge_types.size());
+  const size_t num_nodes = node_types.size();
   MpStructure mp;
-  mp.num_nodes = graph.num_nodes();
+  mp.num_nodes = static_cast<int64_t>(num_nodes);
 
   auto src = std::make_shared<std::vector<int32_t>>();
   auto dst = std::make_shared<std::vector<int32_t>>();
   auto ety = std::make_shared<std::vector<int32_t>>();
-  const size_t reserve =
-      static_cast<size_t>(graph.num_edges()) * 2 +
-      (config_.add_self_loops ? static_cast<size_t>(graph.num_nodes()) : 0);
+  const size_t reserve = srcs.size() * 2 + num_nodes;
   src->reserve(reserve);
   dst->reserve(reserve);
   ety->reserve(reserve);
-
-  for (graph::EdgeId e = 0; e < graph.num_edges(); ++e) {
-    const int32_t u = graph.edge_src(e);
-    const int32_t v = graph.edge_dst(e);
-    const int32_t t = graph.edge_type(e);
+  for (size_t e = 0; e < srcs.size(); ++e) {
+    const int32_t u = srcs[e];
+    const int32_t v = dsts[e];
+    const int32_t t = edge_types[e];
     src->push_back(u);
     dst->push_back(v);
     ety->push_back(t);
@@ -146,54 +153,48 @@ MpStructure SimpleHgn::BuildStructure(const graph::HeteroGraph& graph) const {
       ety->push_back(t);
     }
   }
-  if (config_.add_self_loops) {
-    const int32_t self_type = static_cast<int32_t>(num_edge_types());
-    for (int64_t v = 0; v < graph.num_nodes(); ++v) {
-      src->push_back(static_cast<int32_t>(v));
-      dst->push_back(static_cast<int32_t>(v));
-      ety->push_back(self_type);
-    }
+  const int32_t self_type = static_cast<int32_t>(num_edge_types());
+  for (size_t v = 0; v < num_nodes; ++v) {
+    src->push_back(static_cast<int32_t>(v));
+    dst->push_back(static_cast<int32_t>(v));
+    ety->push_back(self_type);
   }
   mp.src = std::move(src);
   mp.dst = std::move(dst);
   mp.etype = std::move(ety);
 
-  // Block offsets for per-type feature assembly.
-  std::vector<int64_t> offsets(static_cast<size_t>(graph.num_node_types()),
-                               0);
-  int64_t acc = 0;
-  for (graph::NodeTypeId t = 0; t < graph.num_node_types(); ++t) {
-    offsets[static_cast<size_t>(t)] = acc;
-    acc += graph.num_nodes_of_type(t);
+  // Row of node v in the stacked per-type blocks: its type's block offset
+  // plus its rank within the type, in node order.
+  std::vector<int32_t> next_row(feature_dims_.size(), 0);
+  for (graph::NodeTypeId t : node_types) {
+    FEDDA_CHECK(t >= 0 && static_cast<size_t>(t) < next_row.size())
+        << "node type outside the model's schema";
+    ++next_row[static_cast<size_t>(t)];
   }
-  auto perm = std::make_shared<std::vector<int32_t>>(
-      static_cast<size_t>(graph.num_nodes()));
-  for (int64_t v = 0; v < graph.num_nodes(); ++v) {
-    const graph::NodeTypeId t = graph.node_type(static_cast<int32_t>(v));
-    (*perm)[static_cast<size_t>(v)] = static_cast<int32_t>(
-        offsets[static_cast<size_t>(t)] + graph.type_local_index(
-                                              static_cast<int32_t>(v)));
+  std::exclusive_scan(next_row.begin(), next_row.end(), next_row.begin(), 0);
+  auto perm = std::make_shared<std::vector<int32_t>>(num_nodes);
+  for (size_t v = 0; v < num_nodes; ++v) {
+    (*perm)[v] = next_row[static_cast<size_t>(node_types[v])]++;
   }
   mp.node_perm = std::move(perm);
   return mp;
 }
 
 Var SimpleHgn::Encode(Graph* g, const graph::HeteroGraph& graph,
-                      const MpStructure& mp, ParameterStore* store,
-                      core::Rng* dropout_rng) const {
+                      const MpStructure& mp, ParameterStore* store) const {
   FEDDA_CHECK_EQ(mp.num_nodes, graph.num_nodes());
   std::vector<const Tensor*> type_features;
   type_features.reserve(static_cast<size_t>(graph.num_node_types()));
   for (graph::NodeTypeId t = 0; t < graph.num_node_types(); ++t) {
     type_features.push_back(&graph.features(t));
   }
-  return EncodeBlocks(g, type_features, mp, store, dropout_rng);
+  return EncodeBlocks(g, type_features, mp, store);
 }
 
 Var SimpleHgn::EncodeBlocks(Graph* g,
                             const std::vector<const Tensor*>& type_features,
-                            const MpStructure& mp, ParameterStore* store,
-                            core::Rng* dropout_rng) const {
+                            const MpStructure& mp,
+                            ParameterStore* store) const {
   obs::ScopedSpan encode_span(g->tracer(), "hgn-encode");
   FEDDA_CHECK_EQ(type_features.size(), input_proj_ids_.size());
 
@@ -214,25 +215,9 @@ Var SimpleHgn::EncodeBlocks(Graph* g,
 
   const int64_t n = mp.num_nodes;
 
-  // Mean-aggregation mode: fixed alpha_e = 1 / indegree(dst(e)).
-  Var uniform_alpha;
-  if (!config_.use_attention) {
-    std::vector<int64_t> indegree(static_cast<size_t>(n), 0);
-    for (int32_t d : *mp.dst) indegree[static_cast<size_t>(d)]++;
-    Tensor alpha(static_cast<int64_t>(mp.dst->size()), 1);
-    for (size_t e = 0; e < mp.dst->size(); ++e) {
-      alpha.data()[e] =
-          1.0f / static_cast<float>(indegree[static_cast<size_t>(
-                     (*mp.dst)[e])]);
-    }
-    uniform_alpha = g->Constant(std::move(alpha));
-  }
   for (int l = 0; l < config_.num_layers; ++l) {
-    if (config_.feat_dropout > 0.0f) {
-      h = tensor::Dropout(g, h, config_.feat_dropout, dropout_rng);
-    }
     Var edge_emb;
-    if (config_.use_attention && config_.use_edge_type_attention) {
+    if (config_.use_edge_type_attention) {
       edge_emb = param(edge_emb_ids_[static_cast<size_t>(l)]);
     }
     const bool last = l == config_.num_layers - 1;
@@ -243,36 +228,24 @@ Var SimpleHgn::EncodeBlocks(Graph* g,
                                     [static_cast<size_t>(head)];
       Var wh = tensor::MatMul(g, h, param(ids.w));
 
-      Var alpha;
-      if (config_.use_attention) {
-        // Attention logits: a_src^T Wh_u + a_dst^T Wh_v (+ a_edge^T W_r r
-        // when edge-type attention is on). Node- and type-level scores are
-        // computed once; EdgeSoftmax reads them per edge.
-        Var s_src = tensor::MatMul(g, wh, param(ids.a_src));
-        Var s_dst = tensor::MatMul(g, wh, param(ids.a_dst));
-        Var s_edge;
-        if (config_.use_edge_type_attention) {
-          Var re = tensor::MatMul(g, edge_emb, param(ids.w_r));
-          s_edge = tensor::MatMul(g, re, param(ids.a_edge));
-        }
-        alpha = tensor::EdgeSoftmax(g, s_src, s_dst, s_edge, mp.src, mp.dst,
-                                    mp.etype, kAttentionNegativeSlope, n);
-        if (config_.attn_dropout > 0.0f) {
-          alpha = tensor::Dropout(g, alpha, config_.attn_dropout,
-                                  dropout_rng);
-        }
-      } else {
-        alpha = uniform_alpha;
+      // Attention logits: a_src^T Wh_u + a_dst^T Wh_v (+ a_edge^T W_r r
+      // when edge-type attention is on). Node- and type-level scores are
+      // computed once; EdgeSoftmax reads them per edge.
+      Var s_src = tensor::MatMul(g, wh, param(ids.a_src));
+      Var s_dst = tensor::MatMul(g, wh, param(ids.a_dst));
+      Var s_edge;
+      if (config_.use_edge_type_attention) {
+        Var re = tensor::MatMul(g, edge_emb, param(ids.w_r));
+        s_edge = tensor::MatMul(g, re, param(ids.a_edge));
       }
+      Var alpha = tensor::EdgeSoftmax(g, s_src, s_dst, s_edge, mp.src, mp.dst,
+                                      mp.etype, kAttentionNegativeSlope, n);
 
       // Aggregate alpha-weighted messages at destinations (Eq. 3), with
       // pre-activation residual W_res h_u.
       Var aggregated = tensor::EdgeAggregate(g, wh, alpha, mp.src, mp.dst, n);
-      if (config_.residual) {
-        aggregated =
-            tensor::Add(g, aggregated, tensor::MatMul(g, h, param(ids.w_res)));
-      }
-      heads.push_back(aggregated);
+      heads.push_back(
+          tensor::Add(g, aggregated, tensor::MatMul(g, h, param(ids.w_res))));
     }
 
     Var combined;
@@ -288,9 +261,7 @@ Var SimpleHgn::EncodeBlocks(Graph* g,
       combined = heads.size() == 1 ? heads[0] : tensor::ConcatCols(g, heads);
     }
     h = tensor::Elu(g, combined);
-    if (last && config_.l2_normalize) {
-      h = tensor::RowL2Normalize(g, h);
-    }
+    if (last) h = tensor::RowL2Normalize(g, h);
   }
   return h;
 }

@@ -20,7 +20,8 @@ enum class DecoderKind { kDot, kDistMult };
 /// Hyper-parameters of Simple-HGN (Lv et al., KDD'21) as used by the paper:
 /// a three-layer, three-head GAT extended with learnable edge-type
 /// embeddings in the attention, pre-activation residual connections, and L2
-/// normalization of the final output.
+/// normalization of the final output. The residuals, the L2 normalization
+/// and one self loop per node are the fixed architecture.
 struct SimpleHgnConfig {
   int num_layers = 3;
   int num_heads = 3;
@@ -28,36 +29,26 @@ struct SimpleHgnConfig {
   int hidden_dim = 32;
   /// Dimension of the learnable edge-type embeddings r_psi.
   int edge_emb_dim = 16;
-  float feat_dropout = 0.0f;
-  float attn_dropout = 0.0f;
-  bool residual = true;
-  bool l2_normalize = true;
-  /// Adds a dedicated self-loop edge type to message passing.
-  bool add_self_loops = true;
   /// Simple-HGN's defining enhancement over GAT: include learnable
   /// edge-type embeddings in the attention logits. Disabling this (and
   /// keeping everything else) yields the vanilla multi-head GAT baseline the
   /// Simple-HGN paper compares against — no edge-type embedding tables, W_r
   /// transforms, or a_edge vectors are registered.
   bool use_edge_type_attention = true;
-  /// Attention itself. Disabling it replaces the learned attention with
-  /// uniform mean aggregation over incoming edges (the GCN/GraphSAGE-mean
-  /// baseline); no attention vectors are registered and
-  /// use_edge_type_attention is ignored.
-  bool use_attention = true;
   DecoderKind decoder = DecoderKind::kDistMult;
 };
 
-/// Precomputed symmetrized message-passing lists for one graph: each stored
-/// (undirected) edge contributes both directions, plus optional self loops
-/// under a dedicated edge type id (== num_edge_types). Cached per graph so
-/// repeated forward passes skip rebuilding.
+/// Symmetrized message-passing lists for one graph: each stored (undirected)
+/// edge contributes both directions, plus one self loop per node under a
+/// dedicated edge type id (== num_edge_types). Built once per graph (or per
+/// ego subgraph) by SimpleHgn::StructureFromEdges.
 struct MpStructure {
   std::shared_ptr<const std::vector<int32_t>> src;
   std::shared_ptr<const std::vector<int32_t>> dst;
   std::shared_ptr<const std::vector<int32_t>> etype;
-  /// Permutation assembling per-type feature blocks into global node order:
-  /// row v of the node matrix is block_offset[type(v)] + local_index(v).
+  /// Permutation assembling per-type feature blocks into node order: row v
+  /// of the node matrix is block_offset[type(v)] + (v's rank within its
+  /// type, in node order).
   std::shared_ptr<const std::vector<int32_t>> node_perm;
   int64_t num_nodes = 0;
 };
@@ -90,15 +81,26 @@ class SimpleHgn {
   void InitParameters(tensor::ParameterStore* store, core::Rng* rng) const;
 
   /// Builds the message-passing structure for `graph` (which must follow
-  /// this model's schema).
+  /// this model's schema): StructureFromEdges over every node and edge.
   MpStructure BuildStructure(const graph::HeteroGraph& graph) const;
 
+  /// The message-passing rule, over nodes 0..node_types.size() (node v has
+  /// type node_types[v]) and edges (srcs[i], dsts[i], edge_types[i]) in that
+  /// order: each edge runs both ways (a self-edge once), then every node
+  /// gets one self loop under edge type num_edge_types(), and node_perm
+  /// orders the rows by type block. BuildStructure and SampleEgoSubgraph
+  /// (hgn/ego_sampling.h) both build through it.
+  MpStructure StructureFromEdges(
+      const std::vector<graph::NodeTypeId>& node_types,
+      const std::vector<graph::NodeId>& srcs,
+      const std::vector<graph::NodeId>& dsts,
+      const std::vector<graph::EdgeTypeId>& edge_types) const;
+
   /// Encodes every node: returns a (num_nodes x hidden_dim) Var of L2
-  /// normalized embeddings. `dropout_rng` may be null when both dropout
-  /// rates are zero or `g` is an inference graph.
+  /// normalized embeddings.
   tensor::Var Encode(tensor::Graph* g, const graph::HeteroGraph& graph,
-                     const MpStructure& mp, tensor::ParameterStore* store,
-                     core::Rng* dropout_rng = nullptr) const;
+                     const MpStructure& mp,
+                     tensor::ParameterStore* store) const;
 
   /// Generic encoding over explicit per-type feature blocks: block t holds
   /// the input features of the encoded nodes of type t, and `mp.node_perm`
@@ -108,8 +110,7 @@ class SimpleHgn {
   tensor::Var EncodeBlocks(
       tensor::Graph* g,
       const std::vector<const tensor::Tensor*>& type_features,
-      const MpStructure& mp, tensor::ParameterStore* store,
-      core::Rng* dropout_rng = nullptr) const;
+      const MpStructure& mp, tensor::ParameterStore* store) const;
 
   /// Differentiable link scores (logits) for node pairs, used in training.
   tensor::Var ScorePairs(tensor::Graph* g, tensor::Var node_embeddings,
@@ -126,12 +127,9 @@ class SimpleHgn {
 
   const SimpleHgnConfig& config() const { return config_; }
   int out_dim() const { return config_.hidden_dim; }
+  /// Real edge types; the self loops' type id is this count.
   int num_edge_types() const {
     return static_cast<int>(edge_type_names_.size());
-  }
-  /// Message-passing edge-type count (real types + optional self loop).
-  int num_mp_edge_types() const {
-    return num_edge_types() + (config_.add_self_loops ? 1 : 0);
   }
   /// Input dimension of layer `l` (head outputs concatenate between layers).
   int64_t LayerInputDim(int l) const;

@@ -1,5 +1,6 @@
 #include "tensor/autograd.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/trace.h"
@@ -27,12 +28,12 @@ Var Graph::Leaf(const Tensor& value, Tensor* grad_sink) {
   return Var{static_cast<int32_t>(nodes_.size() - 1)};
 }
 
-Var Graph::AddNode(Tensor value, std::vector<Var> inputs, BackwardFn backward,
-                   bool requires_grad) {
+Var Graph::AddNode(Tensor value, const std::vector<Var>& inputs,
+                   BackwardFn backward) {
   Node n;
   n.value = std::move(value);
-  if (training_ && requires_grad) {
-    n.inputs = std::move(inputs);
+  if (training_ && std::any_of(inputs.begin(), inputs.end(),
+                               [this](Var v) { return requires_grad(v); })) {
     n.backward = std::move(backward);
     n.requires_grad = true;
   }

@@ -56,11 +56,11 @@ class Graph {
   /// In inference graphs the leaf degenerates to a constant.
   Var Leaf(const Tensor& value, Tensor* grad_sink);
 
-  /// Appends an op node. `requires_grad` is typically the OR over inputs;
-  /// ops compute it themselves. `backward` may be empty when requires_grad
-  /// is false or the graph is in inference mode.
-  Var AddNode(Tensor value, std::vector<Var> inputs, BackwardFn backward,
-              bool requires_grad);
+  /// Appends an op node, which requires gradients when the graph is
+  /// training and any of `inputs` does. Only then is `backward` kept; the
+  /// inputs are not stored, so `backward` captures whatever it reads.
+  Var AddNode(Tensor value, const std::vector<Var>& inputs,
+              BackwardFn backward);
 
   /// Runs reverse-mode accumulation from `loss`, which must be 1x1.
   /// May be called once per tape.
@@ -98,7 +98,6 @@ class Graph {
   struct Node {
     Tensor value;
     Tensor grad;  // empty until needed
-    std::vector<Var> inputs;
     BackwardFn backward;
     Tensor* grad_sink = nullptr;  // leaves only
     bool requires_grad = false;

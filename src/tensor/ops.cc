@@ -11,13 +11,6 @@ namespace fedda::tensor {
 
 namespace {
 
-bool AnyRequiresGrad(const Graph& g, std::initializer_list<Var> vars) {
-  for (Var v : vars) {
-    if (g.requires_grad(v)) return true;
-  }
-  return false;
-}
-
 /// The shape check behind a raw-pointer gradient loop. The gradient slot of
 /// a zero-size value stays an empty 0x0 tensor (Graph::mutable_grad); the
 /// loop then touches no element of it.
@@ -41,7 +34,6 @@ Var Add(Graph* g, Var a, Var b) {
   FEDDA_CHECK(av.SameShape(bv));
   Tensor out(av.rows(), av.cols());
   kernels::EwAdd(av.data(), bv.data(), out.data(), av.size(), g->pool());
-  const bool rg = AnyRequiresGrad(*g, {a, b});
   return g->AddNode(
       std::move(out), {a, b},
       [a, b](Graph* bg, Var self) {
@@ -54,8 +46,7 @@ Var Add(Graph* g, Var a, Var b) {
           kernels::AccumulateAdd(bg->mutable_grad(b).data(), dy.data(),
                                  dy.size(), bg->pool());
         }
-      },
-      rg);
+      });
 }
 
 Var Sub(Graph* g, Var a, Var b) {
@@ -64,7 +55,6 @@ Var Sub(Graph* g, Var a, Var b) {
   FEDDA_CHECK(av.SameShape(bv));
   Tensor out(av.rows(), av.cols());
   kernels::EwSub(av.data(), bv.data(), out.data(), av.size(), g->pool());
-  const bool rg = AnyRequiresGrad(*g, {a, b});
   return g->AddNode(
       std::move(out), {a, b},
       [a, b](Graph* bg, Var self) {
@@ -77,8 +67,7 @@ Var Sub(Graph* g, Var a, Var b) {
           kernels::AccumulateAxpy(bg->mutable_grad(b).data(), -1.0f,
                                   dy.data(), dy.size(), bg->pool());
         }
-      },
-      rg);
+      });
 }
 
 Var Mul(Graph* g, Var a, Var b) {
@@ -87,7 +76,6 @@ Var Mul(Graph* g, Var a, Var b) {
   FEDDA_CHECK(av.SameShape(bv));
   Tensor out(av.rows(), av.cols());
   kernels::EwMul(av.data(), bv.data(), out.data(), av.size(), g->pool());
-  const bool rg = AnyRequiresGrad(*g, {a, b});
   return g->AddNode(
       std::move(out), {a, b},
       [a, b](Graph* bg, Var self) {
@@ -104,34 +92,29 @@ Var Mul(Graph* g, Var a, Var b) {
           kernels::AccumulateMul(db.data(), dy.data(), a_in.data(), dy.size(),
                                  bg->pool());
         }
-      },
-      rg);
+      });
 }
 
 Var Scale(Graph* g, Var a, float alpha) {
   Tensor out = g->value(a);
   out.Scale(alpha);
-  const bool rg = g->requires_grad(a);
   return g->AddNode(std::move(out), {a},
                     [a, alpha](Graph* bg, Var self) {
                       if (bg->requires_grad(a)) {
                         bg->mutable_grad(a).Axpy(alpha, bg->grad(self));
                       }
-                    },
-                    rg);
+                    });
 }
 
 Var AddScalar(Graph* g, Var a, float alpha) {
   Tensor out = g->value(a);
   for (int64_t i = 0; i < out.size(); ++i) out.data()[i] += alpha;
-  const bool rg = g->requires_grad(a);
   return g->AddNode(std::move(out), {a},
                     [a](Graph* bg, Var self) {
                       if (bg->requires_grad(a)) {
                         bg->mutable_grad(a).Add(bg->grad(self));
                       }
-                    },
-                    rg);
+                    });
 }
 
 Var MatMul(Graph* g, Var a, Var b) {
@@ -139,7 +122,6 @@ Var MatMul(Graph* g, Var a, Var b) {
   const Tensor& av = g->value(a);
   const Tensor& bv = g->value(b);
   Tensor out = MatMulValue(av, bv, g->pool());
-  const bool rg = AnyRequiresGrad(*g, {a, b});
   return g->AddNode(
       std::move(out), {a, b},
       [a, b](Graph* bg, Var self) {
@@ -163,8 +145,7 @@ Var MatMul(Graph* g, Var a, Var b) {
                              bg->pool());
           bg->mutable_grad(b).Add(db);
         }
-      },
-      rg);
+      });
 }
 
 Var AddBias(Graph* g, Var a, Var bias) {
@@ -175,7 +156,6 @@ Var AddBias(Graph* g, Var a, Var bias) {
   Tensor out(av.rows(), av.cols());
   kernels::BiasAdd(av.data(), bv.data(), out.data(), av.rows(), av.cols(),
                    g->pool());
-  const bool rg = AnyRequiresGrad(*g, {a, bias});
   return g->AddNode(
       std::move(out), {a, bias},
       [a, bias](Graph* bg, Var self) {
@@ -192,8 +172,7 @@ Var AddBias(Graph* g, Var a, Var bias) {
             }
           }
         }
-      },
-      rg);
+      });
 }
 
 Var Elu(Graph* g, Var a, float alpha) {
@@ -208,7 +187,6 @@ Var Elu(Graph* g, Var a, float alpha) {
               x > 0.0f ? x : alpha * (std::exp(x) - 1.0f);
         }
       });
-  const bool rg = g->requires_grad(a);
   return g->AddNode(
       std::move(out), {a},
       [a, alpha](Graph* bg, Var self) {
@@ -227,8 +205,7 @@ Var Elu(Graph* g, Var a, float alpha) {
                 da.data()[i] += dy.data()[i] * d;
               }
             });
-      },
-      rg);
+      });
 }
 
 Var Sigmoid(Graph* g, Var a) {
@@ -241,7 +218,6 @@ Var Sigmoid(Graph* g, Var a) {
           out.data()[i] = 1.0f / (1.0f + std::exp(-av.data()[i]));
         }
       });
-  const bool rg = g->requires_grad(a);
   return g->AddNode(
       std::move(out), {a},
       [a](Graph* bg, Var self) {
@@ -257,8 +233,7 @@ Var Sigmoid(Graph* g, Var a) {
                 da.data()[i] += dy.data()[i] * s * (1.0f - s);
               }
             });
-      },
-      rg);
+      });
 }
 
 Var Tanh(Graph* g, Var a) {
@@ -271,7 +246,6 @@ Var Tanh(Graph* g, Var a) {
           out.data()[i] = std::tanh(av.data()[i]);
         }
       });
-  const bool rg = g->requires_grad(a);
   return g->AddNode(
       std::move(out), {a},
       [a](Graph* bg, Var self) {
@@ -287,8 +261,7 @@ Var Tanh(Graph* g, Var a) {
                 da.data()[i] += dy.data()[i] * (1.0f - t * t);
               }
             });
-      },
-      rg);
+      });
 }
 
 Var Exp(Graph* g, Var a) {
@@ -301,7 +274,6 @@ Var Exp(Graph* g, Var a) {
           out.data()[i] = std::exp(av.data()[i]);
         }
       });
-  const bool rg = g->requires_grad(a);
   return g->AddNode(
       std::move(out), {a},
       [a](Graph* bg, Var self) {
@@ -316,8 +288,7 @@ Var Exp(Graph* g, Var a) {
                 da.data()[i] += dy.data()[i] * yv.data()[i];
               }
             });
-      },
-      rg);
+      });
 }
 
 Var Log(Graph* g, Var a) {
@@ -327,7 +298,6 @@ Var Log(Graph* g, Var a) {
     FEDDA_CHECK_GT(av.data()[i], 0.0f);
     out.data()[i] = std::log(av.data()[i]);
   }
-  const bool rg = g->requires_grad(a);
   return g->AddNode(
       std::move(out), {a},
       [a](Graph* bg, Var self) {
@@ -342,15 +312,13 @@ Var Log(Graph* g, Var a) {
                 da.data()[i] += dy.data()[i] / a_in.data()[i];
               }
             });
-      },
-      rg);
+      });
 }
 
 Var Sum(Graph* g, Var a) {
   const Tensor& av = g->value(a);
   Tensor out(1, 1);
   out.at(0, 0) = static_cast<float>(av.Sum());
-  const bool rg = g->requires_grad(a);
   return g->AddNode(
       std::move(out), {a},
       [a](Graph* bg, Var self) {
@@ -358,8 +326,7 @@ Var Sum(Graph* g, Var a) {
         const float dy = bg->grad(self).at(0, 0);
         Tensor& da = bg->mutable_grad(a);
         for (int64_t i = 0; i < da.size(); ++i) da.data()[i] += dy;
-      },
-      rg);
+      });
 }
 
 Var Mean(Graph* g, Var a) {
@@ -367,7 +334,6 @@ Var Mean(Graph* g, Var a) {
   FEDDA_CHECK_GT(av.size(), 0);
   Tensor out(1, 1);
   out.at(0, 0) = static_cast<float>(av.Mean());
-  const bool rg = g->requires_grad(a);
   const float inv = 1.0f / static_cast<float>(av.size());
   return g->AddNode(
       std::move(out), {a},
@@ -376,8 +342,7 @@ Var Mean(Graph* g, Var a) {
         const float dy = bg->grad(self).at(0, 0) * inv;
         Tensor& da = bg->mutable_grad(a);
         for (int64_t i = 0; i < da.size(); ++i) da.data()[i] += dy;
-      },
-      rg);
+      });
 }
 
 Var GatherRows(Graph* g, Var a,
@@ -392,7 +357,6 @@ Var GatherRows(Graph* g, Var a,
   Tensor out(n_idx, cols);
   kernels::GatherRows(av.data(), indices->data(), n_idx, cols, out.data(),
                       g->pool());
-  const bool rg = g->requires_grad(a);
   return g->AddNode(
       std::move(out), {a},
       [a, indices](Graph* bg, Var self) {
@@ -407,8 +371,7 @@ Var GatherRows(Graph* g, Var a,
         const auto csr = kernels::GetCsr(indices, da.rows());
         kernels::ScatterAddRows(dy.data(), *csr, dy.cols(), da.data(),
                                 bg->pool());
-      },
-      rg);
+      });
 }
 
 Var EdgeAggregate(Graph* g, Var x, Var w,
@@ -435,7 +398,6 @@ Var EdgeAggregate(Graph* g, Var x, Var w,
   const auto by_dst = kernels::GetCsr(dst, num_rows);
   kernels::WeightedGatherSum(xv.data(), src->data(), wv.data(), *by_dst, cols,
                              out.data(), g->pool());
-  const bool rg = AnyRequiresGrad(*g, {x, w});
   return g->AddNode(
       std::move(out), {x, w},
       [x, w, src, dst](Graph* bg, Var self) {
@@ -464,8 +426,7 @@ Var EdgeAggregate(Graph* g, Var x, Var w,
                                      *by_src, dy.cols(), dx.data(),
                                      bg->pool());
         }
-      },
-      rg);
+      });
 }
 
 Var EdgeSoftmax(Graph* g, Var s_src, Var s_dst, Var s_edge,
@@ -520,10 +481,8 @@ Var EdgeSoftmax(Graph* g, Var s_src, Var s_dst, Var s_edge,
 
   std::vector<Var> inputs = {s_src, s_dst};
   if (has_edge) inputs.push_back(s_edge);
-  const bool rg = AnyRequiresGrad(*g, {s_src, s_dst}) ||
-                  (has_edge && g->requires_grad(s_edge));
   return g->AddNode(
-      std::move(out), std::move(inputs),
+      std::move(out), inputs,
       [s_src, s_dst, s_edge, src, dst, etype, slope, num_nodes,
        pre](Graph* bg, Var self) {
         const Tensor& dy = bg->grad(self);
@@ -564,19 +523,16 @@ Var EdgeSoftmax(Graph* g, Var s_src, Var s_dst, Var s_edge,
         if (s_edge.valid()) scatter(s_edge, etype);
         scatter(s_src, src);
         scatter(s_dst, dst);
-      },
-      rg);
+      });
 }
 
 Var ConcatCols(Graph* g, const std::vector<Var>& parts) {
   FEDDA_CHECK(!parts.empty());
   const int64_t rows = g->value(parts[0]).rows();
   int64_t total_cols = 0;
-  bool rg = false;
   for (Var p : parts) {
     FEDDA_CHECK_EQ(g->value(p).rows(), rows);
     total_cols += g->value(p).cols();
-    rg = rg || g->requires_grad(p);
   }
   Tensor out(rows, total_cols);
   int64_t offset = 0;
@@ -588,10 +544,9 @@ Var ConcatCols(Graph* g, const std::vector<Var>& parts) {
     }
     offset += pv.cols();
   }
-  std::vector<Var> inputs = parts;
   return g->AddNode(
-      std::move(out), inputs,
-      [inputs](Graph* bg, Var self) {
+      std::move(out), parts,
+      [inputs = parts](Graph* bg, Var self) {
         const Tensor& dy = bg->grad(self);
         const int64_t n_cols_total = dy.cols();
         int64_t col_off = 0;
@@ -607,19 +562,16 @@ Var ConcatCols(Graph* g, const std::vector<Var>& parts) {
           }
           col_off += pc;
         }
-      },
-      rg);
+      });
 }
 
 Var ConcatRows(Graph* g, const std::vector<Var>& parts) {
   FEDDA_CHECK(!parts.empty());
   const int64_t cols = g->value(parts[0]).cols();
   int64_t total_rows = 0;
-  bool rg = false;
   for (Var p : parts) {
     FEDDA_CHECK_EQ(g->value(p).cols(), cols);
     total_rows += g->value(p).rows();
-    rg = rg || g->requires_grad(p);
   }
   Tensor out(total_rows, cols);
   int64_t offset = 0;
@@ -628,10 +580,9 @@ Var ConcatRows(Graph* g, const std::vector<Var>& parts) {
     std::copy(pv.data(), pv.data() + pv.size(), out.data() + offset * cols);
     offset += pv.rows();
   }
-  std::vector<Var> inputs = parts;
   return g->AddNode(
-      std::move(out), inputs,
-      [inputs](Graph* bg, Var self) {
+      std::move(out), parts,
+      [inputs = parts](Graph* bg, Var self) {
         const Tensor& dy = bg->grad(self);
         const int64_t n_cols = dy.cols();
         int64_t col_off = 0;
@@ -644,8 +595,7 @@ Var ConcatRows(Graph* g, const std::vector<Var>& parts) {
           }
           col_off += pr;
         }
-      },
-      rg);
+      });
 }
 
 Var RowL2Normalize(Graph* g, Var a, float eps) {
@@ -675,7 +625,6 @@ Var RowL2Normalize(Graph* g, Var a, float eps) {
           for (int64_t c = 0; c < cols; ++c) yrow[c] = xrow[c] / n;
         }
       });
-  const bool rg = g->requires_grad(a);
   return g->AddNode(
       std::move(out), {a},
       [a, norms, norms_keep](Graph* bg, Var self) {
@@ -704,8 +653,7 @@ Var RowL2Normalize(Graph* g, Var a, float eps) {
                 }
               }
             });
-      },
-      rg);
+      });
 }
 
 Var RowDot(Graph* g, Var a, Var b) {
@@ -715,7 +663,6 @@ Var RowDot(Graph* g, Var a, Var b) {
   Tensor out(av.rows(), 1);
   kernels::RowDot(av.data(), bv.data(), out.data(), av.rows(), av.cols(),
                   g->pool());
-  const bool rg = AnyRequiresGrad(*g, {a, b});
   return g->AddNode(
       std::move(out), {a, b},
       [a, b](Graph* bg, Var self) {
@@ -737,8 +684,7 @@ Var RowDot(Graph* g, Var a, Var b) {
           kernels::RowScaleAccumulate(dy.data(), a_in.data(), db.data(), rows,
                                       cols, bg->pool());
         }
-      },
-      rg);
+      });
 }
 
 Var BceWithLogits(Graph* g, Var logits, const Tensor& labels) {
@@ -756,7 +702,6 @@ Var BceWithLogits(Graph* g, Var logits, const Tensor& labels) {
   }
   Tensor out(1, 1);
   out.at(0, 0) = static_cast<float>(total / zv.rows());
-  const bool rg = g->requires_grad(logits);
   auto labels_copy = std::make_shared<Tensor>(labels);
   return g->AddNode(
       std::move(out), {logits},
@@ -774,8 +719,7 @@ Var BceWithLogits(Graph* g, Var logits, const Tensor& labels) {
           const float sig = 1.0f / (1.0f + std::exp(-zp[i]));
           dzp[i] += dy * (sig - yp[i]) * inv_n;
         }
-      },
-      rg);
+      });
 }
 
 Var SoftmaxCrossEntropy(Graph* g, Var logits,
@@ -808,7 +752,6 @@ Var SoftmaxCrossEntropy(Graph* g, Var logits,
   }
   Tensor out(1, 1);
   out.at(0, 0) = static_cast<float>(total / static_cast<double>(n));
-  const bool rg = g->requires_grad(logits);
   return g->AddNode(
       std::move(out), {logits},
       [logits, labels, softmax](Graph* bg, Var self) {
@@ -824,39 +767,7 @@ Var SoftmaxCrossEntropy(Graph* g, Var logits,
             dz.at(i, j) += dy * (softmax->at(i, j) - onehot) * inv_n;
           }
         }
-      },
-      rg);
-}
-
-Var Dropout(Graph* g, Var a, float p, core::Rng* rng) {
-  FEDDA_CHECK(p >= 0.0f && p < 1.0f);
-  if (p == 0.0f || !g->training()) return a;
-  FEDDA_CHECK(rng != nullptr);
-  const Tensor& av = g->value(a);
-  const float keep = 1.0f - p;
-  // The mask lives as long as the backward closure that reads it. Its draw
-  // stays a single sequential loop so the rng consumption order is
-  // independent of threading.
-  auto mask_keep = std::make_shared<std::vector<float>>(
-      static_cast<size_t>(av.size()), 0.0f);
-  float* mask = mask_keep->data();
-  Tensor out(av.rows(), av.cols());
-  for (int64_t i = 0; i < av.size(); ++i) {
-    const float m = rng->Bernoulli(keep) ? 1.0f / keep : 0.0f;
-    mask[i] = m;
-    out.data()[i] = m * av.data()[i];
-  }
-  const bool rg = g->requires_grad(a);
-  return g->AddNode(
-      std::move(out), {a},
-      [a, mask, mask_keep](Graph* bg, Var self) {
-        if (!bg->requires_grad(a)) return;
-        const Tensor& dy = bg->grad(self);
-        Tensor& da = bg->mutable_grad(a);
-        kernels::AccumulateMul(da.data(), dy.data(), mask, dy.size(),
-                               bg->pool());
-      },
-      rg);
+      });
 }
 
 }  // namespace fedda::tensor

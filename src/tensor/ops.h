@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/rng.h"
 #include "tensor/autograd.h"
 
 namespace fedda::tensor {
@@ -95,10 +94,6 @@ Var BceWithLogits(Graph* g, Var logits, const Tensor& labels);
 /// log-softmax is computed in a numerically stable (max-shifted) form.
 Var SoftmaxCrossEntropy(Graph* g, Var logits,
                         std::shared_ptr<const std::vector<int32_t>> labels);
-
-/// Inverted dropout with keep-prob (1 - p); identity when p == 0 or the
-/// graph is in inference mode. The mask is drawn from `rng`.
-Var Dropout(Graph* g, Var a, float p, core::Rng* rng);
 
 /// Convenience for building shared index vectors for gather/scatter ops.
 std::shared_ptr<const std::vector<int32_t>> MakeIndices(

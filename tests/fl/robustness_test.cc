@@ -136,30 +136,6 @@ TEST(GatAblationTest, DisablingEdgeTypeAttentionDropsTheExtraGroups) {
   EXPECT_NE(store.FindByName("layer0/head0/a_src"), -1);
 }
 
-TEST(GatAblationTest, MeanAggregationModeDropsAttentionParams) {
-  SystemConfig config;
-  config.data = data::DblpSpec(0.002);
-  config.partition.num_clients = 2;
-  config.seed = 5;
-  // Paper-default layout with attention fully replaced by mean aggregation:
-  // 3 input projections + 3 layers x 3 heads x {W, W_res} + 5 DistMult
-  // relations = 26 groups.
-  config.model.use_attention = false;
-  const FederatedSystem system = FederatedSystem::Build(config);
-  tensor::ParameterStore store = system.MakeInitialStore(1);
-  EXPECT_EQ(store.num_groups(), 26);
-  EXPECT_EQ(store.FindByName("layer0/head0/a_src"), -1);
-  EXPECT_EQ(store.FindByName("layer0/edge_emb"), -1);
-  EXPECT_NE(store.FindByName("layer0/head0/W"), -1);
-
-  FlOptions options;
-  options.rounds = 2;
-  options.eval.max_edges = 32;
-  options.eval.mrr_negatives = 3;
-  const FlRunResult result = RunFederated(system, options, 1);
-  EXPECT_GT(result.final_auc, 0.0);
-}
-
 TEST(GatAblationTest, GatModeTrainsEndToEnd) {
   SystemConfig config;
   config.data = data::AmazonSpec(0.012);

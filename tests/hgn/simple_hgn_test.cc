@@ -143,7 +143,7 @@ TEST(SimpleHgnTest, EncodeDeterministicInInference) {
   EXPECT_TRUE(e1.Equals(e2));
 }
 
-TEST(SimpleHgnTest, TrainingAndInferenceForwardAgreeWithoutDropout) {
+TEST(SimpleHgnTest, TrainingAndInferenceForwardAgree) {
   graph::HeteroGraph g = MakeTinyDblp();
   SimpleHgn model = MakeModel(g, SmallConfig());
   tensor::ParameterStore store;
@@ -151,28 +151,11 @@ TEST(SimpleHgnTest, TrainingAndInferenceForwardAgreeWithoutDropout) {
   model.InitParameters(&store, &rng);
   const MpStructure mp = model.BuildStructure(g);
   tensor::Graph train_tape(true), infer_tape(false);
-  core::Rng drop(1);
   const tensor::Tensor& et =
-      train_tape.value(model.Encode(&train_tape, g, mp, &store, &drop));
+      train_tape.value(model.Encode(&train_tape, g, mp, &store));
   const tensor::Tensor& ei =
       infer_tape.value(model.Encode(&infer_tape, g, mp, &store));
   EXPECT_TRUE(et.AllClose(ei, 1e-6f));
-}
-
-TEST(SimpleHgnTest, DropoutMakesTrainingForwardStochastic) {
-  graph::HeteroGraph g = MakeTinyDblp();
-  SimpleHgnConfig config = SmallConfig();
-  config.feat_dropout = 0.5f;
-  SimpleHgn model = MakeModel(g, config);
-  tensor::ParameterStore store;
-  core::Rng rng(5);
-  model.InitParameters(&store, &rng);
-  const MpStructure mp = model.BuildStructure(g);
-  core::Rng d1(1), d2(2);
-  tensor::Graph t1(true), t2(true);
-  const tensor::Tensor& e1 = t1.value(model.Encode(&t1, g, mp, &store, &d1));
-  const tensor::Tensor& e2 = t2.value(model.Encode(&t2, g, mp, &store, &d2));
-  EXPECT_FALSE(e1.AllClose(e2, 1e-6f));
 }
 
 TEST(SimpleHgnTest, ScorePairsMatchesScalarScorePair) {
@@ -232,16 +215,6 @@ TEST(SimpleHgnTest, GradientsFlowToEveryParameterGroup) {
   // Every group should receive gradient except possibly DistMult relations
   // of edge types absent from the batch.
   EXPECT_GE(groups_with_grad, store.num_groups() - 3);
-}
-
-TEST(SimpleHgnTest, NoSelfLoopConfigOmitsThem) {
-  graph::HeteroGraph g = MakeTinyDblp();
-  SimpleHgnConfig config = SmallConfig();
-  config.add_self_loops = false;
-  SimpleHgn model = MakeModel(g, config);
-  const MpStructure mp = model.BuildStructure(g);
-  EXPECT_EQ(static_cast<int64_t>(mp.src->size()), 2 * g.num_edges());
-  EXPECT_EQ(model.num_mp_edge_types(), g.num_edge_types());
 }
 
 TEST(SimpleHgnTest, DotDecoderRegistersNoRelations) {

@@ -300,36 +300,6 @@ TEST_P(OpsGradCheck, SoftmaxCrossEntropy) {
   });
 }
 
-TEST_P(OpsGradCheck, DropoutGradientMatchesMask) {
-  // Dropout cannot go through CheckGradients: inference graphs skip the
-  // mask entirely, so numeric and analytic passes would see different
-  // functions. Instead verify the exact identity the backward must satisfy:
-  // y = x * m / keep  =>  dSum/dx = m / keep = y / x elementwise.
-  core::Rng data_rng = MakeRng();
-  const Tensor x = Tensor::RandomUniform(8, 8, &data_rng, 0.5f, 1.5f);
-  Tensor grad(8, 8);
-  Tensor y;
-  {
-    Graph g(/*training=*/true);
-    core::Rng mask_rng(GetParam().seed + 1);
-    Var xv = g.Leaf(x, &grad);
-    Var yv = Dropout(&g, xv, 0.5f, &mask_rng);
-    Var loss = Sum(&g, yv);
-    y = g.value(yv);
-    g.Backward(loss);
-  }
-  int64_t kept = 0;
-  for (int64_t i = 0; i < x.size(); ++i) {
-    const float expected = y.data()[i] / x.data()[i];  // m_i / keep
-    EXPECT_NEAR(grad.data()[i], expected, 1e-6f) << "scalar " << i;
-    if (y.data()[i] != 0.0f) ++kept;
-  }
-  // The mask actually dropped something and kept something (p = 0.5 over
-  // 64 scalars; both events are astronomically likely).
-  EXPECT_GT(kept, 0);
-  EXPECT_LT(kept, x.size());
-}
-
 // End-to-end: one full Simple-HGN layer (edge-type attention, residual, L2
 // normalization, DistMult decoder) differentiated through the
 // ParameterStore, checked against central differences on a sample of

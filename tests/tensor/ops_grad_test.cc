@@ -188,41 +188,6 @@ TEST(OpsForwardTest, BceWithLogitsStableForExtremeLogits) {
   EXPECT_NEAR(loss, 0.0, 1e-5);
 }
 
-TEST(OpsForwardTest, DropoutIdentityWhenZeroOrInference) {
-  core::Rng rng(1);
-  {
-    Graph g(true);
-    Var a = g.Constant(Tensor::Ones(2, 2));
-    Var d = Dropout(&g, a, 0.0f, &rng);
-    EXPECT_EQ(d.id, a.id);
-  }
-  {
-    Graph g(false);
-    Var a = g.Constant(Tensor::Ones(2, 2));
-    Var d = Dropout(&g, a, 0.5f, &rng);
-    EXPECT_EQ(d.id, a.id);
-  }
-}
-
-TEST(OpsForwardTest, DropoutPreservesExpectation) {
-  core::Rng rng(2);
-  Graph g(true);
-  Var a = g.Constant(Tensor::Ones(100, 100));
-  Var d = Dropout(&g, a, 0.3f, &rng);
-  // Inverted dropout: E[output] == input.
-  EXPECT_NEAR(g.value(d).Mean(), 1.0, 0.05);
-  // Surviving entries are scaled by 1/keep.
-  bool found_scaled = false;
-  for (int64_t i = 0; i < g.value(d).size(); ++i) {
-    const float v = g.value(d).data()[i];
-    if (v != 0.0f) {
-      EXPECT_NEAR(v, 1.0f / 0.7f, 1e-5);
-      found_scaled = true;
-    }
-  }
-  EXPECT_TRUE(found_scaled);
-}
-
 TEST(OpsForwardTest, AddBiasBroadcastsRow) {
   Graph g(false);
   Var a = g.Constant(Tensor::FromVector(2, 2, {1, 2, 3, 4}));
