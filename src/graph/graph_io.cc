@@ -1,8 +1,8 @@
 #include "graph/graph_io.h"
 
 #include <cstdlib>
-#include <fstream>
 #include <map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -14,6 +14,27 @@ namespace fedda::graph {
 namespace {
 constexpr uint32_t kMagic = 0xF3DDA6F2;
 constexpr uint32_t kVersion = 1;
+
+/// Reads `path` whole and splits it at each '\n', as std::getline reads a
+/// stream. Any failure to read, a directory included, is the IoError
+/// core::ReadFile reports.
+core::Status ReadLines(const std::string& path,
+                       std::vector<std::string>* lines) {
+  std::vector<uint8_t> bytes;
+  FEDDA_RETURN_IF_ERROR(core::ReadFile(path, &bytes));
+  const std::string_view text(reinterpret_cast<const char*>(bytes.data()),
+                              bytes.size());
+  lines->clear();
+  size_t begin = 0;
+  while (begin < text.size()) {
+    size_t end = text.find('\n', begin);
+    if (end == std::string_view::npos) end = text.size();
+    lines->emplace_back(text.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  return core::Status::OK();
+}
+
 }  // namespace
 
 core::Status SaveGraph(const HeteroGraph& graph, const std::string& path) {
@@ -183,10 +204,8 @@ core::Status LoadGraph(const std::string& path, HeteroGraph* graph) {
 core::Status LoadGraphFromTsv(const std::string& nodes_path,
                               const std::string& edges_path,
                               HeteroGraph* graph) {
-  std::ifstream nodes_in(nodes_path);
-  if (!nodes_in.is_open()) {
-    return core::Status::IoError("cannot open nodes file: " + nodes_path);
-  }
+  std::vector<std::string> lines;
+  FEDDA_RETURN_IF_ERROR(ReadLines(nodes_path, &lines));
 
   // Pass 1: nodes. Types are declared on first use; features collected
   // per type in file order (which is also type-local order).
@@ -196,9 +215,8 @@ core::Status LoadGraphFromTsv(const std::string& nodes_path,
   std::vector<std::vector<float>> feature_values;
   std::vector<int64_t> type_counts;
   std::vector<NodeTypeId> pending_types;  // type of global node i
-  std::string line;
   int64_t line_number = 0;
-  while (std::getline(nodes_in, line)) {
+  for (const std::string& line : lines) {
     ++line_number;
     if (line.empty() || line[0] == '#') continue;
     const std::vector<std::string> fields = core::Split(line, '\t');
@@ -258,14 +276,11 @@ core::Status LoadGraphFromTsv(const std::string& nodes_path,
   }
 
   // Pass 2: edges.
-  std::ifstream edges_in(edges_path);
-  if (!edges_in.is_open()) {
-    return core::Status::IoError("cannot open edges file: " + edges_path);
-  }
+  FEDDA_RETURN_IF_ERROR(ReadLines(edges_path, &lines));
   std::map<std::string, EdgeTypeId> edge_type_ids;
   std::vector<std::pair<NodeTypeId, NodeTypeId>> edge_endpoints;
   line_number = 0;
-  while (std::getline(edges_in, line)) {
+  for (const std::string& line : lines) {
     ++line_number;
     if (line.empty() || line[0] == '#') continue;
     const std::vector<std::string> fields = core::Split(line, '\t');

@@ -300,6 +300,18 @@ TEST_F(GraphIoTest, TsvMissingFilesFail) {
           .ok());
 }
 
+// A directory opens for reading, and a stream read from it used to end
+// like an empty file: an empty graph, or a graph without edges, and OK.
+TEST_F(GraphIoTest, TsvDirectoryPathsAreIoError) {
+  const std::string dir = ::testing::TempDir();
+  HeteroGraph graph;
+  EXPECT_EQ(LoadGraphFromTsv(dir, dir, &graph).code(),
+            core::StatusCode::kIoError);
+  WriteFile(nodes_path_, "a\t1.0\na\t2.0\n");
+  EXPECT_EQ(LoadGraphFromTsv(nodes_path_, dir, &graph).code(),
+            core::StatusCode::kIoError);
+}
+
 TEST_F(GraphIoTest, SavedGraphUsableAfterLoad) {
   core::Rng rng(6);
   const HeteroGraph original =
