@@ -1,7 +1,9 @@
 // Microbenchmarks for the tensor/autograd substrate, plus the dispatched
 // kernel speed grid: every kernel × {scalar, auto} dispatch × {1, N}
 // threads, registered under "kernel/<kernel>/dispatch:<d>/threads:<n>"
-// names. google-benchmark's own JSON output records the grid's timings: CI
+// names and timed on the wall clock (google-benchmark appends "/real_time"
+// to each name). google-benchmark's own JSON output records the grid's
+// timings: CI
 // runs --benchmark_filter='kernel/'
 // --benchmark_out=bench_results/kernel_speed.json
 // --benchmark_out_format=json and uploads that file as an artifact, so
@@ -401,10 +403,12 @@ void RegisterKernelGrid() {
                                  "/threads:" + std::to_string(threads);
         auto* fn = kernel.fn;
         const k::DispatchMode mode = dispatch.mode;
+        // Wall time: the main thread's CPU time leaves out the pool
+        // helpers' work, so it would overstate every pooled rate.
         benchmark::RegisterBenchmark(
             name.c_str(), [fn, mode, threads](benchmark::State& state) {
               fn(state, mode, threads);
-            });
+            })->UseRealTime();
       }
     }
   }
