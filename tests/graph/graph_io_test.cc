@@ -300,8 +300,8 @@ TEST_F(GraphIoTest, TsvMissingFilesFail) {
           .ok());
 }
 
-// A directory opens for reading, and a stream read from it used to end
-// like an empty file: an empty graph, or a graph without edges, and OK.
+// A directory opens for reading but cannot be read. Either file being one
+// is an IoError, not an empty file (no nodes, or no edges).
 TEST_F(GraphIoTest, TsvDirectoryPathsAreIoError) {
   const std::string dir = ::testing::TempDir();
   HeteroGraph graph;
